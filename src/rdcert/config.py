@@ -46,6 +46,13 @@ def _parse_int(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text!r}")
 
 
+def _parse_positive_int(text: str) -> int:
+    value = _parse_int(text)
+    if value < 1:
+        raise ConfigError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_choice(options):
     def parse(text: str):
         if text not in options:
@@ -98,7 +105,7 @@ SCHEMA = {
     "run": {
         "T": (_parse_float, None),
         "dt": (_parse_float, None),
-        "record_every": (_parse_int, None),
+        "record_every": (_parse_positive_int, None),
         "seed": (_parse_int, 0),
         "ic": (_parse_str, "zero"),
         "scheme": (_parse_choice(("one_stage", "two_stage")), "two_stage"),

@@ -120,37 +120,55 @@ class NormSet:
 def _second_differences(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     h2 = grid.h * grid.h
     out = np.empty_like(values)
-    out[:, 1:-1] = (values[:, :-2] - 2.0 * values[:, 1:-1] + values[:, 2:]) / h2
+    out[..., 1:-1] = (values[..., :-2] - 2.0 * values[..., 1:-1] + values[..., 2:]) / h2
     if grid.bc == "dirichlet":
         # implicit zero boundary values close the stencil
-        out[:, 0] = (-2.0 * values[:, 0] + values[:, 1]) / h2
-        out[:, -1] = (values[:, -2] - 2.0 * values[:, -1]) / h2
+        out[..., 0] = (-2.0 * values[..., 0] + values[..., 1]) / h2
+        out[..., -1] = (values[..., -2] - 2.0 * values[..., -1]) / h2
     elif grid.n >= 4:
-        out[:, 0] = (2.0 * values[:, 0] - 5.0 * values[:, 1]
-                     + 4.0 * values[:, 2] - values[:, 3]) / h2
-        out[:, -1] = (2.0 * values[:, -1] - 5.0 * values[:, -2]
-                      + 4.0 * values[:, -3] - values[:, -4]) / h2
+        out[..., 0] = (2.0 * values[..., 0] - 5.0 * values[..., 1]
+                       + 4.0 * values[..., 2] - values[..., 3]) / h2
+        out[..., -1] = (2.0 * values[..., -1] - 5.0 * values[..., -2]
+                        + 4.0 * values[..., -3] - values[..., -4]) / h2
     else:
-        out[:, 0] = out[:, 1]
-        out[:, -1] = out[:, -2]
+        out[..., 0] = out[..., 1]
+        out[..., -1] = out[..., -2]
     return out
+
+
+def _integrate(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # a reduction along the last axis sums each row in the same order whatever
+    # the number of rows, so a batch of states gets the norms of each one alone
+    return np.sum(samples * weights, axis=-1)
+
+
+def norms_batch(values: np.ndarray, grid: Grid1D,
+                weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Discrete norms of k states at once.
+
+    ``values`` has shape (k, n_components, n); the result has shape (k, 4)
+    with columns l2, sup, h1_semi and h2, the fields of :class:`NormSet`.
+    """
+    if weights is None:
+        weights = quadrature_weights(grid)
+    sq = np.sum(values * values, axis=1)
+    l2sq = _integrate(sq, weights)
+    if grid.bc == "dirichlet":
+        edges = np.concatenate([values[..., :1], np.diff(values, axis=-1),
+                                -values[..., -1:]], axis=-1)
+    else:
+        edges = np.diff(values, axis=-1)
+    h1sq = np.sum(edges * edges, axis=(1, 2)) / grid.h
+    d2 = _second_differences(values, grid)
+    h2sq = l2sq + h1sq + _integrate(np.sum(d2 * d2, axis=1), weights)
+    return np.sqrt(np.column_stack([l2sq, np.max(sq, axis=-1), h1sq, h2sq]))
 
 
 def norms_from_values(values: np.ndarray, grid: Grid1D,
                       weights: Optional[np.ndarray] = None) -> NormSet:
-    if weights is None:
-        weights = quadrature_weights(grid)
-    sq = np.sum(values * values, axis=0)
-    l2 = math.sqrt(float(sq @ weights))
-    sup = math.sqrt(float(np.max(sq))) if sq.size else 0.0
-    if grid.bc == "dirichlet":
-        edges = np.concatenate([values[:, :1], np.diff(values, axis=1), -values[:, -1:]], axis=1)
-    else:
-        edges = np.diff(values, axis=1)
-    h1sq = float(np.sum(edges * edges)) / grid.h
-    d2 = _second_differences(values, grid)
-    h2sq = l2 * l2 + h1sq + float(np.sum(d2 * d2, axis=0) @ weights)
-    return NormSet(l2=l2, sup=sup, h1_semi=math.sqrt(h1sq), h2=math.sqrt(h2sq))
+    """Norms of one state of shape (n_components, n): the k = 1 case of
+    :func:`norms_batch`."""
+    return NormSet(*(float(v) for v in norms_batch(values[None], grid, weights)[0]))
 
 
 def discrete_norms(field: Field) -> NormSet:
@@ -158,10 +176,19 @@ def discrete_norms(field: Field) -> NormSet:
     return norms_from_values(field.values, field.grid)
 
 
+def lp_integrals(values: np.ndarray, grid: Grid1D, exponent: float,
+                 weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Integral of |u(x)|**exponent for each of k states of shape
+    (k, n_components, n), with |.| the pointwise euclidean norm."""
+    if weights is None:
+        weights = quadrature_weights(grid)
+    mag = np.sqrt(np.sum(values * values, axis=1))
+    return _integrate(mag ** exponent, weights)
+
+
 def lp_integral(field: Field, exponent: float) -> float:
     """Integral of |u(x)|**exponent with |.| the pointwise euclidean norm."""
-    mag = np.sqrt(np.sum(field.values * field.values, axis=0))
-    return float((mag ** exponent) @ quadrature_weights(field.grid))
+    return float(lp_integrals(field.values[None], field.grid, exponent)[0])
 
 
 def poincare_constant(grid: Grid1D) -> float:

@@ -62,7 +62,9 @@ class ScalarProblem:
 
         def checked(t):
             val = inner(t)
-            if np.any(np.asarray(val) < 0.0):
+            # scalar times, as the integrators pass them, skip the array reduction
+            negative = val < 0.0 if isinstance(val, float) else np.any(np.asarray(val) < 0.0)
+            if negative:
                 raise ValueError("alpha(t) must be nonnegative")
             return val
         return checked

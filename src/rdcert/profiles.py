@@ -277,26 +277,43 @@ def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:
         raise ValueError(f"state must have {kin.n_components} leading components")
     if not np.all(np.isfinite(u_arr)):
         raise ValueError("state must be finite")
-    out = np.zeros_like(u_arr)
-    if kin.linear is not None:
-        if callable(kin.linear):
-            if u_arr.ndim == 1:
-                out += np.asarray(kin.linear(x, t), dtype=float) @ u_arr
-            else:
-                xs = np.asarray(x, dtype=float)
-                for j in range(u_arr.shape[1]):
-                    out[:, j] = np.asarray(kin.linear(xs[j], t), dtype=float) @ u_arr[:, j]
+    return reaction_kernel(kin, u_arr, x, t, reaction_c0(kin, t),
+                           eval_profile(kin.modulation, t))
+
+
+def reaction_c0(kin: KineticsSpec, t: TimeLike) -> TimeLike:
+    """c0(t) as the reaction uses it: checked nonnegative, and 0 without a
+    nonlinearity (the profile is then never evaluated)."""
+    if kin.nonlinearity != "saturated_power":
+        return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
+    c0 = eval_profile(kin.c0, t)
+    if np.any(np.asarray(c0) < 0.0):
+        raise ValueError("c0 profile must be nonnegative")
+    return c0
+
+
+def reaction_kernel(kin: KineticsSpec, u: np.ndarray, x, t: float, c0: float,
+                    phi: float) -> np.ndarray:
+    """F(u, x, t) from a finite float state and the coefficients c0(t) and
+    phi(t) already evaluated; no input checks."""
+    if kin.linear is None:
+        out = np.zeros_like(u)
+    elif callable(kin.linear):
+        out = np.empty_like(u)
+        if u.ndim == 1:
+            out[:] = np.asarray(kin.linear(x, t), dtype=float) @ u
         else:
-            out += kin.linear @ u_arr
+            xs = np.asarray(x, dtype=float)
+            for j in range(u.shape[1]):
+                out[:, j] = np.asarray(kin.linear(xs[j], t), dtype=float) @ u[:, j]
+    else:
+        out = kin.linear @ u
     if kin.nonlinearity == "saturated_power":
-        c0 = eval_profile(kin.c0, t)
-        if c0 < 0.0:
-            raise ValueError("c0 profile must be nonnegative")
-        mag = np.sqrt(np.sum(u_arr * u_arr, axis=0))
+        mag = np.sqrt((u * u).sum(axis=0))
         s = mag ** (kin.p - 1.0)
         ratio = np.where(np.isinf(s), 1.0, s / (1.0 + s))
-        out = out - c0 * u_arr * ratio
-    return eval_profile(kin.modulation, t) * out
+        out = out - c0 * u * ratio
+    return phi * out
 
 
 def gamma_of_t(kin: KineticsSpec, t: float, positions=None) -> float:

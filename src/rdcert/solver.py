@@ -1,25 +1,37 @@
 """IMEX time integration of the semilinear parabolic system.
 
 Diffusion is treated implicitly (Crank-Nicolson with the coefficient at the
-step midpoint, one tridiagonal solve per component); the reaction and any
-manufactured forcing are explicit, with an optional predictor-corrector stage
-for second order in time.  A simulation records the norm time series that the
-decay certificates are checked against.
+step midpoint); the reaction and any manufactured forcing are explicit, with an
+optional predictor-corrector stage for second order in time.  A simulation
+records the norm time series that the decay certificates are checked against.
+
+Every step, in :func:`simulate` and :func:`step_imex` alike, runs from a step
+plan built once per run: the diffusion values at the step midpoints and the
+reaction's c0 and phi at both stage times are evaluated as vectorised tables,
+and each implicit solve is one call to LAPACK ``gtsv`` per component on a
+preallocated set of diagonals.  ``simulate`` computes the norms of a block of
+buffered states at a time and still raises errors in step order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
-from .grid import Field, Grid1D, NormSet, norms_from_values, quadrature_weights
-from .profiles import KineticsSpec, TimeProfile, eval_profile, eval_reaction
+from .grid import (Field, Grid1D, NormSet, lp_integrals, norms_batch, norms_from_values,
+                   quadrature_weights)
+from .profiles import (KineticsSpec, TimeProfile, eval_profile, eval_reaction, reaction_c0,
+                       reaction_kernel)
 
 Scheme = str  # "one_stage" | "two_stage"
+
+# LAPACK's tridiagonal solver, the one scipy's solve_banded uses for (1, 1) bands
+_gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 class BlowUpError(RuntimeError):
@@ -94,69 +106,125 @@ def apply_laplacian(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     return out
 
 
-def _laplacian_bands(grid: Grid1D):
-    # solve_banded layout: row 0 superdiagonal (padded left), row 1 diagonal,
-    # row 2 subdiagonal (padded right).
-    h2 = grid.h * grid.h
-    diag = np.full(grid.n, -2.0 / h2)
-    sup = np.zeros(grid.n)
-    sub = np.zeros(grid.n)
-    sup[1:] = 1.0 / h2
-    sub[:-1] = 1.0 / h2
-    if grid.bc == "neumann":
-        sup[1] = 2.0 / h2
-        sub[-2] = 2.0 / h2
-    return sup, diag, sub
-
-
-def _diffusion_values(sys: SystemSpec, t: float) -> np.ndarray:
-    d = np.array([eval_profile(p, t) for p in sys.diffusion], dtype=float)
-    if np.any(d <= 0.0):
-        raise ValueError(f"diffusion coefficient is not positive at t = {t:.6g}")
+def _diffusion_table(sys: SystemSpec, times: np.ndarray) -> np.ndarray:
+    """Diffusion values of each component at each time, shape (m, len(times))."""
+    d = np.array([eval_profile(p, times) for p in sys.diffusion])
+    bad = np.any(d <= 0.0, axis=0)
+    if bad.any():
+        raise ValueError("diffusion coefficient is not positive at "
+                         f"t = {times[np.argmax(bad)]:.6g}")
     return d
 
 
-def _explicit_term(sys: SystemSpec, values: np.ndarray, xs: np.ndarray, t: float) -> np.ndarray:
-    out = eval_reaction(sys.kinetics, values, xs, t)
-    if sys.forcing is not None:
-        out = out + np.asarray(sys.forcing(xs, t), dtype=float)
-    return out
+def _reaction_table(kin: KineticsSpec, times: np.ndarray) -> np.ndarray:
+    """The reaction's c0(t) and phi(t) at each time, shape (len(times), 2)."""
+    return np.column_stack([reaction_c0(kin, times), eval_profile(kin.modulation, times)])
 
 
-def _implicit_solve(rhs: np.ndarray, d_vals: np.ndarray, dt: float, grid: Grid1D) -> np.ndarray:
-    sup, diag, sub = _laplacian_bands(grid)
-    out = np.empty_like(rhs)
-    ab = np.empty((3, grid.n))
-    for i in range(rhs.shape[0]):
-        delta = 0.5 * dt * d_vals[i]
-        # I - delta * Laplacian is strictly diagonally dominant for delta > 0
-        np.multiply(sup, -delta, out=ab[0])
-        np.multiply(diag, -delta, out=ab[1])
-        ab[1] += 1.0
-        np.multiply(sub, -delta, out=ab[2])
-        out[i] = solve_banded((1, 1), ab, rhs[i], overwrite_ab=True, check_finite=False)
-    return out
+def _coefficient_table(fn, times: np.ndarray):
+    """``fn(times)`` and None, or, when fn rejects some time, its values on the
+    times before the first rejected one and the error raised at that time.
+
+    A step raises that error only when it reaches the time, so a run fails
+    the way a step-by-step evaluation would: a blow-up earlier still wins.
+    """
+    try:
+        return fn(times), None
+    except ValueError as exc:
+        error = exc
+    for i in range(len(times)):
+        try:
+            fn(times[i:i + 1])
+        except ValueError as exc:
+            return fn(times[:i]), exc
+    raise error
 
 
-def _advance(values: np.ndarray, t: float, dt: float, sys: SystemSpec,
-             scheme: Scheme, xs: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        d_mid = _diffusion_values(sys, t + 0.5 * dt)
-        base = values + (0.5 * dt) * d_mid[:, None] * apply_laplacian(values, sys.grid)
-        f0 = _explicit_term(sys, values, xs, t)
-        pred = _implicit_solve(base + dt * f0, d_mid, dt, sys.grid)
-        if not np.all(np.isfinite(pred)):
-            raise BlowUpError(t + dt)
-        if scheme == "one_stage":
-            new = pred
-        elif scheme == "two_stage":
-            f1 = _explicit_term(sys, pred, xs, t + dt)
-            new = _implicit_solve(base + (0.5 * dt) * (f0 + f1), d_mid, dt, sys.grid)
-        else:
+class _StepPlan:
+    """Everything the IMEX steps of one run share, built once.
+
+    Step k goes from ``starts[k]`` to ``starts[k] + dt``.  The plan holds the
+    diffusion values at the step midpoints and c0, phi at both stage times as
+    tables, and one tridiagonal work set that every implicit solve refills.
+    """
+
+    def __init__(self, sys: SystemSpec, starts: np.ndarray, dt: float, scheme: Scheme):
+        if scheme not in ("one_stage", "two_stage"):
             raise ValueError(f"unknown scheme {scheme!r}")
-    if not np.all(np.isfinite(new)):
-        raise BlowUpError(t + dt)
-    return new
+        self.sys = sys
+        self.dt = dt
+        self.two_stage = scheme == "two_stage"
+        self.starts = starts
+        self.ends = starts + dt
+        self.xs = sys.grid.x
+        d_mid, self.mid_error = _coefficient_table(partial(_diffusion_table, sys),
+                                                   starts + 0.5 * dt)
+        # (dt/2) D(t + dt/2) per step and component: the Crank-Nicolson weight
+        self.delta = (0.5 * dt) * d_mid.T
+        react = partial(_reaction_table, sys.kinetics)
+        self.start_coeffs, self.start_error = _coefficient_table(react, starts)
+        if self.two_stage:
+            self.end_coeffs, self.end_error = _coefficient_table(react, self.ends)
+        n = sys.grid.n
+        h2 = sys.grid.h * sys.grid.h
+        self.off = 1.0 / h2
+        self.end_off = (2.0 if sys.grid.bc == "neumann" else 1.0) / h2
+        self.centre = -2.0 / h2
+        self.lower = np.empty(n - 1)
+        self.diag = np.empty(n)
+        self.upper = np.empty(n - 1)
+
+    def _solve(self, rhs: np.ndarray, delta: np.ndarray) -> None:
+        """Overwrite each row i of rhs with the solution of
+        (I - delta_i L) x = rhs_i, L the three-point Laplacian."""
+        lower, diag, upper = self.lower, self.diag, self.upper
+        for i, d in enumerate(delta.tolist()):
+            # I - d L is strictly diagonally dominant for d > 0; gtsv overwrites
+            # the diagonals, so they are refilled for every solve
+            off = self.off * -d
+            lower.fill(off)
+            upper.fill(off)
+            lower[-1] = upper[0] = self.end_off * -d
+            diag.fill(self.centre * -d + 1.0)
+            info = _gtsv(lower, diag, upper, rhs[i], True, True, True, True)[-1]
+            if info:
+                raise np.linalg.LinAlgError(f"tridiagonal solve failed (info = {info})")
+
+    def _explicit(self, values: np.ndarray, t: float, coeffs: np.ndarray) -> np.ndarray:
+        sys = self.sys
+        c0, phi = coeffs
+        out = reaction_kernel(sys.kinetics, values, self.xs, t, c0, phi)
+        if sys.forcing is not None:
+            out = out + np.asarray(sys.forcing(self.xs, t), dtype=float)
+        return out
+
+    def advance(self, values: np.ndarray, k: int) -> np.ndarray:
+        """The state after step k from ``values``, as a new array.
+
+        Raises :class:`BlowUpError` when a stage loses finiteness, and the
+        error of a coefficient table when the step reaches its first
+        rejected time.
+        """
+        if k >= len(self.delta):
+            raise self.mid_error
+        delta = self.delta[k]
+        base = values + delta[:, None] * apply_laplacian(values, self.sys.grid)
+        if k >= len(self.start_coeffs):
+            raise self.start_error
+        f0 = self._explicit(values, self.starts[k], self.start_coeffs[k])
+        out = base + self.dt * f0
+        self._solve(out, delta)
+        if not np.isfinite(out).all():
+            raise BlowUpError(self.ends[k])
+        if self.two_stage:
+            if k >= len(self.end_coeffs):
+                raise self.end_error
+            f1 = self._explicit(out, self.ends[k], self.end_coeffs[k])
+            out = base + (0.5 * self.dt) * (f0 + f1)
+            self._solve(out, delta)
+            if not np.isfinite(out).all():
+                raise BlowUpError(self.ends[k])
+        return out
 
 
 def step_imex(state: Field, t: float, dt: float, sys: SystemSpec,
@@ -166,7 +234,14 @@ def step_imex(state: Field, t: float, dt: float, sys: SystemSpec,
         raise ValueError("dt must be positive")
     if state.grid != sys.grid:
         raise ValueError("state lives on a different grid")
-    return Field(sys.grid, _advance(state.values, t, dt, sys, scheme, sys.grid.x))
+    plan = _StepPlan(sys, np.array([float(t)]), dt, scheme)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Field(sys.grid, plan.advance(state.values, 0))
+
+
+# States wait, at most this many bytes of them and at least one, before their
+# norms are computed together.
+_NORM_BLOCK_BYTES = 64 * 1024
 
 
 def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
@@ -178,7 +253,8 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
     min(1e-3, h)).  Snapshots of the full field are kept every
     ``record_every`` steps (default about 2000 over the run) plus the final
     state.  Blow-up raises :class:`BlowUpError` carrying the failure time;
-    non-finite values are never recorded.
+    non-finite values are never recorded.  Norms are computed a block of
+    steps at a time; errors are still raised in step order.
     """
     if T <= 0.0:
         raise ValueError("final time T must be positive")
@@ -190,42 +266,65 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
     n_steps = max(1, int(round(T / dt)))
     if record_every is None:
         record_every = max(1, n_steps // 2000)
-    xs = grid.x
+    elif record_every < 1:
+        raise ValueError("record_every must be at least 1")
     weights = quadrature_weights(grid)
     lp_exp = sys.kinetics.p + 1.0
 
     times = dt * np.arange(n_steps + 1)
-    l2 = np.empty(n_steps + 1)
-    sup = np.empty(n_steps + 1)
-    h1 = np.empty(n_steps + 1)
-    h2 = np.empty(n_steps + 1)
-    lp1 = np.empty(n_steps + 1)
+    plan = _StepPlan(sys, times[:-1], dt, scheme)
+    series = np.empty((5, n_steps + 1))  # l2, sup, h1_semi, h2, lp1
     snapshot_times = [0.0]
     snapshots = [Field(grid, sys.initial.values.copy())]
 
-    def record(i, vals):
+    block_len = max(1, _NORM_BLOCK_BYTES // sys.initial.values.nbytes)
+    pending = []  # states of steps done, done + 1, ... whose norms are not in `series`
+    done = 0
+
+    def flush():
+        nonlocal done
+        # a lone state is viewed, not copied
+        states = np.stack(pending) if len(pending) > 1 else pending[0][None]
+        first = done
+        done += len(pending)
+        pending.clear()
+        rows = series[:, first:done]
         with np.errstate(over="ignore", invalid="ignore"):
-            ns = norms_from_values(vals, grid, weights)
-            mag = np.sqrt(np.sum(vals * vals, axis=0))
-            lp_val = float((mag ** lp_exp) @ weights)
-        row = (ns.l2, ns.sup, ns.h1_semi, ns.h2, lp_val)
-        if not all(math.isfinite(v) for v in row):
+            rows[:4] = norms_batch(states, grid, weights).T
+            rows[4] = lp_integrals(states, grid, lp_exp, weights)
+        finite = np.isfinite(rows).all(axis=0)
+        if not finite.all():
             # finite state whose squared norms overflow: treat as blow-up,
             # non-finite values are never recorded
-            raise BlowUpError(float(times[i]))
-        l2[i], sup[i], h1[i], h2[i], lp1[i] = row
+            raise BlowUpError(float(times[first + int(np.argmin(finite))]))
 
-    values = sys.initial.values.copy()
-    record(0, values)
-    for step in range(1, n_steps + 1):
-        values = _advance(values, times[step - 1], dt, sys, scheme, xs)
-        record(step, values)
-        if step % record_every == 0 or step == n_steps:
-            snapshot_times.append(float(times[step]))
-            snapshots.append(Field(grid, values.copy()))
+    values = sys.initial.values
+    pending.append(values)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, n_steps + 1):
+                if len(pending) == block_len:
+                    flush()
+                values = plan.advance(values, step - 1)
+                pending.append(values)
+                if step % record_every == 0 or step == n_steps:
+                    snapshot_times.append(float(times[step]))
+                    # each step returns a new array that nothing writes to again
+                    snapshots.append(Field(grid, values))
+        flush()
+    except Exception:
+        # the buffered states come before the failing step: if the norms of
+        # one of them overflow, that is the first failure in step order
+        if pending:
+            try:
+                flush()
+            except BlowUpError as earlier:
+                raise earlier from None
+        raise
 
     metadata = {"dt": dt, "scheme": scheme, "seed": seed,
                 "record_every": record_every, "T": float(times[-1])}
+    l2, sup, h1, h2, lp1 = series
     return Trajectory(times=times, l2=l2, sup=sup, h1_semi=h1, h2=h2, lp1=lp1,
                       snapshot_times=np.asarray(snapshot_times), snapshots=snapshots,
                       metadata=metadata)

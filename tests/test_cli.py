@@ -73,6 +73,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[domain\].L"):
             parse_config(write_cfg(tmp_path, "[domain]\nL = alpha\n"))
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_record_every_must_be_positive(self, tmp_path, value):
+        with pytest.raises(ConfigError, match=r"\[run\].record_every"):
+            parse_config(write_cfg(tmp_path, f"[run]\nrecord_every = {value}\n"))
+
     def test_comments_and_defaults(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "[domain]\nL = 1.0  # length\n"))
         assert cfg.get("domain", "L") == 1.0

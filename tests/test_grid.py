@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rdcert.grid import (Field, Grid1D, constant_field, discrete_norms,
-                         discrete_poincare_constant, lp_integral, mode_field,
-                         noise_field, poincare_constant, quadrature_weights, zero_field)
+                         discrete_poincare_constant, lp_integral, lp_integrals, mode_field,
+                         noise_field, norms_batch, norms_from_values, poincare_constant,
+                         quadrature_weights, zero_field)
 
 
 class TestGrid1D:
@@ -101,6 +102,47 @@ class TestNorms:
     def test_lp_integral_constant(self):
         g = Grid1D(2.0, 21, "neumann")
         assert lp_integral(constant_field(g, 0.5), 3.0) == pytest.approx(0.5 ** 3 * 2.0)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("bc,n", [("dirichlet", 17), ("neumann", 17), ("neumann", 3)])
+    def test_batch_matches_single_states(self, bc, n, k):
+        # Neumann with n = 3 takes the short second-difference stencil
+        g = Grid1D(1.3, n, bc)
+        states = np.random.default_rng(7).normal(size=(k, 2, n))
+        batch = norms_batch(states, g)
+        lp = lp_integrals(states, g, 3.0)
+        assert batch.shape == (k, 4) and lp.shape == (k,)
+        w = quadrature_weights(g)
+        for j in range(k):
+            single = norms_from_values(states[j], g)
+            assert tuple(batch[j]) == (single.l2, single.sup, single.h1_semi, single.h2)
+            assert lp[j] == lp_integral(Field(g, states[j]), 3.0)
+            # the norms written out one state at a time
+            u = states[j]
+            sq = np.sum(u * u, axis=0)
+            l2sq = float(sq @ w)
+            pad = [np.zeros((2, 1))] if bc == "dirichlet" else []
+            edges = np.diff(np.concatenate(pad + [u] + pad, axis=1), axis=1)
+            h1sq = float(np.sum(edges ** 2)) / g.h
+            d2 = np.empty_like(u)
+            for i in range(n):
+                if 0 < i < n - 1:
+                    d2[:, i] = u[:, i - 1] - 2.0 * u[:, i] + u[:, i + 1]
+                elif bc == "dirichlet":
+                    inner = 1 if i == 0 else n - 2
+                    d2[:, i] = u[:, inner] - 2.0 * u[:, i]
+                elif n >= 4:
+                    s = 1 if i == 0 else -1
+                    d2[:, i] = (2.0 * u[:, i] - 5.0 * u[:, i + s] + 4.0 * u[:, i + 2 * s]
+                                - u[:, i + 3 * s])
+                else:
+                    d2[:, i] = u[:, 0] - 2.0 * u[:, 1] + u[:, 2]
+            d2 /= g.h ** 2
+            h2sq = l2sq + h1sq + float(np.sum(d2 * d2, axis=0) @ w)
+            expected = (math.sqrt(l2sq), math.sqrt(float(np.max(sq))), math.sqrt(h1sq),
+                        math.sqrt(h2sq))
+            assert batch[j] == pytest.approx(expected, rel=1e-13)
+            assert lp[j] == pytest.approx(float(np.sqrt(sq) ** 3 @ w), rel=1e-13)
 
 
 class TestPoincare:

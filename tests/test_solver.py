@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rdcert.grid import Grid1D, constant_field, mode_field, noise_field, zero_field
+from rdcert.grid import (Grid1D, constant_field, discrete_norms, lp_integral, mode_field,
+                         noise_field, zero_field)
 from rdcert.profiles import KineticsSpec, TimeProfile
 from rdcert.solver import (BlowUpError, InconclusiveOrderError, ManufacturedCase,
                            SystemSpec, apply_laplacian, convergence_orders,
@@ -11,6 +12,39 @@ from rdcert.solver import (BlowUpError, InconclusiveOrderError, ManufacturedCase
                            step_imex)
 
 CONST_D = TimeProfile.constant(1.0, positive=True)
+
+
+def stepwise_run(sys, T, dt, scheme="two_stage"):
+    """simulate's norm series and final state rebuilt one step at a time from
+    step_imex, discrete_norms and lp_integral.  A failure is returned, not
+    raised: the first error of a step, or BlowUpError at t_i when the norms
+    of the finite state at step i overflow."""
+    n_steps = int(round(T / dt))
+    state, rows = sys.initial, []
+    for i in range(n_steps + 1):
+        try:
+            if i:
+                state = step_imex(state, dt * (i - 1), dt, sys, scheme)
+        except (BlowUpError, ValueError) as exc:
+            return exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            ns = discrete_norms(state)
+            row = (ns.l2, ns.sup, ns.h1_semi, ns.h2, lp_integral(state, sys.kinetics.p + 1.0))
+        if not np.all(np.isfinite(row)):
+            return BlowUpError(dt * i)
+        rows.append(row)
+    return np.array(rows).T, state.values
+
+
+class StageTimes:
+    """Zero forcing that records the stage times a run reaches."""
+
+    def __init__(self):
+        self.times = []
+
+    def __call__(self, xs, t):
+        self.times.append(float(t))
+        return np.zeros(len(xs))
 
 
 def diffusion_system(n=256, L=1.0, d=1.0, ic_mode=1, amp=1.0, bc="dirichlet"):
@@ -86,6 +120,15 @@ class TestStepAndSimulate:
         with pytest.raises(BlowUpError) as exc:
             simulate(sys, 2.0, dt=1e-3)
         assert 0.0 < exc.value.time < 2.0
+        # the first failure is a finite state whose squared norms overflow, and
+        # the first non-finite state comes later; the earlier one is reported
+        ref = stepwise_run(sys, 2.0, 1e-3)
+        assert isinstance(ref, BlowUpError) and ref.time == exc.value.time
+        with pytest.raises(BlowUpError) as later:
+            state = sys.initial
+            for i in range(2000):
+                state = step_imex(state, 1e-3 * i, 1e-3, sys)
+        assert later.value.time > exc.value.time
 
     def test_series_and_snapshot_bookkeeping(self):
         sys = diffusion_system(n=32)
@@ -106,6 +149,9 @@ class TestStepAndSimulate:
             simulate(sys, 0.1, dt=0.2)
         with pytest.raises(ValueError):
             step_imex(sys.initial, 0.0, -1e-3, sys)
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="record_every"):
+                simulate(sys, 0.1, dt=1e-3, record_every=bad)
 
     def test_two_stage_more_accurate_than_one_stage(self):
         # forced linear problem where the reaction carries the time dependence
@@ -117,6 +163,76 @@ class TestStepAndSimulate:
         coarse_two = simulate(sys, 0.5, dt=2e-2, scheme="two_stage").g[-1]
         coarse_one = simulate(sys, 0.5, dt=2e-2, scheme="one_stage").g[-1]
         assert abs(coarse_two - ref) < abs(coarse_one - ref)
+
+    @pytest.mark.parametrize("scheme", ["one_stage", "two_stage"])
+    @pytest.mark.parametrize("bc,m,field", [("dirichlet", 1, False), ("neumann", 1, False),
+                                            ("dirichlet", 2, False), ("neumann", 2, False),
+                                            ("neumann", 2, True)])
+    def test_simulate_matches_step_imex(self, bc, m, field, scheme):
+        # 150 steps span several norm blocks of the run
+        g = Grid1D(1.0, 64, bc)
+        matrix = np.array([[0.6]]) if m == 1 else np.array([[0.3, 1.1], [-0.9, 0.2]])
+        linear = (lambda x, t: (1.0 + x) * matrix) if field else matrix
+        kin = KineticsSpec(n_components=m, linear=linear, nonlinearity="saturated_power",
+                           c0=TimeProfile.power_decay(0.8, 0.5), p=2.5,
+                           modulation=TimeProfile.power_decay(1.0, 1.5, offset=0.3))
+        diffusion = tuple(TimeProfile.power_decay(0.5 + 0.4 * i, 1.0, positive=True)
+                          for i in range(m))
+        sys = SystemSpec(grid=g, kinetics=kin, diffusion=diffusion,
+                         initial=noise_field(g, m, 0.8, seed=5))
+        traj = simulate(sys, 0.3, dt=0.002, scheme=scheme)
+        series, final = stepwise_run(sys, 0.3, 0.002, scheme)
+        got = np.array([traj.l2, traj.sup, traj.h1_semi, traj.h2, traj.lp1])
+        np.testing.assert_allclose(got, series, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traj.snapshots[-1].values, final, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("scheme", ["one_stage", "two_stage"])
+    @pytest.mark.parametrize("case", ["diffusion_not_positive", "diffusion_declared_positive",
+                                      "diffusion_table_ends", "c0_negative",
+                                      "modulation_table_ends", "blow_up_first"])
+    def test_failure_matches_stepwise_run(self, case, scheme):
+        g = Grid1D(1.0, 32)
+        table = TimeProfile.tabulated([0.0, 0.5], [1.0, 1.0], positive=True)
+        falling = dict(v0=1.0, exponent=1.0, offset=-0.5)  # <= 0 from t = 1 on
+        diffusion, c0, linear = CONST_D, TimeProfile.constant(0.5), None
+        modulation = TimeProfile.constant(1.0)
+        if case == "diffusion_not_positive":
+            diffusion = TimeProfile.power_decay(**falling)
+        elif case == "diffusion_declared_positive":
+            diffusion = TimeProfile.power_decay(**falling, positive=True)
+        elif case == "diffusion_table_ends":
+            diffusion = table
+        elif case == "c0_negative":
+            c0 = TimeProfile.power_decay(**falling)
+        elif case == "modulation_table_ends":
+            modulation = table
+        elif case == "blow_up_first":
+            # |u|**3 overflows before t = 0.8 with either scheme
+            diffusion = TimeProfile.tabulated([0.0, 1.2], [1.0, 1.0], positive=True)
+            linear = np.array([[2000.0]])
+        kin = KineticsSpec(n_components=1, linear=linear, nonlinearity="saturated_power",
+                           c0=c0, modulation=modulation)
+
+        def run(runner):
+            stages = StageTimes()
+            sys = SystemSpec(grid=g, kinetics=kin, diffusion=(diffusion,),
+                             initial=mode_field(g, 1, 1.0), forcing=stages)
+            try:
+                return runner(sys), stages.times
+            except (BlowUpError, ValueError) as exc:
+                return exc, stages.times
+
+        got, got_stages = run(lambda sys: simulate(sys, 1.5, dt=0.01, scheme=scheme))
+        ref, ref_stages = run(lambda sys: stepwise_run(sys, 1.5, 0.01, scheme))
+        expected = BlowUpError if case == "blow_up_first" else ValueError
+        assert type(ref) is expected and type(got) is expected
+        assert str(got) == str(ref)
+        if expected is ValueError:
+            assert got_stages == ref_stages  # raised at the same stage
+        else:
+            # norms lag the steps by up to a block, so simulate may step past
+            # the overflowing state before it reports it
+            assert got_stages[:len(ref_stages)] == ref_stages
 
 
 class TestEnergyInequality:
