@@ -99,6 +99,10 @@ def main(argv=None) -> int:
 def _run_params(cfg: RunConfig, args):
     T = cfg.require("run", "T")
     dt = cfg.get("run", "dt")
+    if T <= 0.0:
+        raise ConfigError("[run].T must be positive")
+    if dt is not None and not 0.0 < dt <= T:
+        raise ConfigError("[run].dt must satisfy 0 < dt <= T")
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
     return T, dt, cfg.get("run", "record_every"), cfg.get("run", "scheme"), seed
 
@@ -237,23 +241,28 @@ def _alpha_factor_from_config(cfg: RunConfig, kin) -> float:
     return factor
 
 
-def _certificate_from_config(cfg: RunConfig, g0: float) -> Certificate:
-    family = cfg.require("certificate", "family")
+def _bounded_weights(cfg: RunConfig, g0: float):
+    """(mu0, mu1) of a bounded certificate: as configured, or split by mu_split."""
     mu0 = cfg.get("certificate", "mu0")
-    if family == "exponential":
-        nu = cfg.require("certificate", "nu")
-        return Certificate.exponential(mu0 if mu0 is not None else 1.0 / g0, nu)
-    if family == "power":
-        m = cfg.require("certificate", "m")
-        return Certificate.power(mu0 if mu0 is not None else 1.0 / g0, m)
-    nu = cfg.require("certificate", "nu")
     mu1 = cfg.get("certificate", "mu1")
     if mu0 is None or mu1 is None:
         split = cfg.get("certificate", "mu_split")
         if not (0.0 < split < 1.0):
             raise ConfigError("[certificate].mu_split must lie in (0, 1)")
         mu0, mu1 = split / g0, (1.0 - split) / g0
-    return Certificate.bounded(mu0, mu1, nu)
+    return mu0, mu1
+
+
+def _certificate_from_config(cfg: RunConfig, g0: float) -> Certificate:
+    family = cfg.require("certificate", "family")
+    if family == "bounded":
+        nu = cfg.require("certificate", "nu")
+        return Certificate.bounded(*_bounded_weights(cfg, g0), nu)
+    mu0 = cfg.get("certificate", "mu0")
+    mu0 = mu0 if mu0 is not None else 1.0 / g0
+    if family == "exponential":
+        return Certificate.exponential(mu0, cfg.require("certificate", "nu"))
+    return Certificate.power(mu0, cfg.require("certificate", "m"))
 
 
 def _cmd_check_certificate(cfg: RunConfig, out: Path, args) -> int:
@@ -347,13 +356,7 @@ def _scenario_inputs(which: str, cfg: RunConfig, sys_spec, g0: float,
     if which == "3.3":
         phi0, k = _require_power_modulation(kin, "the bounded scenario")
         nu = cfg.require("certificate", "nu")
-        mu0 = cfg.get("certificate", "mu0")
-        mu1 = cfg.get("certificate", "mu1")
-        if mu0 is None or mu1 is None:
-            split = cfg.get("certificate", "mu_split")
-            if not (0.0 < split < 1.0):
-                raise ConfigError("[certificate].mu_split must lie in (0, 1)")
-            mu0, mu1 = split / g0, (1.0 - split) / g0
+        mu0, mu1 = _bounded_weights(cfg, g0)
         return ScenarioInputs(gamma0=phi0 * lam, k=k, nu=nu, mu0=mu0, mu1=mu1, **common)
 
     # 3.4: modulated two-component system
@@ -381,11 +384,7 @@ def _scenario_inputs(which: str, cfg: RunConfig, sys_spec, g0: float,
         m = cfg.require("certificate", "m")
     elif sign < 0.0:
         nu = cfg.require("certificate", "nu")
-        mu0 = cfg.get("certificate", "mu0")
-        mu1 = cfg.get("certificate", "mu1")
-        if mu0 is None or mu1 is None:
-            split = cfg.get("certificate", "mu_split")
-            mu0, mu1 = split / g0, (1.0 - split) / g0
+        mu0, mu1 = _bounded_weights(cfg, g0)
     return ScenarioInputs(matrix=np.asarray(mat), d1=d1, d2=d2, phi=mod,
                           m=m, nu=nu, mu0=mu0, mu1=mu1, **common)
 

@@ -163,10 +163,13 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Comparison equation: adaptive integration with blow-up detection
+# Comparison equation: one integrating-factor solve with blow-up as an event
 # ---------------------------------------------------------------------------
 
-_SWITCH_HI = 1e8  # hand over to the reciprocal-power variable above this level
+# Cap on log J'.  J' only gets this large within ~exp(-200) time units of the
+# blow-up event, so the cap moves no reported time; it keeps J' finite, and
+# (J'/atol)**2 in the step-size control's norm too.
+_LOG_RATE_CAP = 200.0
 
 
 @dataclass
@@ -177,117 +180,79 @@ class ComparisonSolution:
     times: np.ndarray
     values: np.ndarray
     blowup_time: Optional[float]
-    _pieces: list
+    _dense: Optional[Callable]  # t -> (Sigma, J); None when g0 = 0
+    _end: float
+    _g0: float
+    _q: float
 
     def value(self, t: float) -> float:
         """Evaluate at one time; returns inf beyond a detected blow-up."""
         if self.blowup_time is not None and t >= self.blowup_time:
             return math.inf
-        for (t0, t1, sol, kind, q) in self._pieces:
-            if t0 - 1e-12 <= t <= t1 + 1e-12:
-                y = float(sol(np.clip(t, t0, t1))[0])
-                if kind == "g":
-                    return max(y, 0.0)
-                return y ** (-1.0 / (q - 1.0)) if y > 0.0 else math.inf
-        raise ValueError(f"time {t} outside the integrated range")
+        if not -1e-12 <= t <= self._end + 1e-12:
+            raise ValueError(f"time {t} outside the integrated range")
+        return float(self._sample(np.array([t], dtype=float))[0])
 
     def _sample(self, ts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(ts)
-        out.fill(np.nan)
-        for (t0, t1, sol, kind, q) in self._pieces:
-            mask = (ts >= t0 - 1e-12) & (ts <= t1 + 1e-12) & np.isnan(out)
-            if not np.any(mask):
-                continue
-            y = sol(np.clip(ts[mask], t0, t1))[0]
-            if kind == "g":
-                out[mask] = np.maximum(y, 0.0)
-            else:
-                out[mask] = np.where(y > 0.0, y, np.nan) ** (-1.0 / (q - 1.0))
-                out[mask] = np.where(y > 0.0, out[mask], np.inf)
-        return out
+        if self._dense is None:
+            return np.zeros_like(ts)
+        big_sigma, j = self._dense(np.clip(ts, 0.0, self._end))
+        with np.errstate(over="ignore", divide="ignore"):
+            log_g = (math.log(self._g0) - big_sigma
+                     - np.log1p(-np.minimum(j, 1.0)) / (self._q - 1.0))
+            return np.exp(log_g)
 
 
 def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
                      samples: int = 2001) -> ComparisonSolution:
     """Integrate g' = -sigma(t) g + alpha(t) g**q from g(0) = g0.
 
-    Embedded adaptive Runge-Kutta on the g equation; once g exceeds a large
-    threshold the integration switches to w = g**(1-q) (linear dynamics, with
-    blow-up exactly at the w = 0 crossing) so finite blow-up times are located
-    to event accuracy rather than by overflow.  The state is clamped at the
-    absorbing value 0.  Blow-up is a reported outcome, not an error.
+    The equation is Bernoulli: w = g**(1-q) obeys a linear equation, which an
+    integrating factor solves.  One adaptive Runge-Kutta solve runs on
+
+        Sigma' = sigma(t),   J' = (q-1) g0**(q-1) alpha(t) exp(-(q-1) Sigma),
+
+    from Sigma = J = 0, and g = g0 exp(-Sigma - log1p(-J)/(q-1)).  Both
+    components are smooth for every g > 0, the log1p form stays well
+    conditioned as q -> 1, and finite blow-up is exactly the terminal event
+    J = 1, located to event accuracy.  Values past the double range read inf.
+    Blow-up is a reported outcome, not an error.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     sigma = problem.sigma_fn()
     alpha = problem.alpha_fn()
-    q = problem.q
-    if problem.g0 == 0.0:
+    q, g0 = problem.q, problem.g0
+    if g0 == 0.0:
         ts = np.linspace(0.0, horizon, samples)
-        return ComparisonSolution(ts, np.zeros_like(ts), None, [])
+        return ComparisonSolution(ts, np.zeros_like(ts), None, None, horizon, g0, q)
 
-    def rhs_g(t, y):
-        g = max(y[0], 0.0)
-        return [-sigma(t) * y[0] + alpha(t) * g ** q]
+    c = q - 1.0
+    log_rate0 = math.log(c) + c * math.log(g0)  # log of (q-1) g0**(q-1)
 
-    def rhs_w(t, y):
-        return [(q - 1.0) * (sigma(t) * y[0] - alpha(t))]
+    def rhs(t, y):
+        s, a = sigma(t), alpha(t)
+        if a == 0.0:  # no exp: it may overflow where the rate is exactly 0
+            return [s, 0.0]
+        return [s, math.exp(min(log_rate0 + math.log(a) - c * y[0], _LOG_RATE_CAP))]
 
-    def hit_hi(t, y):
-        return y[0] - _SWITCH_HI
-    hit_hi.terminal = True
-    hit_hi.direction = 1.0
+    def blowup(t, y):
+        return y[1] - 1.0
+    blowup.terminal = True
+    blowup.direction = 1.0
 
-    w_resume_level = (0.1 * _SWITCH_HI) ** (1.0 - q)
-
-    def w_zero(t, y):
-        return y[0]
-    w_zero.terminal = True
-    w_zero.direction = -1.0
-
-    def w_resume(t, y):
-        return y[0] - w_resume_level
-    w_resume.terminal = True
-    w_resume.direction = 1.0
-
-    pieces = []
-    blowup_time = None
-    t0, y0, mode = 0.0, float(problem.g0), "g"
-    for _ in range(64):  # alternating segments; far more than ever needed
-        if mode == "g":
-            res = solve_ivp(rhs_g, (t0, horizon), [y0], method="RK45",
-                            rtol=tol, atol=tol * 1e-6, dense_output=True,
-                            events=[hit_hi])
-            if not res.success:
-                raise RuntimeError(f"comparison integration failed: {res.message}")
-            pieces.append((t0, res.t[-1], res.sol, "g", q))
-            if res.status == 1:  # crossed the switch level: continue in w
-                t0 = float(res.t_events[0][0])
-                y0 = _SWITCH_HI ** (1.0 - q)
-                mode = "w"
-                continue
-            break
-        res = solve_ivp(rhs_w, (t0, horizon), [y0], method="RK45",
-                        rtol=min(tol, 1e-10), atol=1e-14, dense_output=True,
-                        events=[w_zero, w_resume])
-        if not res.success:
-            raise RuntimeError(f"comparison integration failed: {res.message}")
-        pieces.append((t0, res.t[-1], res.sol, "w", q))
-        if res.status == 1 and res.t_events[0].size:  # w hit zero: finite blow-up
-            blowup_time = float(res.t_events[0][0])
-            break
-        if res.status == 1 and res.t_events[1].size:  # back below the level
-            t0 = float(res.t_events[1][0])
-            y0 = 0.1 * _SWITCH_HI
-            mode = "g"
-            continue
-        break
-
-    end = blowup_time if blowup_time is not None else horizon
+    # atol in units of g's relative error, d(log g) = dJ/((q-1)(1-J)) - dSigma;
+    # J's share is tighter because 1/(1-J) amplifies it on the way to blow-up
+    res = solve_ivp(rhs, (0.0, horizon), [0.0, 0.0], method="RK45", rtol=0.1 * tol,
+                    atol=[tol, 0.1 * tol * c], dense_output=True, events=blowup)
+    if not res.success:
+        raise RuntimeError(f"comparison integration failed: {res.message}")
+    blowup_time = float(res.t_events[0][0]) if res.status == 1 else None
+    end = float(res.t[-1])
     ts = np.linspace(0.0, end, samples)
     if blowup_time is not None:
         ts = ts[:-1]  # the blow-up instant itself has no finite value
-    sol = ComparisonSolution(ts, np.empty_like(ts), blowup_time, pieces)
+    sol = ComparisonSolution(ts, np.empty_like(ts), blowup_time, res.sol, end, g0, q)
     sol.values = sol._sample(ts)
     return sol
 
@@ -301,7 +266,9 @@ def bernoulli_closed_form(sigma: float, alpha: float, q: float, g0: float,
         w(t) = w0 exp(x) - alpha (q-1) t * expm1(x)/x,   x = (q-1) sigma t,
 
     which is cancellation-free uniformly in sigma (including sigma = 0).
-    Returns inf at or past the finite blow-up time (w <= 0).
+    Where exp(x) overflows, exp(x) is factored out and w is taken in logs.
+    Returns inf at or past the finite blow-up time (w <= 0), and for values
+    past the double range.
     """
     if q <= 1.0:
         raise ValueError("q must exceed 1")
@@ -313,11 +280,20 @@ def bernoulli_closed_form(sigma: float, alpha: float, q: float, g0: float,
         raise ValueError("t must be >= 0")
     w0 = g0 ** (1.0 - q)
     x = (q - 1.0) * sigma * t
-    ramp = 1.0 if x == 0.0 else math.expm1(x) / x
-    w = w0 * math.exp(x) - alpha * (q - 1.0) * t * ramp
+    try:
+        ramp = 1.0 if x == 0.0 else math.expm1(x) / x
+        w = w0 * math.exp(x) - alpha * (q - 1.0) * t * ramp
+    except OverflowError:  # x > ~709: w = exp(x) * bracket, taken in logs
+        bracket = w0 + alpha * (q - 1.0) * t * math.expm1(-x) / x
+        if bracket <= 0.0:
+            return math.inf
+        return math.exp(-(x + math.log(bracket)) / (q - 1.0))
     if w <= 0.0:
         return math.inf
-    return w ** (-1.0 / (q - 1.0))
+    try:
+        return w ** (-1.0 / (q - 1.0))
+    except OverflowError:  # g itself is past the double range
+        return math.inf
 
 
 def bernoulli_blowup_time(sigma: float, alpha: float, q: float, g0: float) -> Optional[float]:

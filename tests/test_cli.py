@@ -28,6 +28,38 @@ dt = 0.002
 ic = mode(1, 0.0797884560802865)
 """
 
+TH34_CFG = """
+[domain]
+L = 4.0
+N = 64
+bc = dirichlet
+
+[kinetics]
+matrix = 1,2;-2,-2
+nonlinearity = saturated_power
+p = 2.0
+c0_v0 = 0.05
+
+[modulation]
+kind = power_decay
+v0 = 0.35
+exponent = 2.0
+
+[diffusion]
+kind = power_decay
+v0 = 0.175, 3.5
+exponent = 2.0
+
+[run]
+T = 0.5
+dt = 0.01
+ic = mode(1, 0.1, 0.1)
+
+[certificate]
+nu = 1.0
+mu_split = 0.5
+"""
+
 DISPERSION_CFG = """
 [domain]
 L = 4.0
@@ -135,6 +167,23 @@ class TestExitCodes:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate", "--config", "x", "--out", "y"]) == 1
+
+    @pytest.mark.parametrize("which, cfg_text, old, new, key", [
+        ("3.4", TH34_CFG, "mu_split = 0.5", "mu_split = 1.5", "[certificate].mu_split"),
+        ("3.1", TH31_CFG, "dt = 0.002", "dt = -0.1", "[run].dt"),
+        ("3.1", TH31_CFG, "dt = 0.002", "dt = 20.0", "[run].dt"),
+    ], ids=["mu_split-above-1", "dt-negative", "dt-above-T"])
+    def test_bad_run_values_are_config_errors(self, tmp_path, capsys, which, cfg_text,
+                                              old, new, key):
+        assert main(["run-theorem", which, "--config", write_cfg(tmp_path, cfg_text),
+                     "--out", str(tmp_path / "ok")]) in (0, 2, 3)
+        capsys.readouterr()
+        path = write_cfg(tmp_path, cfg_text.replace(old, new), name="bad.cfg")
+        code = main(["run-theorem", which, "--config", path, "--out", str(tmp_path / "bad")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and key in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_run_theorem_pass(self, tmp_path):
         path = write_cfg(tmp_path, TH31_CFG)

@@ -43,6 +43,16 @@ class TestBernoulliClosedForm:
         assert bernoulli_closed_form(0.0, alpha, q, g0, t) == \
             pytest.approx(w ** (-1.0 / (q - 1.0)), rel=1e-13)
 
+    def test_overflowing_exponent_is_not_an_error(self):
+        # (q-1) sigma t = 750: exp(x) overflows where g itself underflows to 0
+        assert bernoulli_closed_form(10.0, 0.1, 1.25, 1.0, 300.0) == 0.0
+        # large q: the same overflow with a g far from 0, and a blow-up past it
+        assert bernoulli_closed_form(1.0, 0.0, 101.0, 0.5, 7.5) == \
+            pytest.approx(0.5 * math.exp(-7.5), rel=1e-12)
+        assert math.isinf(bernoulli_closed_form(10.0, 5.0, 1.25, 20.0, 300.0))
+        # g = exp(750) itself is past the double range
+        assert math.isinf(bernoulli_closed_form(-30.0, 0.0, 1.5, 1.0, 25.0))
+
     def test_inf_at_and_past_blowup(self):
         tstar = bernoulli_blowup_time(-0.5, 0.8, 1.5, 0.9)
         assert math.isinf(bernoulli_closed_form(-0.5, 0.8, 1.5, 0.9, tstar * 1.01))
@@ -123,6 +133,61 @@ class TestComparisonSolve:
         prob = ScalarProblem(sigma=CONST(4.0), alpha=CONST(0.0), q=1.5, g0=1.0)
         sol = comparison_solve(prob, 20.0)
         assert np.all(sol.values >= 0.0)
+
+    def test_growth_without_blowup_stays_exact(self):
+        # alpha = 0 with sigma < 0: pure exponential growth far past g = 1e14
+        prob = ScalarProblem(sigma=CONST(-3.0), alpha=CONST(0.0), q=1.5, g0=1.0)
+        sol = comparison_solve(prob, 25.0)
+        assert sol.blowup_time is None
+        for t in (5.0, 10.0, 15.0, 20.0, 25.0):
+            assert sol.value(t) == pytest.approx(math.exp(3.0 * t), rel=1e-9)
+
+    def test_random_constant_coefficients_match_closed_form(self):
+        # seeded property test over regimes hand-picked cases miss: q near 1,
+        # sigma = 0, alpha = 0, (q-1) sigma T > 709, growth past g = 1e14 and
+        # finite escapes
+        rng = np.random.default_rng(11)
+        regimes = ("generic", "q_near_one", "sigma_zero", "alpha_zero",
+                   "strong_decay", "strong_growth", "blow_up")
+        blow_ups = 0
+        for i in range(56):
+            regime = regimes[i % len(regimes)]
+            sigma, alpha, horizon = rng.uniform(-1.5, 2.5), rng.uniform(0.0, 1.0), 10.0
+            q, g0 = 1.0 + 10.0 ** rng.uniform(-1.5, 0.3), 10.0 ** rng.uniform(-3.0, 0.5)
+            if regime == "q_near_one":
+                q = 1.0 + 10.0 ** rng.uniform(-6.0, -2.0)
+            elif regime == "sigma_zero":
+                sigma = 0.0
+            elif regime == "alpha_zero":
+                alpha = 0.0
+            elif regime == "strong_decay":
+                q, sigma = 1.0 + rng.uniform(1.0, 3.0), rng.uniform(40.0, 80.0)
+                horizon = rng.uniform(1.05, 2.0) * 709.0 / ((q - 1.0) * sigma)
+            elif regime == "strong_growth":
+                q, sigma = 1.0 + rng.uniform(0.2, 0.6), -rng.uniform(2.0, 5.0)
+                alpha, horizon = 10.0 ** rng.uniform(-30.0, -20.0), 25.0
+            elif regime == "blow_up":
+                sigma, alpha = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
+                g0 = rng.uniform(1.0, 3.0)
+            prob = ScalarProblem(sigma=CONST(sigma), alpha=CONST(alpha), q=q, g0=g0)
+            sol = comparison_solve(prob, horizon)
+            tstar = bernoulli_blowup_time(sigma, alpha, q, g0)
+            if tstar is not None and tstar <= horizon:
+                assert sol.blowup_time == pytest.approx(tstar, abs=1e-7)
+                blow_ups += 1
+                end = 0.9 * tstar
+            else:
+                assert sol.blowup_time is None  # no escape within the horizon
+                end = horizon
+            growth = 0.0
+            for t in np.linspace(0.0, end, 11)[1:]:
+                exact = bernoulli_closed_form(sigma, alpha, q, g0, float(t))
+                growth = max(growth, exact)
+                if math.isfinite(exact) and exact > 1e-280:
+                    assert sol.value(float(t)) == pytest.approx(exact, rel=1e-8)
+            if regime == "strong_growth":
+                assert growth > 1e14
+        assert blow_ups >= 6  # the battery must include finite-time escapes
 
     def test_negative_alpha_rejected(self):
         prob = ScalarProblem(sigma=CONST(1.0), alpha=CONST(-0.1), q=1.5, g0=1.0)
