@@ -170,6 +170,8 @@ class Certificate:
 # blow-up event, so the cap moves no reported time; it keeps J' finite, and
 # (J'/atol)**2 in the step-size control's norm too.
 _LOG_RATE_CAP = 200.0
+# Smallest relative tolerance scipy's RK45 accepts without a warning.
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -180,7 +182,7 @@ class ComparisonSolution:
     times: np.ndarray
     values: np.ndarray
     blowup_time: Optional[float]
-    _dense: Optional[Callable]  # t -> (Sigma, J); None when g0 = 0
+    _dense: Optional[Callable]  # t -> (Sigma, J, 1 - J); None when g0 = 0
     _end: float
     _g0: float
     _q: float
@@ -196,7 +198,7 @@ class ComparisonSolution:
     def _sample(self, ts: np.ndarray) -> np.ndarray:
         if self._dense is None:
             return np.zeros_like(ts)
-        big_sigma, j = self._dense(np.clip(ts, 0.0, self._end))
+        big_sigma, j, _ = self._dense(np.clip(ts, 0.0, self._end))
         with np.errstate(over="ignore", divide="ignore"):
             log_g = (math.log(self._g0) - big_sigma
                      - np.log1p(-np.minimum(j, 1.0)) / (self._q - 1.0))
@@ -215,8 +217,10 @@ def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
     from Sigma = J = 0, and g = g0 exp(-Sigma - log1p(-J)/(q-1)).  Both
     components are smooth for every g > 0, the log1p form stays well
     conditioned as q -> 1, and finite blow-up is exactly the terminal event
-    J = 1, located to event accuracy.  Values past the double range read inf.
-    Blow-up is a reported outcome, not an error.
+    J = 1, located to event accuracy.  The step-size control asks for g's
+    relative accuracy tol, tightening only as 1 - J shrinks, where J's error
+    is amplified.  Values past the double range read inf.  Blow-up is a
+    reported outcome, not an error.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -233,18 +237,23 @@ def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
     def rhs(t, y):
         s, a = sigma(t), alpha(t)
         if a == 0.0:  # no exp: it may overflow where the rate is exactly 0
-            return [s, 0.0]
-        return [s, math.exp(min(log_rate0 + math.log(a) - c * y[0], _LOG_RATE_CAP))]
+            return [s, 0.0, 0.0]
+        rate = math.exp(min(log_rate0 + math.log(a) - c * y[0], _LOG_RATE_CAP))
+        return [s, rate, -rate]
 
     def blowup(t, y):
         return y[1] - 1.0
     blowup.terminal = True
     blowup.direction = 1.0
 
-    # atol in units of g's relative error, d(log g) = dJ/((q-1)(1-J)) - dSigma;
-    # J's share is tighter because 1/(1-J) amplifies it on the way to blow-up
-    res = solve_ivp(rhs, (0.0, horizon), [0.0, 0.0], method="RK45", rtol=0.1 * tol,
-                    atol=[tol, 0.1 * tol * c], dense_output=True, events=blowup)
+    # Tolerances in units of g's relative error, d(log g) = dJ/((q-1)(1-J)) - dSigma.
+    # The third component, 1 - J, only steers the step size: its relative
+    # tolerance (q-1) tol holds J's local error below (q-1)(1-J) tol, so the
+    # steps tighten only where 1/(1-J) amplifies that error, on the way to
+    # blow-up.  1 - J has double precision only, hence the floor.
+    res = solve_ivp(rhs, (0.0, horizon), [0.0, 0.0, 1.0], method="RK45",
+                    rtol=[tol, tol, max(tol * c, _RTOL_FLOOR)], atol=[tol, tol * c, 0.0],
+                    dense_output=True, events=blowup)
     if not res.success:
         raise RuntimeError(f"comparison integration failed: {res.message}")
     blowup_time = float(res.t_events[0][0]) if res.status == 1 else None
