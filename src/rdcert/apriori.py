@@ -183,16 +183,15 @@ def verify_pointwise_bound(traj: Trajectory, us: UpperSolution,
     bound = us.bound_at(xs, n_comp)
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.max(np.abs(bound))))
-    violations = []
-    for t, snap in zip(traj.snapshot_times, traj.snapshots):
-        vals = snap.values
-        over = vals > bound + tol
-        under = vals < -bound - tol
-        for comp, j in zip(*np.nonzero(over | under)):
-            violations.append(PointwiseViolation(
-                t=float(t), x=float(xs[j]), component=int(comp),
-                value=float(vals[comp, j]), bound=float(bound[comp, j])))
-    return violations
+    vals = np.stack([snap.values for snap in traj.snapshots])
+    outside = (vals > bound + tol) | (vals < -bound - tol)
+    # nonzero walks snapshots, then components, then nodes: the order of a
+    # snapshot-by-snapshot scan
+    i, comp, j = np.nonzero(outside)
+    times = np.asarray(traj.snapshot_times, dtype=float)
+    return [PointwiseViolation(*row) for row in zip(
+        times[i].tolist(), xs[j].tolist(), comp.tolist(), vals[i, comp, j].tolist(),
+        bound[comp, j].tolist())]
 
 
 def h2_monitor(traj: Trajectory) -> tuple[float, float]:

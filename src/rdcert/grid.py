@@ -71,6 +71,15 @@ class Field:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _trusted(cls, grid: Grid1D, values: np.ndarray) -> "Field":
+        """A field on ``values`` as given, without the checks: for a finite
+        float array of shape (n_components, grid.n) its maker has checked."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", values)
+        return field
+
     @property
     def n_components(self) -> int:
         return self.values.shape[0]

@@ -19,6 +19,7 @@ on dense time grids, and verifies envelopes along computed trajectories.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
@@ -287,8 +288,13 @@ def bernoulli_closed_form(sigma: float, alpha: float, q: float, g0: float,
         return 0.0
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    w0 = g0 ** (1.0 - q)
     x = (q - 1.0) * sigma * t
+    try:
+        w0 = g0 ** (1.0 - q)
+    except OverflowError:
+        w0 = math.inf
+    if not (sys.float_info.min <= w0 < math.inf):
+        return _bernoulli_in_logs((1.0 - q) * math.log(g0), x, alpha, q, t)
     try:
         ramp = 1.0 if x == 0.0 else math.expm1(x) / x
         w = w0 * math.exp(x) - alpha * (q - 1.0) * t * ramp
@@ -302,6 +308,30 @@ def bernoulli_closed_form(sigma: float, alpha: float, q: float, g0: float,
     try:
         return w ** (-1.0 / (q - 1.0))
     except OverflowError:  # g itself is past the double range
+        return math.inf
+
+
+def _bernoulli_in_logs(log_w0: float, x: float, alpha: float, q: float,
+                       t: float) -> float:
+    """g(t) of :func:`bernoulli_closed_form` from log w0, for w0 past the
+    normal double range: w = exp(log_w0 + x) - a with a = alpha (q-1) t
+    expm1(x)/x, so log w = log_w0 + x + log1p(-a exp(-(log_w0 + x)))."""
+    log_growth = log_w0 + x
+    a = alpha * (q - 1.0) * t
+    if a > 0.0:
+        if x == 0.0:
+            log_ramp = 0.0
+        elif x > 700.0:  # expm1(x)/x = exp(x) (1 - exp(-x)) / x
+            log_ramp = x + math.log1p(-math.exp(-x)) - math.log(x)
+        else:
+            log_ramp = math.log(math.expm1(x) / x)
+        log_a = math.log(a) + log_ramp
+        if log_a >= log_growth:
+            return math.inf  # w <= 0: at or past the blow-up time
+        log_growth += math.log1p(-math.exp(log_a - log_growth))
+    try:
+        return math.exp(-log_growth / (q - 1.0))
+    except OverflowError:
         return math.inf
 
 

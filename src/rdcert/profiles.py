@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Literal, NamedTuple, Optional, Union
 
 import numpy as np
@@ -277,8 +278,10 @@ def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:
         raise ValueError(f"state must have {kin.n_components} leading components")
     if not np.all(np.isfinite(u_arr)):
         raise ValueError("state must be finite")
-    return reaction_kernel(kin, u_arr, x, t, reaction_c0(kin, t),
-                           eval_profile(kin.modulation, t))
+    c0 = reaction_c0(kin, t)
+    phi = eval_profile(kin.modulation, t)
+    with np.errstate(divide="ignore"):
+        return reaction_kernel(kin, u_arr, x, t, c0, phi)
 
 
 def reaction_c0(kin: KineticsSpec, t: TimeLike) -> TimeLike:
@@ -292,28 +295,68 @@ def reaction_c0(kin: KineticsSpec, t: TimeLike) -> TimeLike:
     return c0
 
 
+def reaction_coefficients(kin: KineticsSpec, times: np.ndarray) -> np.ndarray:
+    """The reaction's c0(t) and phi(t) at each time, shape (len(times), 2)."""
+    return np.column_stack([reaction_c0(kin, times), eval_profile(kin.modulation, times)])
+
+
+def coefficient_table(fn, times: np.ndarray):
+    """``fn(times)`` and None, or, when fn rejects some time, its values on the
+    times before the first rejected one and the error raised at that time.
+
+    A caller that walks the times in order raises that error only when it
+    reaches the time, so it fails the way a time-by-time evaluation would.
+    """
+    try:
+        return fn(times), None
+    except ValueError as exc:
+        error = exc
+    for i in range(len(times)):
+        try:
+            fn(times[i:i + 1])
+        except ValueError as exc:
+            return fn(times[:i]), exc
+    raise error
+
+
+def _linear_part(kin: KineticsSpec, u: np.ndarray, x, t: float) -> np.ndarray:
+    """A u as a new array (zeros without a linear part)."""
+    if kin.linear is None:
+        return np.zeros_like(u)
+    if not callable(kin.linear):
+        return np.dot(kin.linear, u)
+    out = np.empty_like(u)
+    if u.ndim == 1:
+        out[:] = np.asarray(kin.linear(x, t), dtype=float) @ u
+    else:
+        xs = np.asarray(x, dtype=float)
+        for j in range(u.shape[1]):
+            out[:, j] = np.asarray(kin.linear(xs[j], t), dtype=float) @ u[:, j]
+    return out
+
+
+def _saturation(kin: KineticsSpec, u: np.ndarray, c0) -> np.ndarray:
+    """c0 s / (1 + s) with s = |u|**(p-1), taken as c0 / (1 + 1/s): exactly 0
+    at u = 0 (1/s = inf) and c0 where s overflows (1/s = 0).  Warns of a
+    division by zero at u = 0 unless the caller silences it."""
+    inv_s = u * u  # |u|^2 as a new row, so the steps below work in place
+    if len(u) > 1:
+        inv_s = inv_s.sum(axis=0, keepdims=True)
+    inv_s **= 0.5 * (1.0 - kin.p)
+    inv_s += 1.0
+    return np.divide(c0, inv_s, out=inv_s)
+
+
 def reaction_kernel(kin: KineticsSpec, u: np.ndarray, x, t: float, c0: float,
                     phi: float) -> np.ndarray:
     """F(u, x, t) from a finite float state and the coefficients c0(t) and
-    phi(t) already evaluated; no input checks."""
-    if kin.linear is None:
-        out = np.zeros_like(u)
-    elif callable(kin.linear):
-        out = np.empty_like(u)
-        if u.ndim == 1:
-            out[:] = np.asarray(kin.linear(x, t), dtype=float) @ u
-        else:
-            xs = np.asarray(x, dtype=float)
-            for j in range(u.shape[1]):
-                out[:, j] = np.asarray(kin.linear(xs[j], t), dtype=float) @ u[:, j]
-    else:
-        out = kin.linear @ u
+    phi(t) already evaluated; no input checks.  Callers silence numpy's
+    division-by-zero warning, which u = 0 raises on the way to an exact 0."""
+    out = _linear_part(kin, u, x, t)
     if kin.nonlinearity == "saturated_power":
-        mag = np.sqrt((u * u).sum(axis=0))
-        s = mag ** (kin.p - 1.0)
-        ratio = np.where(np.isinf(s), 1.0, s / (1.0 + s))
-        out = out - c0 * u * ratio
-    return phi * out
+        out -= u * _saturation(kin, u, c0)
+    out *= phi
+    return out
 
 
 def gamma_of_t(kin: KineticsSpec, t: float, positions=None) -> float:
@@ -378,7 +421,9 @@ def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float,
     """Sampled upper bound for sup |F(u, x, t)| over |u| <= u_max, t in [0, horizon].
 
     Only valid for kinetics without coefficient fields; the result is inflated
-    by ``safety`` to absorb the sampling gap.
+    by ``safety`` to absorb the sampling gap.  A u and the saturation term of
+    the sample states are computed once; each sample time then only combines
+    them with its c0 and phi.
     """
     if callable(kin.linear):
         raise ValueError("sampled reaction bound requires a constant linear part")
@@ -390,8 +435,20 @@ def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float,
         angles = np.linspace(0.0, 2.0 * np.pi, directions, endpoint=False)
         points = np.concatenate(
             [np.stack([radii * np.cos(a), radii * np.sin(a)]) for a in angles], axis=1)
+    if not np.all(np.isfinite(points)):
+        raise ValueError("state must be finite")
+    # the coefficients of the first rejected time are never used: its error
+    # is the one a time-by-time evaluation would raise first
+    coeffs, error = coefficient_table(partial(reaction_coefficients, kin), ts)
+    if error is not None:
+        raise error
+    linear = _linear_part(kin, points, None, 0.0)
+    damped = np.zeros_like(points)  # B(u) / c0
+    if kin.nonlinearity == "saturated_power":
+        with np.errstate(divide="ignore"):
+            damped = points * _saturation(kin, points, 1.0)
     worst = 0.0
-    for t in ts:
-        f = eval_reaction(kin, points, None, float(t))
-        worst = max(worst, float(np.max(np.sqrt(np.sum(f * f, axis=0)))))
+    for c0, phi in coeffs.tolist():
+        f = linear - c0 * damped
+        worst = max(worst, abs(phi) * math.sqrt(float(np.max(np.sum(f * f, axis=0)))))
     return worst * (1.0 + safety)

@@ -60,6 +60,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _format_column(column: np.ndarray) -> list:
+    """The text of each entry: ``%.17g`` for floats, ``str`` otherwise."""
+    if column.ndim == 1 and column.dtype.kind == "f" and column.dtype.itemsize <= 8:
+        return ["%.17g" % v for v in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     """Comma-separated columns with a header line; floats carry 17 significant
     digits so round-trips are lossless."""
@@ -69,10 +76,10 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     n = len(cols[0]) if cols else 0
     if any(len(c) != n for c in cols):
         raise ValueError("all columns must have equal length")
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*map(_format_column, cols))))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(_fmt(c[i]) for c in cols) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

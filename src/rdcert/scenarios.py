@@ -409,6 +409,8 @@ def modulated_scenario(inp: ScenarioInputs, horizon: float,
                         envelope_description=f"g0 * (1 + t)**(-{inp.m:g})")
 
     _require(inp, ("mu0", "mu1", "nu"))
+    if not (inp.mu0 > 0.0 and inp.mu1 > 0.0 and inp.nu > 0.0):
+        raise ScenarioNotApplicable("needs mu0, mu1, nu > 0")
     cert = Certificate.bounded(inp.mu0, inp.mu1, inp.nu)
     report = check_certificate(problem, cert, horizon, grid_points, tol)
     mu_at_0 = inp.mu0 + inp.mu1

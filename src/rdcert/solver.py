@@ -7,10 +7,16 @@ records the norm time series that the decay certificates are checked against.
 
 Every step, in :func:`simulate` and :func:`step_imex` alike, runs from a step
 plan built once per run: the diffusion values at the step midpoints and the
-reaction's c0 and phi at both stage times are evaluated as vectorised tables,
-and each implicit solve is one call to LAPACK ``gtsv`` per component on a
-preallocated set of diagonals.  ``simulate`` computes the norms of a block of
-buffered states at a time and still raises errors in step order.
+reaction's c0 and phi at both stage times are evaluated as vectorised tables.
+With M = I - delta L, delta = (dt/2) D(t + dt/2) and L the three-point
+Laplacian, I + delta L = 2I - M, so a stage is M^-1 (2 v + dt f) - v and no
+explicit Laplacian is applied.  All components form one block-diagonal
+tridiagonal M, factored by LAPACK ``gttrf`` once per distinct row of midpoint
+diffusion values (once per run for constant diffusion) and solved by one
+``gttrs`` per stage.  ``Trajectory.metadata`` counts the steps, the
+factorizations and the reaction evaluations of the run.  ``simulate``
+computes the norms of a block of buffered states at a time and still raises
+errors in step order.
 """
 
 from __future__ import annotations
@@ -25,13 +31,13 @@ from scipy.linalg import get_lapack_funcs
 
 from .grid import (Field, Grid1D, NormSet, lp_integrals, norms_batch, norms_from_values,
                    quadrature_weights)
-from .profiles import (KineticsSpec, TimeProfile, eval_profile, eval_reaction, reaction_c0,
-                       reaction_kernel)
+from .profiles import (KineticsSpec, TimeProfile, coefficient_table, eval_profile,
+                       eval_reaction, reaction_coefficients, reaction_kernel)
 
 Scheme = str  # "one_stage" | "two_stage"
 
-# LAPACK's tridiagonal solver, the one scipy's solve_banded uses for (1, 1) bands
-_gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))
+# LAPACK's tridiagonal LU factorization and the solve that uses it
+_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0),))
 
 
 class BlowUpError(RuntimeError):
@@ -116,28 +122,15 @@ def _diffusion_table(sys: SystemSpec, times: np.ndarray) -> np.ndarray:
     return d
 
 
-def _reaction_table(kin: KineticsSpec, times: np.ndarray) -> np.ndarray:
-    """The reaction's c0(t) and phi(t) at each time, shape (len(times), 2)."""
-    return np.column_stack([reaction_c0(kin, times), eval_profile(kin.modulation, times)])
+def _finite(values: np.ndarray) -> bool:
+    # a finite sum needs finite terms; only an overflowing sum of finite
+    # terms takes the elementwise check
+    return math.isfinite(values.sum()) or bool(np.isfinite(values).all())
 
 
-def _coefficient_table(fn, times: np.ndarray):
-    """``fn(times)`` and None, or, when fn rejects some time, its values on the
-    times before the first rejected one and the error raised at that time.
-
-    A step raises that error only when it reaches the time, so a run fails
-    the way a step-by-step evaluation would: a blow-up earlier still wins.
-    """
-    try:
-        return fn(times), None
-    except ValueError as exc:
-        error = exc
-    for i in range(len(times)):
-        try:
-            fn(times[i:i + 1])
-        except ValueError as exc:
-            return fn(times[:i]), exc
-    raise error
+def _check_info(info: int) -> None:
+    if info:
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed (info = {info})")
 
 
 class _StepPlan:
@@ -145,7 +138,8 @@ class _StepPlan:
 
     Step k goes from ``starts[k]`` to ``starts[k] + dt``.  The plan holds the
     diffusion values at the step midpoints and c0, phi at both stage times as
-    tables, and one tridiagonal work set that every implicit solve refills.
+    tables.  All components are solved as one block-diagonal tridiagonal
+    system, factored once per distinct row of midpoint diffusion values.
     """
 
     def __init__(self, sys: SystemSpec, starts: np.ndarray, dt: float, scheme: Scheme):
@@ -154,45 +148,62 @@ class _StepPlan:
         self.sys = sys
         self.dt = dt
         self.two_stage = scheme == "two_stage"
-        self.starts = starts
-        self.ends = starts + dt
+        self.starts = starts.tolist()
+        self.ends = (starts + dt).tolist()
         self.xs = sys.grid.x
-        d_mid, self.mid_error = _coefficient_table(partial(_diffusion_table, sys),
-                                                   starts + 0.5 * dt)
+        d_mid, self.mid_error = coefficient_table(partial(_diffusion_table, sys),
+                                                  starts + 0.5 * dt)
         # (dt/2) D(t + dt/2) per step and component: the Crank-Nicolson weight
         self.delta = (0.5 * dt) * d_mid.T
-        react = partial(_reaction_table, sys.kinetics)
-        self.start_coeffs, self.start_error = _coefficient_table(react, starts)
+        # step k keeps the factor of step k - 1 when its weights are the same
+        same = np.zeros(len(self.delta), dtype=bool)
+        same[1:] = np.all(self.delta[1:] == self.delta[:-1], axis=1)
+        self.refactor = (~same).tolist()
+        react = partial(reaction_coefficients, sys.kinetics)
+        start_coeffs, self.start_error = coefficient_table(react, starts)
+        self.start_coeffs = start_coeffs.tolist()
         if self.two_stage:
-            self.end_coeffs, self.end_error = _coefficient_table(react, self.ends)
-        n = sys.grid.n
+            end_coeffs, self.end_error = coefficient_table(react, starts + dt)
+            self.end_coeffs = end_coeffs.tolist()
+        # one block of -L per component, per unit weight: the sub- and
+        # super-diagonal, whose last entry is the zero coupling to the next
+        # block, and the diagonal value
         h2 = sys.grid.h * sys.grid.h
-        self.off = 1.0 / h2
-        self.end_off = (2.0 if sys.grid.bc == "neumann" else 1.0) / h2
-        self.centre = -2.0 / h2
-        self.lower = np.empty(n - 1)
-        self.diag = np.empty(n)
-        self.upper = np.empty(n - 1)
+        self.unit_lower = np.full(sys.grid.n, -1.0 / h2)
+        self.unit_upper = np.full(sys.grid.n, -1.0 / h2)
+        self.unit_lower[-1] = self.unit_upper[-1] = 0.0
+        if sys.grid.bc == "neumann":
+            self.unit_lower[-2] = self.unit_upper[0] = -2.0 / h2
+        self.unit_centre = 2.0 / h2
+        self.factor = None
+        self.factorizations = 0
+        self.reaction_evals = 0
 
-    def _solve(self, rhs: np.ndarray, delta: np.ndarray) -> None:
-        """Overwrite each row i of rhs with the solution of
-        (I - delta_i L) x = rhs_i, L the three-point Laplacian."""
-        lower, diag, upper = self.lower, self.diag, self.upper
-        for i, d in enumerate(delta.tolist()):
-            # I - d L is strictly diagonally dominant for d > 0; gtsv overwrites
-            # the diagonals, so they are refilled for every solve
-            off = self.off * -d
-            lower.fill(off)
-            upper.fill(off)
-            lower[-1] = upper[0] = self.end_off * -d
-            diag.fill(self.centre * -d + 1.0)
-            info = _gtsv(lower, diag, upper, rhs[i], True, True, True, True)[-1]
-            if info:
-                raise np.linalg.LinAlgError(f"tridiagonal solve failed (info = {info})")
+    def _factor(self, delta: np.ndarray) -> None:
+        """Factor M = I - delta L, the block of component i weighted by delta_i;
+        M is strictly diagonally dominant for delta > 0."""
+        weights = delta[:, None]
+        *factor, info = _gttrf((self.unit_lower * weights).ravel()[:-1],
+                               np.repeat(self.unit_centre * delta + 1.0, len(self.unit_lower)),
+                               (self.unit_upper * weights).ravel()[:-1], True, True, True)
+        _check_info(info)
+        self.factor = factor
+        self.factorizations += 1
 
-    def _explicit(self, values: np.ndarray, t: float, coeffs: np.ndarray) -> np.ndarray:
+    def _stage(self, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """M^-1 rhs - values, with rhs = 2 values + dt f: the Crank-Nicolson
+        stage (I - delta L)^-1 ((I + delta L) values + dt f), since
+        I + delta L = 2I - M.  Overwrites rhs."""
+        x, info = _gttrs(*self.factor, rhs.reshape(-1), overwrite_b=True)
+        _check_info(info)
+        out = x.reshape(values.shape)
+        out -= values
+        return out
+
+    def _explicit(self, values: np.ndarray, t: float, coeffs: list) -> np.ndarray:
         sys = self.sys
         c0, phi = coeffs
+        self.reaction_evals += 1
         out = reaction_kernel(sys.kinetics, values, self.xs, t, c0, phi)
         if sys.forcing is not None:
             out = out + np.asarray(sys.forcing(self.xs, t), dtype=float)
@@ -203,26 +214,26 @@ class _StepPlan:
 
         Raises :class:`BlowUpError` when a stage loses finiteness, and the
         error of a coefficient table when the step reaches its first
-        rejected time.
+        rejected time.  Call it with numpy's divide, overflow and invalid
+        warnings silenced.
         """
         if k >= len(self.delta):
             raise self.mid_error
-        delta = self.delta[k]
-        base = values + delta[:, None] * apply_laplacian(values, self.sys.grid)
         if k >= len(self.start_coeffs):
             raise self.start_error
         f0 = self._explicit(values, self.starts[k], self.start_coeffs[k])
-        out = base + self.dt * f0
-        self._solve(out, delta)
-        if not np.isfinite(out).all():
+        if self.refactor[k]:
+            self._factor(self.delta[k])
+        twice = values + values
+        out = self._stage(values, twice + self.dt * f0)
+        if not _finite(out):
             raise BlowUpError(self.ends[k])
         if self.two_stage:
             if k >= len(self.end_coeffs):
                 raise self.end_error
             f1 = self._explicit(out, self.ends[k], self.end_coeffs[k])
-            out = base + (0.5 * self.dt) * (f0 + f1)
-            self._solve(out, delta)
-            if not np.isfinite(out).all():
+            out = self._stage(values, twice + (0.5 * self.dt) * (f0 + f1))
+            if not _finite(out):
                 raise BlowUpError(self.ends[k])
         return out
 
@@ -235,8 +246,8 @@ def step_imex(state: Field, t: float, dt: float, sys: SystemSpec,
     if state.grid != sys.grid:
         raise ValueError("state lives on a different grid")
     plan = _StepPlan(sys, np.array([float(t)]), dt, scheme)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Field(sys.grid, plan.advance(state.values, 0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return Field._trusted(sys.grid, plan.advance(state.values, 0))
 
 
 # States wait, at most this many bytes of them and at least one, before their
@@ -275,7 +286,7 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
     plan = _StepPlan(sys, times[:-1], dt, scheme)
     series = np.empty((5, n_steps + 1))  # l2, sup, h1_semi, h2, lp1
     snapshot_times = [0.0]
-    snapshots = [Field(grid, sys.initial.values.copy())]
+    snapshots = [Field._trusted(grid, sys.initial.values.copy())]
 
     block_len = max(1, _NORM_BLOCK_BYTES // sys.initial.values.nbytes)
     pending = []  # states of steps done, done + 1, ... whose norms are not in `series`
@@ -301,7 +312,7 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
     values = sys.initial.values
     pending.append(values)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for step in range(1, n_steps + 1):
                 if len(pending) == block_len:
                     flush()
@@ -309,8 +320,9 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
                 pending.append(values)
                 if step % record_every == 0 or step == n_steps:
                     snapshot_times.append(float(times[step]))
-                    # each step returns a new array that nothing writes to again
-                    snapshots.append(Field(grid, values))
+                    # each step returns a new finite array that nothing writes
+                    # to again
+                    snapshots.append(Field._trusted(grid, values))
         flush()
     except Exception:
         # the buffered states come before the failing step: if the norms of
@@ -323,7 +335,9 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
         raise
 
     metadata = {"dt": dt, "scheme": scheme, "seed": seed,
-                "record_every": record_every, "T": float(times[-1])}
+                "record_every": record_every, "T": float(times[-1]), "steps": n_steps,
+                "factorizations": plan.factorizations,
+                "reaction_evals": plan.reaction_evals}
     l2, sup, h1, h2, lp1 = series
     return Trajectory(times=times, l2=l2, sup=sup, h1_semi=h1, h2=h2, lp1=lp1,
                       snapshot_times=np.asarray(snapshot_times), snapshots=snapshots,

@@ -97,6 +97,32 @@ class TestVerifyPointwise:
         assert violations and violations[0].value == -1.0
 
 
+    def test_matches_snapshot_by_snapshot_scan(self):
+        from rdcert.apriori import PointwiseViolation, UpperSolution
+        g = Grid1D(1.0, 40)
+        kin = KineticsSpec(n_components=2, linear=np.array([[0.5, 1.0], [-1.0, 0.4]]))
+        slow = TimeProfile.constant(0.02, positive=True)
+        sys = SystemSpec(grid=g, kinetics=kin, diffusion=(slow, slow),
+                         initial=mode_field(g, 2, [1.0, -0.9]))
+        traj = make_traj(sys, T=0.2, dt=0.01)
+        us = UpperSolution(kind="paraboloid", a_us=0.5, b_us=0.7)
+        bound = us.bound_at(g.x, 2)
+        tol = 1e-9
+        expected = []
+        for t, snap in zip(traj.snapshot_times, traj.snapshots):
+            vals = snap.values
+            for comp, j in zip(*np.nonzero((vals > bound + tol) | (vals < -bound - tol))):
+                expected.append(PointwiseViolation(
+                    t=float(t), x=float(g.x[j]), component=int(comp),
+                    value=float(vals[comp, j]), bound=float(bound[comp, j])))
+        got = verify_pointwise_bound(traj, us)
+        # both components escape, above and below, at several times
+        assert len({(v.component, v.value > 0.0) for v in expected}) == 4
+        assert len({v.t for v in expected}) > 5
+        assert got == expected
+        assert [type(f) for f in got[0]] == [float, float, int, float, float]
+
+
 class TestMonitors:
     def test_h2_monitor_diffusion_peaks_at_start(self):
         # diffusion only smooths: the H2 norm is largest at t = 0

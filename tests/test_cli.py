@@ -206,6 +206,18 @@ class TestExitCodes:
         assert code == 2
         assert read_report(out)["status"] == "not_applicable"
 
+    def test_modulated_bounded_weights_must_be_positive(self, tmp_path, capsys):
+        text = TH34_CFG.replace("mu_split = 0.5", "mu0 = -1.0\nmu1 = 2.0")
+        out = tmp_path / "out"
+        code = main(["run-theorem", "3.4", "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        report = read_report(out)
+        assert report["status"] == "not_applicable"
+        assert report["reason"] == "needs mu0, mu1, nu > 0"
+        assert "Traceback" not in err
+
     def test_run_theorem_envelope_exit(self, tmp_path):
         # negative slack turns the exact t = 0 boundary into a violation
         text = TH31_CFG + "\n[theorem]\nenvelope_slack = -0.5\n"
@@ -307,3 +319,35 @@ class TestCommandOutputs:
         main(["run-theorem", "3.1", "--config", path, "--out", str(out1), "--seed", "7"])
         main(["run-theorem", "3.1", "--config", path, "--out", str(out2), "--seed", "8"])
         assert (out1 / "series.csv").read_bytes() != (out2 / "series.csv").read_bytes()
+
+
+def old_csv_text(header, columns):
+    """write_csv's output as first written: one formatting call per value."""
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return f"{float(value):.17g}"
+        return str(value)
+    cols = [np.asarray(c) for c in columns]
+    lines = [",".join(header)]
+    lines += [",".join(fmt(c[i]) for c in cols) for i in range(len(cols[0]))]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_bytes_match_value_by_value_formatting(tmp_path):
+    from rdcert.reporting import write_csv
+    rng = np.random.default_rng(4)
+    floats = np.concatenate([[math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0 / 3.0,
+                              1.7976931348623157e308, 1e22, 123456789.0],
+                             rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)])
+    n = len(floats)
+    singles = np.resize(np.array([math.nan, -math.inf, -0.0, 1.0 / 3.0, 3.4e38, 1e-45],
+                                 dtype=np.float32), n)
+    columns = [floats, np.arange(-3, n - 3), singles,
+               np.arange(n) % 2 == 0, [f"s{i}" for i in range(n)],
+               np.array([1, 2.5, "x", None] * 4, dtype=object)]
+    header = ["f", "i", "f32", "b", "s", "o"]
+    path = tmp_path / "cols.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == old_csv_text(header, columns).encode("utf-8")
+    write_csv(path, ["empty"], [[]])
+    assert path.read_bytes() == b"empty\n"

@@ -189,6 +189,23 @@ class TestComparisonSolve:
                 assert growth > 1e14
         assert blow_ups >= 6  # the battery must include finite-time escapes
 
+    @pytest.mark.parametrize("sigma, alpha, q, g0, t, expected", [
+        # g0**(1-q) underflows: a pure decay g0 exp(-sigma t)
+        (2.0, 0.0, 40.0, 1e10, 2.5, 1e10 * math.exp(-5.0)),
+        # g0**(1-q) overflows; alpha's share of w is below one part in 1e29000
+        (1.0, 0.1, 101.0, 1e-300, 1.0, 1e-300 * math.exp(-1.0)),
+        (-1.0, 0.1, 101.0, 1e-300, 1.0, 1e-300 * math.e),
+        # w0 = 1e-390 is gone long before t = 2.5: past the blow-up time
+        (2.0, 1.0, 40.0, 1e10, 2.5, math.inf),
+    ])
+    def test_closed_form_outside_the_double_range_of_w(self, sigma, alpha, q, g0, t,
+                                                        expected):
+        got = bernoulli_closed_form(sigma, alpha, q, g0, t)
+        if math.isinf(expected):
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-10)
+
     def test_negative_alpha_rejected(self):
         prob = ScalarProblem(sigma=CONST(1.0), alpha=CONST(-0.1), q=1.5, g0=1.0)
         with pytest.raises(ValueError):

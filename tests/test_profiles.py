@@ -244,6 +244,37 @@ class TestHelpers:
         bound = reaction_sup_bound(kin, u_max=3.0, horizon=1.0, safety=0.0)
         assert bound == pytest.approx(6.0, rel=1e-6)
 
+    @pytest.mark.parametrize("m, linear", [(1, None), (1, [[0.7]]),
+                                           (2, [[0.3, 1.1], [-0.9, 0.2]])])
+    def test_reaction_sup_bound_matches_time_by_time_scan(self, m, linear):
+        kin = KineticsSpec(n_components=m, linear=linear, nonlinearity="saturated_power",
+                           c0=TimeProfile.power_decay(1.3, 0.7), p=2.6,
+                           modulation=TimeProfile.exponential(0.8, -0.4, offset=0.2))
+        u_max, horizon = 2.5, 3.0
+        # the sample states and times reaction_sup_bound documents
+        ts = np.linspace(0.0, horizon, 65)
+        if m == 1:
+            points = np.linspace(-u_max, u_max, 2001)[None, :]
+        else:
+            radii = np.linspace(0.0, u_max, 32)
+            angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+            points = np.concatenate([np.stack([radii * np.cos(a), radii * np.sin(a)])
+                                     for a in angles], axis=1)
+        worst = max(float(np.max(np.linalg.norm(eval_reaction(kin, points, None, float(t)),
+                                                axis=0)))
+                    for t in ts)
+        bound = reaction_sup_bound(kin, u_max, horizon, safety=0.0)
+        assert bound == pytest.approx(worst, rel=1e-14)
+
+    def test_reaction_sup_bound_raises_at_first_rejected_time(self):
+        # c0 turns negative from t = 1, the modulation table ends at t = 0.5:
+        # a time-by-time scan meets the modulation's error first
+        kin = KineticsSpec(n_components=1, nonlinearity="saturated_power",
+                           c0=TimeProfile.power_decay(1.0, 1.0, offset=-0.5),
+                           modulation=TimeProfile.tabulated([0.0, 0.5], [1.0, 1.0]))
+        with pytest.raises(ValueError, match="tabulated profile queried outside"):
+            reaction_sup_bound(kin, 1.0, 2.0)
+
     def test_kinetics_validation(self):
         with pytest.raises(ValueError):
             KineticsSpec(n_components=3)

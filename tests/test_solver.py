@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from rdcert.grid import (Grid1D, constant_field, discrete_norms, lp_integral, mode_field,
                          noise_field, zero_field)
-from rdcert.profiles import KineticsSpec, TimeProfile
+from rdcert.profiles import KineticsSpec, TimeProfile, eval_profile, eval_reaction
 from rdcert.solver import (BlowUpError, InconclusiveOrderError, ManufacturedCase,
                            SystemSpec, apply_laplacian, convergence_orders,
                            energy_inequality_residuals, manufactured_system, simulate,
@@ -233,6 +234,126 @@ class TestStepAndSimulate:
             # norms lag the steps by up to a block, so simulate may step past
             # the overflowing state before it reports it
             assert got_stages[:len(ref_stages)] == ref_stages
+
+
+def crank_nicolson_reference(sys, T, dt, scheme):
+    """Every state of a run of the IMEX step in its textbook form: the explicit
+    half (I + delta L) u + dt f with the Laplacian applied, then one banded
+    solve of (I - delta L) per component, delta = (dt/2) D(t + dt/2)."""
+    g = sys.grid
+    h2 = g.h * g.h
+
+    def reaction(u, t):
+        out = eval_reaction(sys.kinetics, u, g.x, t)
+        if sys.forcing is not None:
+            out = out + sys.forcing(g.x, t)
+        return out
+
+    def solve(rhs, delta):
+        out = np.empty_like(rhs)
+        for i, d in enumerate(delta):
+            bands = np.empty((3, g.n))
+            bands[0], bands[1], bands[2] = -d / h2, 1.0 + 2.0 * d / h2, -d / h2
+            if g.bc == "neumann":
+                bands[0, 1] = bands[2, -2] = -2.0 * d / h2
+            out[i] = solve_banded((1, 1), bands, rhs[i])
+        return out
+
+    states = [sys.initial.values]
+    for k in range(int(round(T / dt))):
+        u, t = states[-1], k * dt
+        delta = np.array([0.5 * dt * eval_profile(p, t + 0.5 * dt) for p in sys.diffusion])
+        base = u + delta[:, None] * apply_laplacian(u, g)
+        f0 = reaction(u, t)
+        nxt = solve(base + dt * f0, delta)
+        if scheme == "two_stage":
+            nxt = solve(base + 0.5 * dt * (f0 + reaction(nxt, t + dt)), delta)
+        states.append(nxt)
+    return states
+
+
+def pinned_system(bc, m, diffusion, linear="matrix"):
+    g = Grid1D(2.0, 48, bc)
+    matrix = np.array([[0.6]]) if m == 1 else np.array([[0.3, 1.1], [-0.9, 0.2]])
+    if linear == "field":
+        kin_linear = lambda x, t: (1.0 + x) * (1.0 + t) * matrix  # noqa: E731
+    else:
+        kin_linear = matrix
+    kin = KineticsSpec(n_components=m, linear=kin_linear, nonlinearity="saturated_power",
+                       c0=TimeProfile.power_decay(0.8, 0.5), p=2.5,
+                       modulation=TimeProfile.power_decay(1.0, 1.5, offset=0.3))
+    if diffusion == "constant":
+        profiles = tuple(TimeProfile.constant(0.4 + 0.3 * i, positive=True) for i in range(m))
+    else:
+        profiles = tuple(TimeProfile.power_decay(0.4 + 0.3 * i, 1.0, positive=True)
+                         for i in range(m))
+    return SystemSpec(grid=g, kinetics=kin, diffusion=profiles,
+                      initial=noise_field(g, m, 0.8, seed=9))
+
+
+class TestStepFormula:
+    """simulate's stage M^-1 (2 v + dt f) - v on one block-diagonal system
+    against the textbook Crank-Nicolson step."""
+
+    @staticmethod
+    def assert_pinned(sys, T, dt, scheme):
+        traj = simulate(sys, T, dt=dt, record_every=1, scheme=scheme)
+        states = crank_nicolson_reference(sys, T, dt, scheme)
+        assert len(traj.snapshots) == len(states)
+        for snap, ref in zip(traj.snapshots, states):
+            # the largest deviation relative to the state's size
+            assert np.max(np.abs(snap.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scheme", ["one_stage", "two_stage"])
+    @pytest.mark.parametrize("diffusion", ["constant", "power_decay"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_matches_textbook_step(self, bc, m, diffusion, scheme):
+        self.assert_pinned(pinned_system(bc, m, diffusion), 0.2, 0.004, scheme)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_coefficient_field_linear_part(self, bc):
+        self.assert_pinned(pinned_system(bc, 2, "power_decay", linear="field"),
+                           0.1, 0.005, "two_stage")
+
+    def test_manufactured_forcing(self):
+        g = Grid1D(1.0, 40)
+        kin = KineticsSpec(n_components=1, linear=np.array([[0.5]]),
+                           nonlinearity="saturated_power", c0=TimeProfile.constant(0.7))
+        sys = manufactured_system(g, kin, (TimeProfile.power_decay(0.6, 1.0, positive=True),),
+                                  decaying_sine_case())
+        self.assert_pinned(sys, 0.2, 0.004, "two_stage")
+
+
+class TestStepCounters:
+    """Trajectory.metadata counts the steps, the factorizations of the
+    implicit matrix and the reaction evaluations of a run."""
+
+    def run(self, diffusion, scheme, n_steps=40, m=2):
+        sys = pinned_system("dirichlet", m, diffusion)
+        return simulate(sys, n_steps * 0.005, dt=0.005, scheme=scheme).metadata
+
+    def test_constant_diffusion_factors_once(self):
+        meta = self.run("constant", "two_stage")
+        assert (meta["steps"], meta["factorizations"], meta["reaction_evals"]) == (40, 1, 80)
+
+    def test_decaying_diffusion_factors_every_step(self):
+        meta = self.run("power_decay", "two_stage")
+        assert (meta["steps"], meta["factorizations"], meta["reaction_evals"]) == (40, 40, 80)
+
+    def test_one_stage_evaluates_once_per_step(self):
+        meta = self.run("power_decay", "one_stage", m=1)
+        assert (meta["steps"], meta["factorizations"], meta["reaction_evals"]) == (40, 40, 40)
+
+    def test_one_changing_component_refactors(self):
+        g = Grid1D(1.0, 16)
+        sys = SystemSpec(grid=g, kinetics=KineticsSpec(n_components=2),
+                         diffusion=(CONST_D, TimeProfile.tabulated([0.0, 0.1, 0.3],
+                                                                   [1.0, 1.0, 2.0])),
+                         initial=noise_field(g, 2, 1.0, seed=1))
+        # midpoints 0.01, 0.03, ..., 0.19: the table is flat before t = 0.1
+        meta = simulate(sys, 0.2, dt=0.02, scheme="one_stage").metadata
+        assert (meta["steps"], meta["factorizations"], meta["reaction_evals"]) == (10, 6, 10)
 
 
 class TestEnergyInequality:
