@@ -11,7 +11,7 @@ from .grid import (Field, Grid1D, NormSet, constant_field, discrete_norms,
 from .inequality import (Certificate, CertificateReport, ComparisonSolution,
                          InvalidCertificateError, ScalarProblem, bernoulli_blowup_time,
                          bernoulli_closed_form, check_certificate, comparison_solve,
-                         verify_envelope)
+                         growth_residual, verify_envelope)
 from .profiles import (CouplingBound, KineticsSpec, TimeProfile, as_time_function,
                        coupling_gamma0, effective_c0, eval_profile, eval_reaction,
                        gamma_of_t, profile_derivative, reaction_sup_bound,

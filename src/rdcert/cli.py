@@ -21,15 +21,15 @@ from .apriori import (agmon_aggregate, build_paraboloid, find_constant_upper,
                       verify_pointwise_bound)
 from .config import ConfigError, RunConfig, build_system, parse_config
 from .grid import poincare_constant
-from .inequality import Certificate, ScalarProblem, check_certificate, verify_envelope
-from .profiles import (as_time_function, effective_c0, eval_profile, gamma_of_t,
-                       reaction_sup_bound, symmetric_part_max)
+from .inequality import (Certificate, ScalarProblem, check_certificate, growth_residual,
+                         verify_envelope)
+from .profiles import effective_c0, eval_profile, reaction_sup_bound, symmetric_part_max
 from .reporting import svg_line_plot, write_csv, write_report, write_run_meta
 from .scenarios import (ScenarioInputs, ScenarioNotApplicable, bounded_neumann_scenario,
                         comparison_exponent, exponential_decay_scenario,
                         modulated_scenario, power_decay_scenario)
-from .solver import BlowUpError, convergence_orders, InconclusiveOrderError, \
-    ManufacturedCase, simulate
+from .solver import BlowUpError, convergence_orders, dissipation_rates, \
+    InconclusiveOrderError, ManufacturedCase, simulate
 from .stability import Linearization2, dispersion_scan, turing_conditions
 
 EXIT_OK = 0
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
         code = args.func(cfg, out, args)
         write_run_meta(out / "run_meta.json", {"command": args.command})
         return code
-    except (ConfigError, UsageError) as exc:
+    except (ValueError, UsageError) as exc:  # ConfigError and the library's input checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -213,20 +213,10 @@ def _cmd_dispersion(cfg: RunConfig, out: Path, args) -> int:
 def _sigma_function(sys_spec):
     """sigma(t) = c(Omega) * min_i d_i(t) + gamma(t) for the configured system."""
     c_omega = poincare_constant(sys_spec.grid)
-    kin = sys_spec.kinetics
-    xs = sys_spec.grid.x
-    lam = None if callable(kin.linear) else (
-        0.0 if kin.linear is None else symmetric_part_max(kin.linear))
 
     def sigma(ts):
-        ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
-        d_min = np.minimum.reduce([np.asarray(eval_profile(p, ts_arr), dtype=float)
-                                   for p in sys_spec.diffusion])
-        if lam is None:
-            gam = np.array([gamma_of_t(kin, float(t), xs) for t in ts_arr])
-        else:
-            gam = -np.asarray(eval_profile(kin.modulation, ts_arr), dtype=float) * lam
-        result = c_omega * d_min + gam
+        d_min, gamma = dissipation_rates(sys_spec, np.atleast_1d(np.asarray(ts, dtype=float)))
+        result = c_omega * d_min + gamma
         return float(result[0]) if np.ndim(ts) == 0 else result
     return sigma
 
@@ -514,9 +504,9 @@ def _cmd_run_theorem(cfg: RunConfig, out: Path, args) -> int:
     write_report(out / "report.json", payload)
     _write_theorem_series(out / "series.csv", traj, scenario)
     if args.plots and scenario.certificate is not None:
-        env = 1.0 / np.asarray(scenario.certificate.mu(traj.times), dtype=float)
         svg_line_plot(out / "plots_envelope.svg",
-                      [(traj.times, traj.g, "g(t)"), (traj.times, env, "1/mu(t)")],
+                      [(traj.times, traj.g, "g(t)"),
+                       (traj.times, scenario.envelope(traj.times), "1/mu(t)")],
                       title=f"scenario {which}: norm vs envelope",
                       xlabel="t", ylabel="log10", logy=True)
     if not scenario.ready:
@@ -528,19 +518,14 @@ def _cmd_run_theorem(cfg: RunConfig, out: Path, args) -> int:
 
 def _write_theorem_series(path, traj, scenario) -> None:
     times = traj.times
+    problem = scenario.problem
+    sigma_t = np.asarray(problem.sigma_fn()(times), dtype=float)
+    alpha_t = np.asarray(problem.alpha_fn()(times), dtype=float)
     if scenario.certificate is not None:
-        mu_vals = np.asarray(scenario.certificate.mu(times), dtype=float)
-        envelope = 1.0 / mu_vals
-        q = scenario.problem.q
-        sigma_t = np.asarray(as_time_function(scenario.problem.sigma)(times), dtype=float)
-        alpha_t = np.asarray(as_time_function(scenario.problem.alpha)(times), dtype=float)
-        logd = np.asarray(scenario.certificate.mu_log_derivative(times), dtype=float)
-        residual = mu_vals ** (q - 1.0) * (sigma_t - logd) - alpha_t
+        envelope = scenario.envelope(times)
+        residual = growth_residual(problem, scenario.certificate, times)
     else:
-        envelope = np.full_like(times, np.nan)
-        sigma_t = np.asarray(as_time_function(scenario.problem.sigma)(times), dtype=float)
-        alpha_t = np.asarray(as_time_function(scenario.problem.alpha)(times), dtype=float)
-        residual = np.full_like(times, np.nan)
+        envelope = residual = np.full_like(times, np.nan)
     write_csv(path, ["t", "g", "envelope", "sup", "h2", "sigma_t", "alpha_t",
                      "c8_residual"],
               [times, traj.g, envelope, traj.sup, traj.h2, sigma_t, alpha_t, residual])

@@ -32,7 +32,7 @@ from .profiles import ProfileLike, TimeLike, TimeProfile, as_time_function
 __all__ = [
     "ScalarProblem", "Certificate", "CertificateReport", "ComparisonSolution",
     "InvalidCertificateError", "comparison_solve", "bernoulli_closed_form",
-    "bernoulli_blowup_time", "check_certificate", "verify_envelope",
+    "bernoulli_blowup_time", "growth_residual", "check_certificate", "verify_envelope",
 ]
 
 
@@ -155,12 +155,13 @@ class Certificate:
 
     @property
     def uniform_bound(self) -> float:
-        """sup over t >= 0 of the envelope 1/mu(t)."""
-        if self.family == "bounded":
-            return 1.0 / self.mu0
+        """sup over t >= 0 of the envelope 1/mu(t); inf when mu decays to 0."""
         if self.family == "custom":
             return float(1.0 / np.min(self.table[:, 1]))
-        return 1.0 / self.mu0  # exponential/power with nonnegative rate
+        if (self.family == "exponential" and self.nu < 0.0) or \
+                (self.family == "power" and self.m < 0.0):
+            return math.inf
+        return 1.0 / self.mu0  # mu never falls below mu0
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +330,7 @@ def _bernoulli_in_logs(log_w0: float, x: float, alpha: float, q: float,
         if log_a >= log_growth:
             return math.inf  # w <= 0: at or past the blow-up time
         log_growth += math.log1p(-math.exp(log_a - log_growth))
-    try:
-        return math.exp(-log_growth / (q - 1.0))
-    except OverflowError:
-        return math.inf
+    return _exp_or_inf(-log_growth / (q - 1.0))
 
 
 def bernoulli_blowup_time(sigma: float, alpha: float, q: float, g0: float) -> Optional[float]:
@@ -341,18 +339,31 @@ def bernoulli_blowup_time(sigma: float, alpha: float, q: float, g0: float) -> Op
 
     t* = -log1p(-w0 sigma / alpha) / ((q-1) sigma), with the sigma -> 0 limit
     w0 / ((q-1) alpha); blow-up happens iff alpha > 0 and sigma < alpha/w0.
+    w0 = g0**(1-q) enters only through logs, so it may lie past the double
+    range; a blow-up time past it reads inf.
     """
     if q <= 1.0:
         raise ValueError("q must exceed 1")
     if g0 <= 0.0 or alpha <= 0.0:
         return None
-    w0 = g0 ** (1.0 - q)
-    arg = w0 * sigma / alpha
-    if arg >= 1.0:
-        return None  # equilibrium shields the solution: no finite escape
+    c = q - 1.0
+    log_w0 = -c * math.log(g0)
     if sigma == 0.0:
-        return w0 / ((q - 1.0) * alpha)
-    return -math.log1p(-arg) / ((q - 1.0) * sigma)
+        return _exp_or_inf(log_w0 - math.log(c * alpha))
+    x = log_w0 + math.log(abs(sigma)) - math.log(alpha)  # log |w0 sigma / alpha|
+    if sigma > 0.0:
+        if x >= 0.0:
+            return None  # equilibrium shields the solution: no finite escape
+        return -math.log1p(-math.exp(x)) / (c * sigma)
+    # log1p(exp(x)), without overflow for large x
+    return (max(x, 0.0) + math.log1p(math.exp(-abs(x)))) / (-c * sigma)
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +392,23 @@ class CertificateReport:
     residuals: np.ndarray
 
 
+def growth_residual(problem: ScalarProblem, cert: Certificate, t: TimeLike) -> np.ndarray:
+    """r(t) = mu**(q-1) (sigma - mu'/mu) - alpha: the growth condition of the
+    certificate holds at t iff r(t) >= 0."""
+    t_arr = np.asarray(t, dtype=float)
+    mu = np.asarray(cert.mu(t_arr), dtype=float)
+    return mu ** (problem.q - 1.0) * (np.asarray(problem.sigma_fn()(t_arr), dtype=float)
+                                      - np.asarray(cert.mu_log_derivative(t_arr), dtype=float)) \
+        - np.asarray(problem.alpha_fn()(t_arr), dtype=float)
+
+
 def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
                       grid_points: int = 10_000, tol: float = 0.0) -> CertificateReport:
     """Evaluate both certificate conditions on a dense time grid.
 
-    The residual is r(t) = mu**(q-1) (sigma - mu'/mu) - alpha; the grid
-    minimum is sharpened by bounded scalar minimization between its
-    neighbours, and the first sign change is located by bisection so failures
-    carry a meaningful time.
+    The residual is :func:`growth_residual`; the grid minimum is sharpened
+    by bounded scalar minimization between its neighbours, and the first sign
+    change is located by bisection so failures carry a meaningful time.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -398,25 +418,18 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
     mu_vals = np.asarray(cert.mu(ts), dtype=float)
     if not np.all(np.isfinite(mu_vals)) or np.any(mu_vals <= 0.0):
         raise InvalidCertificateError("mu must be positive and finite on the horizon")
-    sigma = problem.sigma_fn()
-    alpha = problem.alpha_fn()
-    q = problem.q
 
     def residual_at(t):
-        t_arr = np.asarray(t, dtype=float)
-        mu = np.asarray(cert.mu(t_arr), dtype=float)
-        return mu ** (q - 1.0) * (np.asarray(sigma(t_arr), dtype=float)
-                                  - np.asarray(cert.mu_log_derivative(t_arr), dtype=float)) \
-            - np.asarray(alpha(t_arr), dtype=float)
+        return float(growth_residual(problem, cert, t))
 
-    residuals = residual_at(ts)
+    residuals = growth_residual(problem, cert, ts)
     i_min = int(np.argmin(residuals))
     worst_residual = float(residuals[i_min])
     worst_t = float(ts[i_min])
     lo = ts[max(i_min - 1, 0)]
     hi = ts[min(i_min + 1, grid_points - 1)]
     if hi > lo:
-        refined = minimize_scalar(lambda s: float(residual_at(s)), bounds=(lo, hi),
+        refined = minimize_scalar(residual_at, bounds=(lo, hi),
                                   method="bounded", options={"xatol": 1e-12 * max(horizon, 1.0)})
         if refined.fun < worst_residual:
             worst_residual = float(refined.fun)
@@ -438,7 +451,7 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
             j = int(bad[0])
             if j > 0 and residuals[j - 1] >= -tol and residuals[j - 1] != residuals[j]:
                 first_violation_t = float(brentq(
-                    lambda s: float(residual_at(s)) + tol, ts[j - 1], ts[j], xtol=1e-12))
+                    lambda s: residual_at(s) + tol, ts[j - 1], ts[j], xtol=1e-12))
             else:
                 first_violation_t = float(ts[j])
         else:  # only the refined minimum dips below tolerance

@@ -359,23 +359,26 @@ def reaction_kernel(kin: KineticsSpec, u: np.ndarray, x, t: float, c0: float,
     return out
 
 
-def gamma_of_t(kin: KineticsSpec, t: float, positions=None) -> float:
-    """Tightest gamma(t) with (F_linear(u), u) <= -gamma(t) |u|^2 for all u.
+def gamma_of_t(kin: KineticsSpec, t: TimeLike, positions=None) -> TimeLike:
+    """Tightest gamma(t) with (F_linear(u), u) <= -gamma(t) |u|^2 for all u,
+    at a scalar or array time t.
 
     For a constant matrix this is -phi(t) * lambda_max((A + A^T)/2); for a
     coefficient field the worst case over ``positions`` is taken.  Negative
     values mean the linear part is destabilizing.
     """
     phi = eval_profile(kin.modulation, t)
-    if phi <= 0.0:
+    if np.any(np.asarray(phi) <= 0.0):
         raise ValueError("modulation must be positive")
     if kin.linear is None:
-        return 0.0
+        return 0.0 * phi
     if callable(kin.linear):
         if positions is None:
             raise ValueError("positions are required for coefficient-field linear parts")
-        lam = max(symmetric_part_max(np.asarray(kin.linear(float(xj), t), dtype=float))
-                  for xj in np.asarray(positions, dtype=float))
+        xs = np.asarray(positions, dtype=float)
+        lam = np.vectorize(lambda s: max(
+            symmetric_part_max(np.asarray(kin.linear(float(xj), s), dtype=float))
+            for xj in xs))(t)
     else:
         lam = symmetric_part_max(kin.linear)
     return -phi * lam
@@ -409,9 +412,11 @@ def coupling_gamma0(a: float, b: float, c: float, d: float) -> CouplingBound:
 
 
 def effective_c0(kin: KineticsSpec) -> Callable[[TimeLike], TimeLike]:
-    """c0 of the full reaction: modulation folds into the nonlinearity bound."""
+    """c0 of the full reaction, phi(t) * c0(t) as the reaction uses it:
+    modulation folds into the nonlinearity bound, and without a nonlinearity
+    it is 0."""
     def fn(t):
-        return eval_profile(kin.modulation, t) * eval_profile(kin.c0, t)
+        return eval_profile(kin.modulation, t) * reaction_c0(kin, t)
     return fn
 
 

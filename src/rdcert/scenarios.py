@@ -1,10 +1,13 @@
 """Constructors for the specific decay/boundedness certificate scenarios.
 
 Each constructor assembles the scalar comparison problem for one regime,
-builds the matching certificate family, checks the regime's hypotheses on a
-dense grid, and delegates the growth condition itself to
-:func:`rdcert.inequality.check_certificate`.  Outcomes are reports, never
-proofs: every check records its grid density and tolerance.
+builds the matching certificate family and checks the regime's hypotheses on
+a dense grid; all four then end the same way, delegating the growth condition
+itself to :func:`rdcert.inequality.check_certificate`.  The verdict of a
+scenario (whether it certifies decay, its uniform bound, the text of its
+envelope) is derived from its certificate alone, never passed in by a
+constructor.  Outcomes are reports, never proofs: every check records its
+grid density and tolerance.
 
 The four regimes (selected on the command line as run-theorem 3.1 .. 3.4):
 
@@ -111,7 +114,12 @@ class HypothesisReport:
 
 @dataclass
 class Scenario:
-    """A constructed certificate scenario, ready for envelope verification."""
+    """A constructed certificate scenario, ready for envelope verification.
+
+    What it certifies is read off its certificate alone: decay when the
+    envelope 1/mu(t) tends to 0, else a uniform bound when the envelope stays
+    bounded.
+    """
 
     name: str
     case: Optional[str]
@@ -119,15 +127,37 @@ class Scenario:
     certificate: Optional[Certificate]
     hypotheses: HypothesisReport
     certificate_check: Optional[CertificateReport]
-    certifies_decay: bool
-    uniform_bound: Optional[float]
-    envelope_description: str
 
     @property
     def ready(self) -> bool:
         """All hypotheses hold and the growth condition passed on the grid."""
         return (self.hypotheses.passed and self.certificate_check is not None
                 and self.certificate_check.passed)
+
+    @property
+    def certifies_decay(self) -> bool:
+        return self.certificate is not None and self.certificate.decays_to_zero_envelope
+
+    @property
+    def uniform_bound(self) -> Optional[float]:
+        """sup of the envelope when it stays bounded without decaying, else None."""
+        if self.certificate is None or self.certifies_decay:
+            return None
+        bound = self.certificate.uniform_bound
+        return bound if math.isfinite(bound) else None
+
+    @property
+    def envelope_description(self) -> str:
+        cert = self.certificate
+        if cert is None:
+            return "undecided boundary case"
+        bound = self.uniform_bound
+        if bound is not None:
+            return f"1/mu(t), uniformly <= {bound:.6g}"
+        # the scenarios' exponential and power weights start at mu0 = 1/g0
+        if cert.family == "exponential":
+            return f"g0 * exp({-cert.nu:.6g} * t)"
+        return f"g0 * (1 + t)**({-cert.m:g})"
 
     def envelope(self, t):
         if self.certificate is None:
@@ -152,6 +182,41 @@ def _grid_check(fn_lhs, fn_rhs, horizon: float, grid_points: int):
     return True, None
 
 
+def _bounded_certificate(inp: ScenarioInputs) -> Certificate:
+    """The decreasing bounded weight mu0 + mu1 (1+t)**(-nu) of the inputs."""
+    _require(inp, ("mu0", "mu1", "nu"))
+    if not (inp.mu0 > 0.0 and inp.mu1 > 0.0 and inp.nu > 0.0):
+        raise ScenarioNotApplicable("needs mu0, mu1, nu > 0")
+    return Certificate.bounded(inp.mu0, inp.mu1, inp.nu)
+
+
+def _certified_scenario(name: str, problem: ScalarProblem, cert: Certificate,
+                        horizon: float, grid_points: int, tol: float, conditions: dict,
+                        details: dict, first_failure_t: Optional[float] = None,
+                        case: Optional[str] = None) -> Scenario:
+    """Check ``cert`` against ``problem`` and assemble the scenario.
+
+    ``conditions`` holds the regime's own checks; the initial-value condition
+    of the certificate family and the comparison inequality are added here.
+    ``first_failure_t`` is the first failing time of a regime check, if any;
+    otherwise the certificate check's first violation is reported.
+    """
+    report = check_certificate(problem, cert, horizon, grid_points, tol)
+    if cert.family == "bounded":
+        # a bounded weight is fitted to g0: mu(0) g0 = 1 up to round-off
+        mu_g0 = (cert.mu0 + cert.mu1) * problem.g0
+        conditions["initial_value_match"] = abs(mu_g0 - 1.0) <= 1e-9 * max(1.0, mu_g0)
+    else:
+        conditions["initial_value"] = report.c9_slack >= -tol
+    conditions["comparison_inequality"] = report.passed
+    if first_failure_t is None:
+        first_failure_t = report.first_violation_t
+    hyp = HypothesisReport(applicable=True, conditions=conditions, details=details,
+                           first_failure_t=first_failure_t)
+    return Scenario(name=name, case=case, problem=problem, certificate=cert,
+                    hypotheses=hyp, certificate_check=report)
+
+
 def exponential_decay_scenario(inp: ScenarioInputs, horizon: float,
                                grid_points: int = 10_000,
                                tol: float = 1e-12) -> Scenario:
@@ -174,7 +239,6 @@ def exponential_decay_scenario(inp: ScenarioInputs, horizon: float,
             f"not applicable: d0 c(Omega) = {inp.d0 * c_omega:.6g} does not exceed a0 = {inp.a0:.6g}")
     q = comparison_exponent(inp.p)
     nu = 0.5 * sigma0
-    cert = Certificate.exponential(1.0 / inp.g0, nu)
     alpha = inp.alpha_fn()
     problem = ScalarProblem(sigma=TimeProfile.constant(sigma0), alpha=alpha, q=q, g0=inp.g0)
 
@@ -183,24 +247,14 @@ def exponential_decay_scenario(inp: ScenarioInputs, horizon: float,
         return 0.5 * sigma0 * inp.g0 ** (-(q - 1.0)) * np.exp(0.5 * (q - 1.0) * sigma0 * ts)
 
     growth_ok, first_bad = _grid_check(alpha, alpha_cap, horizon, grid_points)
-    report = check_certificate(problem, cert, horizon, grid_points, tol)
-    hyp = HypothesisReport(
-        applicable=True,
-        conditions={
-            "dirichlet_ends": True,
-            "sigma_margin_positive": True,
-            "nonlinearity_small_enough": growth_ok,
-            "initial_value": report.c9_slack >= -tol,
-            "comparison_inequality": report.passed,
-        },
+    return _certified_scenario(
+        "exponential-decay", problem, Certificate.exponential(1.0 / inp.g0, nu),
+        horizon, grid_points, tol,
+        conditions={"dirichlet_ends": True, "sigma_margin_positive": True,
+                    "nonlinearity_small_enough": growth_ok},
         details={"sigma0": sigma0, "nu": nu, "q": q, "poincare": c_omega,
                  "alpha_factor": inp.alpha_factor},
-        first_failure_t=first_bad,
-    )
-    return Scenario(name="exponential-decay", case=None, problem=problem,
-                    certificate=cert, hypotheses=hyp, certificate_check=report,
-                    certifies_decay=True, uniform_bound=None,
-                    envelope_description=f"g0 * exp(-{0.5 * sigma0:.6g} * t)")
+        first_failure_t=first_bad)
 
 
 def power_decay_scenario(inp: ScenarioInputs, horizon: float,
@@ -224,7 +278,6 @@ def power_decay_scenario(inp: ScenarioInputs, horizon: float,
             f"not applicable: c(Omega) d0 = {c_omega * inp.d0:.6g} must exceed "
             f"gamma0 + m = {inp.gamma0 + inp.m:.6g}")
     q = comparison_exponent(inp.p)
-    cert = Certificate.power(1.0 / inp.g0, inp.m)
     d0, gamma0, k = inp.d0, inp.gamma0, inp.k
 
     def sigma(ts):
@@ -232,26 +285,15 @@ def power_decay_scenario(inp: ScenarioInputs, horizon: float,
         return c_omega * d0 / (1.0 + ts) - gamma0 * (1.0 + ts) ** (-k)
 
     problem = ScalarProblem(sigma=sigma, alpha=inp.alpha_fn(), q=q, g0=inp.g0)
-    report = check_certificate(problem, cert, horizon, grid_points, tol)
-    hyp = HypothesisReport(
-        applicable=True,
-        conditions={
-            "dirichlet_ends": True,
-            "k_at_least_one": inp.k >= 1.0,
-            "decay_margin_positive": True,
-            "initial_value": report.c9_slack >= -tol,
-            "comparison_inequality": report.passed,
-        },
+    return _certified_scenario(
+        "power-decay", problem, Certificate.power(1.0 / inp.g0, inp.m),
+        horizon, grid_points, tol,
+        conditions={"dirichlet_ends": True, "k_at_least_one": inp.k >= 1.0,
+                    "decay_margin_positive": True},
         details={"margin": margin, "q": q, "poincare": c_omega,
                  "m_q_minus_1": inp.m * (q - 1.0),
                  "c0_must_decay": inp.m * (q - 1.0) < 1.0,
-                 "alpha_factor": inp.alpha_factor},
-        first_failure_t=report.first_violation_t,
-    )
-    return Scenario(name="power-decay", case=None, problem=problem, certificate=cert,
-                    hypotheses=hyp, certificate_check=report, certifies_decay=True,
-                    uniform_bound=None,
-                    envelope_description=f"g0 * (1 + t)**(-{inp.m:g})")
+                 "alpha_factor": inp.alpha_factor})
 
 
 def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
@@ -278,8 +320,7 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
     _require(inp, ("gamma0", "k", "nu", "mu0", "mu1", "g0"))
     if not (inp.gamma0 > 0.0):
         raise ScenarioNotApplicable("needs gamma0 > 0 (destabilizing linear part)")
-    if not (inp.mu0 > 0.0 and inp.mu1 > 0.0 and inp.nu > 0.0):
-        raise ScenarioNotApplicable("needs mu0, mu1, nu > 0")
+    cert = _bounded_certificate(inp)
     q = comparison_exponent(inp.p)
     gamma0, k, nu, mu0, mu1 = inp.gamma0, inp.k, inp.nu, inp.mu0, inp.mu1
     ratio_margin = nu * mu1 / mu0 - gamma0
@@ -290,14 +331,10 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
         raise ScenarioNotApplicable(
             "not applicable: nu mu1 / mu0 must exceed gamma0 for a nonzero nonlinearity")
 
-    cert = Certificate.bounded(mu0, mu1, nu)
-
     def sigma(ts):
         return -gamma0 * (1.0 + np.asarray(ts, dtype=float)) ** (-k)
 
     problem = ScalarProblem(sigma=sigma, alpha=alpha, q=q, g0=inp.g0)
-    report = check_certificate(problem, cert, horizon, grid_points, tol)
-
     cap = mu0 ** (q - 1.0) * ratio_margin
 
     def weighted_alpha(ts):
@@ -306,27 +343,17 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
 
     closed_ok, first_bad = _grid_check(weighted_alpha, lambda ts: np.full(np.shape(ts), cap),
                                        horizon, grid_points)
-    mu_at_0 = mu0 + mu1
-    initial_match = abs(mu_at_0 * inp.g0 - 1.0) <= 1e-9 * max(1.0, mu_at_0 * inp.g0)
-    hyp = HypothesisReport(
-        applicable=True,
-        conditions={
-            "neumann_ends": True,
-            "nu_plus_one_le_k": nu + 1.0 <= k,
-            "ratio_margin_positive": ratio_margin > 0.0 or alpha_is_zero,
-            "closed_form_growth_bound": closed_ok,
-            "initial_value_match": initial_match,
-            "comparison_inequality": report.passed,
-        },
+    scenario = _certified_scenario(
+        "bounded-neumann", problem, cert, horizon, grid_points, tol,
+        conditions={"neumann_ends": True, "nu_plus_one_le_k": nu + 1.0 <= k,
+                    "ratio_margin_positive": ratio_margin > 0.0 or alpha_is_zero,
+                    "closed_form_growth_bound": closed_ok},
         details={"q": q, "ratio_margin": ratio_margin, "closed_form_cap": cap,
-                 "closed_form_insufficient": bool(closed_ok and not report.passed),
                  "alpha_factor": inp.alpha_factor},
-        first_failure_t=first_bad if not closed_ok else report.first_violation_t,
-    )
-    return Scenario(name="bounded-neumann", case=None, problem=problem, certificate=cert,
-                    hypotheses=hyp, certificate_check=report, certifies_decay=False,
-                    uniform_bound=1.0 / mu0,
-                    envelope_description=f"1/mu(t), uniformly <= {1.0 / mu0:.6g}")
+        first_failure_t=first_bad)
+    scenario.hypotheses.details["closed_form_insufficient"] = bool(
+        closed_ok and not scenario.certificate_check.passed)
+    return scenario
 
 
 def modulated_scenario(inp: ScenarioInputs, horizon: float,
@@ -379,10 +406,9 @@ def modulated_scenario(inp: ScenarioInputs, horizon: float,
                                conditions={"case_decided": False},
                                details=dict(base_details, note="d0 c(Omega) equals gamma0"))
         return Scenario(name="modulated-pair", case="undecided", problem=problem,
-                        certificate=None, hypotheses=hyp, certificate_check=None,
-                        certifies_decay=False, uniform_bound=None,
-                        envelope_description="undecided boundary case")
+                        certificate=None, hypotheses=hyp, certificate_check=None)
 
+    conditions = {"gamma0_bound_valid": bool(base_details["gamma0_is_valid_bound"])}
     if sign > 0.0:
         _require(inp, ("m",))
         if not (phi.kind == "power_decay" and phi.exponent == 1.0 and phi.offset == 0.0):
@@ -390,42 +416,12 @@ def modulated_scenario(inp: ScenarioInputs, horizon: float,
                 "decay case expects modulation phi(t) = phi0/(1+t)")
         phi0 = phi.v0
         rate_margin = phi0 * sign - inp.m
-        cert = Certificate.power(1.0 / inp.g0, inp.m)
-        report = check_certificate(problem, cert, horizon, grid_points, tol)
-        hyp = HypothesisReport(
-            applicable=True,
-            conditions={
-                "gamma0_bound_valid": bool(base_details["gamma0_is_valid_bound"]),
-                "rate_margin_positive": rate_margin > 0.0,
-                "initial_value": report.c9_slack >= -tol,
-                "comparison_inequality": report.passed,
-            },
-            details=dict(base_details, phi0=phi0, rate_margin=rate_margin),
-            first_failure_t=report.first_violation_t,
-        )
-        return Scenario(name="modulated-pair", case="decay", problem=problem,
-                        certificate=cert, hypotheses=hyp, certificate_check=report,
-                        certifies_decay=True, uniform_bound=None,
-                        envelope_description=f"g0 * (1 + t)**(-{inp.m:g})")
+        conditions["rate_margin_positive"] = rate_margin > 0.0
+        return _certified_scenario(
+            "modulated-pair", problem, Certificate.power(1.0 / inp.g0, inp.m),
+            horizon, grid_points, tol, conditions,
+            dict(base_details, phi0=phi0, rate_margin=rate_margin), case="decay")
 
-    _require(inp, ("mu0", "mu1", "nu"))
-    if not (inp.mu0 > 0.0 and inp.mu1 > 0.0 and inp.nu > 0.0):
-        raise ScenarioNotApplicable("needs mu0, mu1, nu > 0")
-    cert = Certificate.bounded(inp.mu0, inp.mu1, inp.nu)
-    report = check_certificate(problem, cert, horizon, grid_points, tol)
-    mu_at_0 = inp.mu0 + inp.mu1
-    initial_match = abs(mu_at_0 * inp.g0 - 1.0) <= 1e-9 * max(1.0, mu_at_0 * inp.g0)
-    hyp = HypothesisReport(
-        applicable=True,
-        conditions={
-            "gamma0_bound_valid": bool(base_details["gamma0_is_valid_bound"]),
-            "initial_value_match": initial_match,
-            "comparison_inequality": report.passed,
-        },
-        details=base_details,
-        first_failure_t=report.first_violation_t,
-    )
-    return Scenario(name="modulated-pair", case="bounded", problem=problem,
-                    certificate=cert, hypotheses=hyp, certificate_check=report,
-                    certifies_decay=False, uniform_bound=1.0 / inp.mu0,
-                    envelope_description=f"1/mu(t), uniformly <= {1.0 / inp.mu0:.6g}")
+    return _certified_scenario("modulated-pair", problem, _bounded_certificate(inp),
+                               horizon, grid_points, tol, conditions, base_details,
+                               case="bounded")

@@ -31,8 +31,9 @@ from scipy.linalg import get_lapack_funcs
 
 from .grid import (Field, Grid1D, NormSet, lp_integrals, norms_batch, norms_from_values,
                    quadrature_weights)
-from .profiles import (KineticsSpec, TimeProfile, coefficient_table, eval_profile,
-                       eval_reaction, reaction_coefficients, reaction_kernel)
+from .profiles import (KineticsSpec, TimeProfile, coefficient_table, effective_c0,
+                       eval_profile, eval_reaction, gamma_of_t, reaction_coefficients,
+                       reaction_kernel)
 
 Scheme = str  # "one_stage" | "two_stage"
 
@@ -344,6 +345,13 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
                       metadata=metadata)
 
 
+def dissipation_rates(sys: SystemSpec, times: np.ndarray):
+    """min_i d_i(t) and gamma(t) (see :func:`rdcert.profiles.gamma_of_t`) at
+    each of ``times``: the rates of the system's energy estimate."""
+    return (_diffusion_table(sys, times).min(axis=0),
+            gamma_of_t(sys.kinetics, times, sys.grid.x))
+
+
 def energy_inequality_residuals(traj: Trajectory, sys: SystemSpec) -> np.ndarray:
     """Residuals of the discrete energy inequality between consecutive steps.
 
@@ -352,21 +360,10 @@ def energy_inequality_residuals(traj: Trajectory, sys: SystemSpec) -> np.ndarray
     endpoints.  Positive entries measure violation; along a consistent
     trajectory they stay within O(dt + h^2) of zero.
     """
-    from .profiles import effective_c0, gamma_of_t, symmetric_part_max
-
     times = traj.times
     dt = float(times[1] - times[0])
-    d_min = np.minimum.reduce([np.asarray(eval_profile(p, times), dtype=float)
-                               for p in sys.diffusion])
-    kin = sys.kinetics
-    phi = np.asarray(eval_profile(kin.modulation, times), dtype=float)
-    if kin.linear is None:
-        gammas = np.zeros_like(times)
-    elif callable(kin.linear):
-        gammas = np.array([gamma_of_t(kin, float(t), sys.grid.x) for t in times])
-    else:
-        gammas = -phi * symmetric_part_max(kin.linear)
-    c0_eff = np.asarray(effective_c0(kin)(times), dtype=float)
+    d_min, gammas = dissipation_rates(sys, times)
+    c0_eff = np.asarray(effective_c0(sys.kinetics)(times), dtype=float)
 
     rhs = (-d_min * traj.h1_semi ** 2 - gammas * traj.l2 ** 2 + c0_eff * traj.lp1)
     lhs = (traj.l2[1:] ** 2 - traj.l2[:-1] ** 2) / (2.0 * dt)

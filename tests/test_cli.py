@@ -28,6 +28,13 @@ dt = 0.002
 ic = mode(1, 0.0797884560802865)
 """
 
+CERT31_CFG = TH31_CFG + """
+[certificate]
+family = exponential
+nu = 0.5
+alpha_factor = 0.15
+"""
+
 TH34_CFG = """
 [domain]
 L = 4.0
@@ -168,20 +175,26 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate", "--config", "x", "--out", "y"]) == 1
 
-    @pytest.mark.parametrize("which, cfg_text, old, new, key", [
-        ("3.4", TH34_CFG, "mu_split = 0.5", "mu_split = 1.5", "[certificate].mu_split"),
-        ("3.1", TH31_CFG, "dt = 0.002", "dt = -0.1", "[run].dt"),
-        ("3.1", TH31_CFG, "dt = 0.002", "dt = 20.0", "[run].dt"),
-    ], ids=["mu_split-above-1", "dt-negative", "dt-above-T"])
-    def test_bad_run_values_are_config_errors(self, tmp_path, capsys, which, cfg_text,
+    @pytest.mark.parametrize("command, cfg_text, old, new, key", [
+        (["run-theorem", "3.4"], TH34_CFG, "mu_split = 0.5", "mu_split = 1.5",
+         "[certificate].mu_split"),
+        (["run-theorem", "3.1"], TH31_CFG, "dt = 0.002", "dt = -0.1", "[run].dt"),
+        (["run-theorem", "3.1"], TH31_CFG, "dt = 0.002", "dt = 20.0", "[run].dt"),
+        # errors the library raises on its own inputs
+        (["check-certificate"], CERT31_CFG, "nu = 0.5", "nu = 0.5\nmu0 = -1", "mu0"),
+        (["run-theorem", "3.1"], TH31_CFG, "[run]", "[theorem]\ngrid_points = 1\n\n[run]",
+         "grid points"),
+    ], ids=["mu_split-above-1", "dt-negative", "dt-above-T", "mu0-negative",
+            "grid-points-1"])
+    def test_bad_run_values_are_config_errors(self, tmp_path, capsys, command, cfg_text,
                                               old, new, key):
         assert old in cfg_text
-        if cfg_text is TH34_CFG:  # the unchanged 3.1 config runs in test_run_theorem_pass
-            assert main(["run-theorem", which, "--config", write_cfg(tmp_path, cfg_text),
+        if cfg_text is TH34_CFG:  # the unchanged 3.1 configs run in other tests
+            assert main([*command, "--config", write_cfg(tmp_path, cfg_text),
                          "--out", str(tmp_path / "ok")]) == 0
             capsys.readouterr()
         path = write_cfg(tmp_path, cfg_text.replace(old, new), name="bad.cfg")
-        code = main(["run-theorem", which, "--config", path, "--out", str(tmp_path / "bad")])
+        code = main([*command, "--config", path, "--out", str(tmp_path / "bad")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error:") and key in err
@@ -230,7 +243,7 @@ class TestExitCodes:
         assert report["envelope_violations"] > 0
 
     def test_check_certificate_both_ways(self, tmp_path):
-        base = TH31_CFG + "\n[certificate]\nfamily = exponential\nnu = 0.5\nalpha_factor = 0.15\n"
+        base = CERT31_CFG
         path = write_cfg(tmp_path, base)
         out = tmp_path / "ok"
         assert main(["check-certificate", "--config", path, "--out", str(out)]) == 0
@@ -242,6 +255,18 @@ class TestExitCodes:
         out_bad = tmp_path / "bad"
         assert main(["check-certificate", "--config", path_bad, "--out", str(out_bad)]) == 2
         assert read_report(out_bad)["pass"] is False
+
+    @pytest.mark.parametrize("c0", ["50.0", "0.0"])
+    def test_c0_without_nonlinearity_is_not_in_alpha(self, tmp_path, c0):
+        # the reaction never uses c0 without a nonlinearity, so alpha does not either
+        text = (CERT31_CFG.replace("nonlinearity = saturated_power", "nonlinearity = none")
+                .replace("c0_v0 = 0.05", f"c0_v0 = {c0}").replace("T = 10.0", "T = 2.0")
+                .replace("alpha_factor = 0.15", "alpha_factor = 1.0")
+                + "\n[theorem]\nalpha_factor = 1.0\n")
+        path = write_cfg(tmp_path, text)
+        assert main(["run-theorem", "3.1", "--config", path, "--out", str(tmp_path / "rt")]) == 0
+        assert read_report(tmp_path / "rt")["hypotheses"]["nonlinearity_small_enough"]
+        assert main(["check-certificate", "--config", path, "--out", str(tmp_path / "cc")]) == 0
 
 
 class TestCommandOutputs:

@@ -74,6 +74,11 @@ class TestBlowupTime:
         near = bernoulli_blowup_time(1e-9, 0.7, 1.4, 0.8)
         assert near == pytest.approx(base, rel=1e-6)
 
+    def test_past_the_double_range_of_w(self):
+        # w0 = g0**(1-q) = 1e30000: t* = log1p(w0 |sigma| / alpha) / ((q-1) |sigma|)
+        assert bernoulli_blowup_time(-1.0, 0.1, 101.0, 1e-300) == \
+            pytest.approx(30001.0 * math.log(10.0) / 100.0, rel=1e-12)
+
     def test_defines_root_of_w(self):
         sigma, alpha, q, g0 = -0.3, 0.6, 1.8, 0.5
         tstar = bernoulli_blowup_time(sigma, alpha, q, g0)
@@ -205,6 +210,9 @@ class TestComparisonSolve:
             assert got == expected
         else:
             assert got == pytest.approx(expected, rel=1e-10)
+        # the blow-up time agrees: at or before t exactly when g(t) is inf
+        tstar = bernoulli_blowup_time(sigma, alpha, q, g0)
+        assert (tstar is not None and tstar <= t) == math.isinf(expected)
 
     def test_negative_alpha_rejected(self):
         prob = ScalarProblem(sigma=CONST(1.0), alpha=CONST(-0.1), q=1.5, g0=1.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,6 +190,8 @@ class TestGamma:
         kin = KineticsSpec(n_components=1, linear=np.array([[2.0]]),
                            modulation=TimeProfile.power_decay(1.0, 1.0))
         assert gamma_of_t(kin, 3.0) == pytest.approx(-0.5)
+        ts = np.array([0.0, 3.0, 7.5])
+        assert gamma_of_t(kin, ts) == pytest.approx([-2.0, -0.5, -2.0 / 8.5])
 
     def test_coefficient_field_worst_case(self):
         kin = KineticsSpec(n_components=1,
@@ -196,6 +199,8 @@ class TestGamma:
         xs = np.linspace(0.0, math.pi, 101)
         gamma = gamma_of_t(kin, 0.0, positions=xs)
         assert gamma == pytest.approx(-np.max(np.sin(3.0 * xs)))
+        assert gamma_of_t(kin, np.array([0.0, 2.0]), positions=xs) == \
+            pytest.approx([gamma, gamma])
         with pytest.raises(ValueError):
             gamma_of_t(kin, 0.0)  # positions required
 
@@ -238,6 +243,8 @@ class TestHelpers:
                            c0=TimeProfile.constant(0.4),
                            modulation=TimeProfile.power_decay(2.0, 1.0))
         assert effective_c0(kin)(1.0) == pytest.approx(0.4)
+        # the reaction never uses c0 without a nonlinearity
+        assert effective_c0(replace(kin, nonlinearity="none"))(1.0) == 0.0
 
     def test_reaction_sup_bound_linear(self):
         kin = KineticsSpec(n_components=1, linear=np.array([[2.0]]))

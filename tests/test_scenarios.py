@@ -103,6 +103,20 @@ class TestPowerDecay:
         sc2 = power_decay_scenario(inp2, horizon=30.0)
         assert not sc2.hypotheses.details["c0_must_decay"]
 
+    @pytest.mark.parametrize("m, decay, bound, text", [
+        (2.0, True, None, "g0 * (1 + t)**(-2)"),
+        (0.0, False, 1.0, "1/mu(t), uniformly <= 1"),
+        (-0.5, False, None, "g0 * (1 + t)**(0.5)"),
+    ])
+    def test_verdict_follows_the_certificate(self, m, decay, bound, text):
+        # only m > 0 lets the envelope g0 (1+t)**(-m) decay
+        inp = ScenarioInputs(L=1.0, bc="dirichlet", d0=1.0, gamma0=0.2, k=1.0,
+                             m=m, g0=1.0)
+        sc = power_decay_scenario(inp, horizon=10.0)
+        assert sc.certifies_decay is decay
+        assert sc.uniform_bound == bound
+        assert sc.envelope_description == text
+
     def test_growing_c0_admissible_in_fast_regime(self):
         inp = ScenarioInputs(L=1.0, bc="dirichlet", d0=1.0, gamma0=0.2, k=1.0, m=4.5,
                              g0=1.0, c0=TimeProfile.power_growth(0.05, 0.1),
