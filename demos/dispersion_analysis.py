@@ -7,6 +7,8 @@ matrix, prints the band and the admissible interval modes, and locates the
 critical activator diffusion where the determinant crosses zero.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from rdcert import (Linearization2, critical_d1, det_m, dispersion_scan, eig2,
@@ -36,9 +38,11 @@ shear = np.array([[-1.0, 3.0], [0.0, -1.0]])
 print("shear matrix eigenvalues:", eig2(shear), " numerical abscissa:",
       numerical_abscissa(shear))
 
-svg_line_plot("dispersion.svg",
+plot = Path("out") / "dispersion.svg"
+plot.parent.mkdir(exist_ok=True)
+svg_line_plot(plot,
               [(report.k, report.lam1.real, "Re lambda_1"),
                (report.k, np.zeros_like(report.k), "zero")],
               title="leading growth rate over wavenumber", xlabel="k",
               ylabel="Re lambda")
-print("wrote dispersion.svg")
+print(f"wrote {plot}")

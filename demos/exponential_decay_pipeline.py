@@ -10,6 +10,7 @@ every recorded step.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -58,8 +59,10 @@ ratio = traj.g * np.asarray(scenario.certificate.mu(traj.times))
 print(f"worst g(t) mu(t) = {float(np.max(ratio)):.4f} (certified <= 1)")
 
 envelope = 1.0 / np.asarray(scenario.certificate.mu(traj.times))
-svg_line_plot("exponential_decay.svg",
+plot = Path("out") / "exponential_decay.svg"
+plot.parent.mkdir(exist_ok=True)
+svg_line_plot(plot,
               [(traj.times, traj.g, "g(t)"), (traj.times, envelope, "1/mu(t)")],
               title="norm vs certified envelope", xlabel="t", ylabel="log10",
               logy=True)
-print("wrote exponential_decay.svg")
+print(f"wrote {plot}")

@@ -30,6 +30,8 @@ __all__ = [
 # space dimension; this package is one-dimensional throughout.
 _DIMENSION = 1
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class UpperSolution:
@@ -222,10 +224,14 @@ def agmon_aggregate(traj: Trajectory, p: float) -> AgmonAggregate:
     """The measured factor turning the nonlinearity strength c0(t) into the
     comparison coefficient alpha(t).  Marked empirical in every report that
     uses it: both ingredients are maxima over the recorded trajectory, not
-    proved constants."""
+    proved constants.  A factor past the double range is inf."""
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     c_hat = estimate_agmon_constant(traj)
     m2_hat, t_at = h2_monitor(traj)
-    value = c_hat ** (p - 1.0) * m2_hat ** (0.75 * (p - 1.0))
+    try:
+        value = c_hat ** (p - 1.0) * m2_hat ** (0.75 * (p - 1.0))
+    except OverflowError:  # a power past the double range: the product in logs
+        log_value = (p - 1.0) * (math.log(c_hat) + 0.75 * math.log(m2_hat))
+        value = math.exp(log_value) if log_value <= _LOG_MAX else math.inf
     return AgmonAggregate(value=float(value), c_hat=c_hat, m2_hat=m2_hat, t_at_max_h2=t_at)

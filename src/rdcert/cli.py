@@ -19,7 +19,7 @@ import numpy as np
 
 from .apriori import (agmon_aggregate, build_paraboloid, find_constant_upper,
                       verify_pointwise_bound)
-from .config import ConfigError, RunConfig, build_system, parse_config
+from .config import ConfigError, RunConfig, build_system, parse_config, parse_value
 from .grid import poincare_constant
 from .inequality import (Certificate, ScalarProblem, check_certificate, growth_residual,
                          verify_envelope)
@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--plots", action="store_true", help="also write SVG plots")
         cmd.add_argument("--seed", type=int, default=None, help="override [run].seed")
-        cmd.add_argument("--grid-points", type=int, default=None,
+        cmd.add_argument("--grid-points", default=None,
                          help="override the certificate-check grid density")
         cmd.set_defaults(func=func)
         return cmd
@@ -85,7 +85,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.grid_points is not None:
-            cfg.values["theorem"]["grid_points"] = args.grid_points
+            cfg.values["theorem"]["grid_points"] = parse_value(
+                "theorem", "grid_points", args.grid_points)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         code = args.func(cfg, out, args)
@@ -99,8 +100,6 @@ def main(argv=None) -> int:
 def _run_params(cfg: RunConfig, args):
     T = cfg.require("run", "T")
     dt = cfg.get("run", "dt")
-    if T <= 0.0:
-        raise ConfigError("[run].T must be positive")
     if dt is not None and not 0.0 < dt <= T:
         raise ConfigError("[run].dt must satisfy 0 < dt <= T")
     seed = args.seed if args.seed is not None else cfg.get("run", "seed")
@@ -319,7 +318,7 @@ def _scenario_inputs(which: str, cfg: RunConfig, sys_spec, g0: float,
     L = sys_spec.grid.L
     bc = sys_spec.grid.bc
     c0_eff = effective_c0(kin)
-    lam = symmetric_part_max(kin.linear) if kin.linear is not None else 0.0
+    lam = symmetric_part_max(kin.linear)
     common = dict(L=L, bc=bc, p=kin.p, g0=g0, c0=c0_eff, alpha_factor=alpha_factor)
 
     if which == "3.1":
@@ -387,10 +386,8 @@ _SCENARIO_BUILDERS = {
 }
 
 
-def _pointwise_bounds(cfg: RunConfig, sys_spec, traj, horizon: float) -> dict:
+def _pointwise_bounds(sys_spec, traj, horizon: float) -> dict:
     kin = sys_spec.kinetics
-    if callable(kin.linear):
-        return {"kind": None, "note": "skipped: coefficient-field linear part"}
     sup_max = float(np.max(traj.sup))
     if sup_max == 0.0:
         return {"kind": None, "note": "skipped: zero trajectory", "violations": 0}
@@ -438,7 +435,7 @@ def _cmd_run_theorem(cfg: RunConfig, out: Path, args) -> int:
             "reason": "zero initial data: the scenarios assume g(0) > 0"})
         return EXIT_HYPOTHESES
 
-    factor = cfg.get("theorem", "alpha_factor")
+    factor = cfg.get("certificate", "alpha_factor")
     constants = {"source": "config" if factor is not None else "estimated"}
     if factor is None:
         agg = agmon_aggregate(traj, sys_spec.kinetics.p)
@@ -468,7 +465,7 @@ def _cmd_run_theorem(cfg: RunConfig, out: Path, args) -> int:
         worst_ratio = float(np.max(traj.g * mu_vals))
         envelope_violations = verify_envelope(traj.times, traj.g,
                                               scenario.certificate, slack=slack)
-    pointwise = _pointwise_bounds(cfg, sys_spec, traj, float(traj.times[-1]))
+    pointwise = _pointwise_bounds(sys_spec, traj, float(traj.times[-1]))
 
     check = scenario.certificate_check
     payload = {
@@ -615,7 +612,7 @@ def _cmd_estimate(cfg: RunConfig, out: Path, args) -> int:
         agg = agmon_aggregate(traj, sys_spec.kinetics.p)
         payload.update({"M2_hat": agg.m2_hat, "c_hat": agg.c_hat, "C": agg.value,
                         "t_at_max_h2": agg.t_at_max_h2})
-    pointwise = _pointwise_bounds(cfg, sys_spec, traj, float(traj.times[-1]))
+    pointwise = _pointwise_bounds(sys_spec, traj, float(traj.times[-1]))
     payload["pointwise_violations"] = pointwise.get("violations")
     payload["pointwise_bounds"] = pointwise
     write_report(out / "report.json", payload)

@@ -46,11 +46,19 @@ def _parse_int(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text!r}")
 
 
-def _parse_positive_int(text: str) -> int:
-    value = _parse_int(text)
-    if value < 1:
-        raise ConfigError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(parse, ok, message: str):
+    """``parse``, then a range check: ``ok(value)`` or ``message``, formatted
+    with the text read."""
+    def parse_checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ConfigError(message.format(text=text))
+        return value
+    return parse_checked
+
+
+_parse_positive_float = _checked(_parse_float, lambda v: v > 0.0,
+                                 "expected a positive number, got {text!r}")
 
 
 def _parse_choice(options):
@@ -80,7 +88,7 @@ _PROFILE_KEYS = {
 
 SCHEMA = {
     "domain": {
-        "L": (_parse_float, None),
+        "L": (_parse_positive_float, None),
         "N": (_parse_int, None),
         "bc": (_parse_choice(("dirichlet", "neumann")), None),
     },
@@ -103,9 +111,10 @@ SCHEMA = {
         "offset": (_parse_float, 0.0),
     },
     "run": {
-        "T": (_parse_float, None),
+        "T": (_parse_positive_float, None),
         "dt": (_parse_float, None),
-        "record_every": (_parse_positive_int, None),
+        "record_every": (_checked(_parse_int, lambda v: v >= 1,
+                                  "expected a positive integer, got {text!r}"), None),
         "seed": (_parse_int, 0),
         "ic": (_parse_str, "zero"),
         "scheme": (_parse_choice(("one_stage", "two_stage")), "two_stage"),
@@ -120,9 +129,9 @@ SCHEMA = {
         "alpha_factor": (_parse_float, None),
     },
     "theorem": {
-        "alpha_factor": (_parse_float, None),
         "envelope_slack": (_parse_float, 0.02),
-        "grid_points": (_parse_int, 10_000),
+        "grid_points": (_checked(_parse_int, lambda v: v >= 2,
+                                 "need at least 2 grid points"), 10_000),
         "tol": (_parse_float, 1e-12),
     },
     "dispersion": {
@@ -166,18 +175,23 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"unknown section [{section}]")
         values[section] = {}
         for key, raw in parser[section].items():
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown key [{section}].{key}")
-            parse, _default = SCHEMA[section][key]
-            try:
-                values[section][key] = parse(raw.strip())
-            except ConfigError as exc:
-                raise ConfigError(f"[{section}].{key}: {exc}") from None
+            values[section][key] = parse_value(section, key, raw)
     for section, keys in SCHEMA.items():
         values.setdefault(section, {})
         for key, (_parse, default) in keys.items():
             values[section].setdefault(key, default)
     return RunConfig(values=values)
+
+
+def parse_value(section: str, key: str, raw: str):
+    """``raw`` read by the schema entry of [section].key; errors name the key."""
+    if key not in SCHEMA[section]:
+        raise ConfigError(f"unknown key [{section}].{key}")
+    parse, _default = SCHEMA[section][key]
+    try:
+        return parse(raw.strip())
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}].{key}: {exc}") from None
 
 
 def parse_matrix(text: str) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Every coefficient that varies in time (diffusion lower bound, linear decay
 rate, nonlinearity strength, global modulation) is a :class:`TimeProfile`.
-The reaction term has the split form ``F(u, x, t) = phi(t) * (A u + B(u))``
-with a linear part ``A`` (constant matrix or coefficient field) and an
-optional saturated power-law nonlinearity ``B``.
+The reaction term has the split form ``F(u, t) = phi(t) * (A u + B(u))``
+with one constant linear part ``A`` and an optional saturated power-law
+nonlinearity ``B``; it does not depend on the position x.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 ProfileKind = Literal["constant", "power_decay", "power_growth", "exponential", "tabulated"]
 TimeLike = Union[float, np.ndarray]
 ProfileLike = Union["TimeProfile", Callable[[TimeLike], TimeLike]]
-LinearPart = Union[None, np.ndarray, Callable[[float, float], np.ndarray]]
 
 _PARAMETRIC_KINDS = ("constant", "power_decay", "power_growth", "exponential")
 
@@ -230,10 +229,10 @@ def as_time_function(profile: ProfileLike) -> Callable[[TimeLike], TimeLike]:
 
 @dataclass(frozen=True)
 class KineticsSpec:
-    """Reaction term F(u, x, t) = phi(t) * (A u + B(u)).
+    """Reaction term F(u, t) = phi(t) * (A u + B(u)).
 
-    ``linear`` is either a constant (n, n) matrix, a callable ``A(x, t)``
-    returning the local matrix, or None.  The only built-in nonlinearity is
+    ``linear`` is the constant (n, n) matrix A, stored as a finite float
+    array; None stands for the zero matrix.  The only built-in nonlinearity is
 
         B_i(u) = -c0(t) * u_i * |u|**(p-1) / (1 + |u|**(p-1))
 
@@ -243,7 +242,7 @@ class KineticsSpec:
     """
 
     n_components: int = 1
-    linear: LinearPart = None
+    linear: Optional[np.ndarray] = None
     nonlinearity: Literal["none", "saturated_power"] = "none"
     c0: TimeProfile = TimeProfile.constant(0.0)
     p: float = 2.0
@@ -257,21 +256,25 @@ class KineticsSpec:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         if not (self.p > 1.0):
             raise ValueError("growth exponent p must exceed 1")
-        if self.linear is not None and not callable(self.linear):
-            mat = np.asarray(self.linear, dtype=float)
-            if mat.shape != (self.n_components, self.n_components):
-                raise ValueError(f"linear part must be {self.n_components}x{self.n_components}")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("linear part must be finite")
-            object.__setattr__(self, "linear", mat)
+        n, given = self.n_components, self.linear
+        if callable(given):
+            raise ValueError("linear part must be a constant matrix, not a function")
+        mat = np.zeros((n, n)) if given is None else np.asarray(given, dtype=float)
+        if mat.shape != (n, n):
+            raise ValueError(f"linear part must be {n}x{n}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("linear part must be finite")
+        object.__setattr__(self, "linear", mat)
         if self.lipschitz_const is not None and self.lipschitz_const <= 0:
             raise ValueError("declared Lipschitz constant must be positive")
 
 
 def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:
-    """Evaluate F(u, x, t) at one point (u shape (n,)) or a batch (n, N).
+    """Evaluate F(u, t) at one point (u shape (n,)) or a batch (n, N).
 
-    Exactly zero at u = 0.
+    The split-form reaction does not depend on the position: ``x`` is
+    accepted for callers that pass the nodes and is not used.  Exactly zero
+    at u = 0.
     """
     u_arr = np.asarray(u, dtype=float)
     if u_arr.ndim not in (1, 2) or u_arr.shape[0] != kin.n_components:
@@ -280,8 +283,8 @@ def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:
         raise ValueError("state must be finite")
     c0 = reaction_c0(kin, t)
     phi = eval_profile(kin.modulation, t)
-    with np.errstate(divide="ignore"):
-        return reaction_kernel(kin, u_arr, x, t, c0, phi)
+    with np.errstate(divide="ignore", over="ignore"):
+        return reaction_kernel(kin, u_arr, c0, phi)
 
 
 def reaction_c0(kin: KineticsSpec, t: TimeLike) -> TimeLike:
@@ -319,26 +322,11 @@ def coefficient_table(fn, times: np.ndarray):
     raise error
 
 
-def _linear_part(kin: KineticsSpec, u: np.ndarray, x, t: float) -> np.ndarray:
-    """A u as a new array (zeros without a linear part)."""
-    if kin.linear is None:
-        return np.zeros_like(u)
-    if not callable(kin.linear):
-        return np.dot(kin.linear, u)
-    out = np.empty_like(u)
-    if u.ndim == 1:
-        out[:] = np.asarray(kin.linear(x, t), dtype=float) @ u
-    else:
-        xs = np.asarray(x, dtype=float)
-        for j in range(u.shape[1]):
-            out[:, j] = np.asarray(kin.linear(xs[j], t), dtype=float) @ u[:, j]
-    return out
-
-
 def _saturation(kin: KineticsSpec, u: np.ndarray, c0) -> np.ndarray:
     """c0 s / (1 + s) with s = |u|**(p-1), taken as c0 / (1 + 1/s): exactly 0
     at u = 0 (1/s = inf) and c0 where s overflows (1/s = 0).  Warns of a
-    division by zero at u = 0 unless the caller silences it."""
+    division by zero at u = 0, and of an overflow where 1/s passes the
+    double range, unless the caller silences both."""
     inv_s = u * u  # |u|^2 as a new row, so the steps below work in place
     if len(u) > 1:
         inv_s = inv_s.sum(axis=0, keepdims=True)
@@ -347,45 +335,34 @@ def _saturation(kin: KineticsSpec, u: np.ndarray, c0) -> np.ndarray:
     return np.divide(c0, inv_s, out=inv_s)
 
 
-def reaction_kernel(kin: KineticsSpec, u: np.ndarray, x, t: float, c0: float,
-                    phi: float) -> np.ndarray:
-    """F(u, x, t) from a finite float state and the coefficients c0(t) and
+def reaction_kernel(kin: KineticsSpec, u: np.ndarray, c0: float, phi: float) -> np.ndarray:
+    """F(u, t) from a finite float state and the coefficients c0(t) and
     phi(t) already evaluated; no input checks.  Callers silence numpy's
-    division-by-zero warning, which u = 0 raises on the way to an exact 0."""
-    out = _linear_part(kin, u, x, t)
+    division-by-zero and overflow warnings, which u = 0 and states near it
+    raise on the way to an exact 0."""
+    out = np.dot(kin.linear, u)
     if kin.nonlinearity == "saturated_power":
         out -= u * _saturation(kin, u, c0)
     out *= phi
     return out
 
 
-def gamma_of_t(kin: KineticsSpec, t: TimeLike, positions=None) -> TimeLike:
+def gamma_of_t(kin: KineticsSpec, t: TimeLike) -> TimeLike:
     """Tightest gamma(t) with (F_linear(u), u) <= -gamma(t) |u|^2 for all u,
-    at a scalar or array time t.
-
-    For a constant matrix this is -phi(t) * lambda_max((A + A^T)/2); for a
-    coefficient field the worst case over ``positions`` is taken.  Negative
-    values mean the linear part is destabilizing.
+    at a scalar or array time t: -phi(t) * lambda_max((A + A^T)/2).
+    Negative values mean the linear part is destabilizing.
     """
     phi = eval_profile(kin.modulation, t)
     if np.any(np.asarray(phi) <= 0.0):
         raise ValueError("modulation must be positive")
-    if kin.linear is None:
-        return 0.0 * phi
-    if callable(kin.linear):
-        if positions is None:
-            raise ValueError("positions are required for coefficient-field linear parts")
-        xs = np.asarray(positions, dtype=float)
-        lam = np.vectorize(lambda s: max(
-            symmetric_part_max(np.asarray(kin.linear(float(xj), s), dtype=float))
-            for xj in xs))(t)
-    else:
-        lam = symmetric_part_max(kin.linear)
-    return -phi * lam
+    return -phi * symmetric_part_max(kin.linear)
 
 
 def symmetric_part_max(m) -> float:
-    """Largest eigenvalue of (m + m^T)/2."""
+    """Largest eigenvalue of (m + m^T)/2, the numerical abscissa of m: the
+    best constant w with (m u, u) <= w |u|^2.  May exceed the spectral
+    abscissa for non-normal matrices, in which case negative eigenvalues do
+    not give a negative quadratic form."""
     mat = np.asarray(m, dtype=float)
     sym = 0.5 * (mat + mat.T)
     return float(np.linalg.eigvalsh(sym)[-1])
@@ -423,15 +400,12 @@ def effective_c0(kin: KineticsSpec) -> Callable[[TimeLike], TimeLike]:
 def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float,
                        u_samples: int = 2001, t_samples: int = 65,
                        directions: int = 64, safety: float = 0.05) -> float:
-    """Sampled upper bound for sup |F(u, x, t)| over |u| <= u_max, t in [0, horizon].
+    """Sampled upper bound for sup |F(u, t)| over |u| <= u_max, t in [0, horizon].
 
-    Only valid for kinetics without coefficient fields; the result is inflated
-    by ``safety`` to absorb the sampling gap.  A u and the saturation term of
-    the sample states are computed once; each sample time then only combines
-    them with its c0 and phi.
+    The result is inflated by ``safety`` to absorb the sampling gap.  A u and
+    the saturation term of the sample states are computed once; each sample
+    time then only combines them with its c0 and phi.
     """
-    if callable(kin.linear):
-        raise ValueError("sampled reaction bound requires a constant linear part")
     ts = np.linspace(0.0, horizon, t_samples)
     if kin.n_components == 1:
         points = np.linspace(-u_max, u_max, u_samples)[None, :]
@@ -447,10 +421,10 @@ def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float,
     coeffs, error = coefficient_table(partial(reaction_coefficients, kin), ts)
     if error is not None:
         raise error
-    linear = _linear_part(kin, points, None, 0.0)
+    linear = np.dot(kin.linear, points)
     damped = np.zeros_like(points)  # B(u) / c0
     if kin.nonlinearity == "saturated_power":
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             damped = points * _saturation(kin, points, 1.0)
     worst = 0.0
     for c0, phi in coeffs.tolist():

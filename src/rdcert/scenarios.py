@@ -93,8 +93,11 @@ class ScenarioInputs:
         return as_time_function(self.c0)
 
     def alpha_fn(self) -> Callable:
-        c0 = self.c0_fn()
         factor = self.alpha_factor
+        if not math.isfinite(factor):
+            raise ScenarioNotApplicable(f"alpha_factor = {factor} is not finite: the "
+                                        "measured factor is past the double range")
+        c0 = self.c0_fn()
         return lambda t: factor * c0(t)
 
 
@@ -244,7 +247,13 @@ def exponential_decay_scenario(inp: ScenarioInputs, horizon: float,
 
     # alpha-level form of the sufficient bound on c0
     def alpha_cap(ts):
-        return 0.5 * sigma0 * inp.g0 ** (-(q - 1.0)) * np.exp(0.5 * (q - 1.0) * sigma0 * ts)
+        try:
+            scale = 0.5 * sigma0 * inp.g0 ** (-(q - 1.0))
+        except OverflowError:  # g0**-(q-1) past the double range: the cap in logs
+            with np.errstate(over="ignore"):
+                return np.exp(math.log(0.5 * sigma0)
+                              + (q - 1.0) * (0.5 * sigma0 * ts - math.log(inp.g0)))
+        return scale * np.exp(0.5 * (q - 1.0) * sigma0 * ts)
 
     growth_ok, first_bad = _grid_check(alpha, alpha_cap, horizon, grid_points)
     return _certified_scenario(

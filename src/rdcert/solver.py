@@ -205,7 +205,7 @@ class _StepPlan:
         sys = self.sys
         c0, phi = coeffs
         self.reaction_evals += 1
-        out = reaction_kernel(sys.kinetics, values, self.xs, t, c0, phi)
+        out = reaction_kernel(sys.kinetics, values, c0, phi)
         if sys.forcing is not None:
             out = out + np.asarray(sys.forcing(self.xs, t), dtype=float)
         return out
@@ -349,7 +349,7 @@ def dissipation_rates(sys: SystemSpec, times: np.ndarray):
     """min_i d_i(t) and gamma(t) (see :func:`rdcert.profiles.gamma_of_t`) at
     each of ``times``: the rates of the system's energy estimate."""
     return (_diffusion_table(sys, times).min(axis=0),
-            gamma_of_t(sys.kinetics, times, sys.grid.x))
+            gamma_of_t(sys.kinetics, times))
 
 
 def energy_inequality_residuals(traj: Trajectory, sys: SystemSpec) -> np.ndarray:

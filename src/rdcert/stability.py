@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .grid import Field, Grid1D
-from .profiles import KineticsSpec, TimeProfile
+from .profiles import KineticsSpec, TimeProfile, symmetric_part_max
 from .solver import SystemSpec, simulate
 
 
@@ -76,14 +76,7 @@ def eig2(m) -> tuple[complex, complex]:
     return complex(0.5 * tr, half_im), complex(0.5 * tr, -half_im)
 
 
-def numerical_abscissa(m) -> float:
-    """Largest eigenvalue of the symmetric part: the best constant w with
-    (m u, u) <= w |u|^2.  May exceed the spectral abscissa for non-normal
-    matrices, in which case negative eigenvalues do not give a negative
-    quadratic form."""
-    mat = np.asarray(m, dtype=float)
-    sym = 0.5 * (mat + mat.T)
-    return float(np.linalg.eigvalsh(sym)[-1])
+numerical_abscissa = symmetric_part_max
 
 
 def det_m(lin: Linearization2, k) -> np.ndarray:
@@ -168,6 +161,8 @@ def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if L is not None and not (math.isfinite(L) and L > 0.0):
+        raise ValueError("interval length L must be finite and positive")
     band = instability_band(lin)
     if k_max is None:
         candidates = []

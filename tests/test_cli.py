@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rdcert.cli
 from rdcert.cli import main
 from rdcert.config import ConfigError, build_initial, parse_config, parse_matrix
 
@@ -261,12 +263,79 @@ class TestExitCodes:
         # the reaction never uses c0 without a nonlinearity, so alpha does not either
         text = (CERT31_CFG.replace("nonlinearity = saturated_power", "nonlinearity = none")
                 .replace("c0_v0 = 0.05", f"c0_v0 = {c0}").replace("T = 10.0", "T = 2.0")
-                .replace("alpha_factor = 0.15", "alpha_factor = 1.0")
-                + "\n[theorem]\nalpha_factor = 1.0\n")
+                .replace("alpha_factor = 0.15", "alpha_factor = 1.0"))
         path = write_cfg(tmp_path, text)
         assert main(["run-theorem", "3.1", "--config", path, "--out", str(tmp_path / "rt")]) == 0
         assert read_report(tmp_path / "rt")["hypotheses"]["nonlinearity_small_enough"]
         assert main(["check-certificate", "--config", path, "--out", str(tmp_path / "cc")]) == 0
+
+    @pytest.mark.parametrize("grid_points, argv", [("1", []), ("10000", ["--grid-points", "1"])],
+                             ids=["config", "option"])
+    def test_grid_points_checked_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                   grid_points, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran before the grid points were checked")
+
+        monkeypatch.setattr(rdcert.cli, "simulate", refuse)
+        text = TH31_CFG + f"\n[theorem]\ngrid_points = {grid_points}\n"
+        code = main(["run-theorem", "3.1", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out"), *argv])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "config error: [theorem].grid_points: need at least 2 grid points\n"
+
+    def test_theorem_alpha_factor_is_unknown(self, tmp_path, capsys):
+        text = TH31_CFG + "\n[theorem]\nalpha_factor = 1.0\n"
+        code = main(["run-theorem", "3.1", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "unknown key [theorem].alpha_factor" in capsys.readouterr().err
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+
+class TestExtremeInputs:
+    """Demo configs with one value pushed to an extreme but valid (or just
+    invalid) setting end in an exit code and a report or a one-line message,
+    never a traceback.  The runs are shortened; the powers that overflow on
+    the full-length runs overflow on the shortened ones too."""
+
+    @pytest.mark.parametrize("command, name, edits, code", [
+        # the measured factor c_hat**(p-1) m2_hat**(3(p-1)/4) overflows
+        (["run-theorem", "3.2"], "theorem32",
+         {"T = 50.0": "T = 5.0", "p = 2.0": "p = 1e3"}, 0),
+        (["run-theorem", "3.3"], "theorem33",
+         {"T = 50.0": "T = 5.0", "p = 2.0": "p = 1e308"}, 0),
+        # the exponential scenario's cap g0**-(q-1) overflows
+        (["run-theorem", "3.1"], "theorem31",
+         {"T = 20.0": "T = 2.0", "p = 2.0": "p = 1e308"}, 0),
+        # the measured factor itself is past the double range
+        (["run-theorem", "3.2"], "theorem32",
+         {"T = 50.0": "T = 5.0", "p = 2.0": "p = 1e4",
+          "ic = mode(1, 0.42)": "ic = mode(1, 1.0)"}, 2),
+        (["analyze-dispersion"], "dispersion", {"L = 4.0": "L = 0"}, 1),
+        (["simulate"], "theorem31", {"L = 3.141592653589793": "L = -1"}, 1),
+    ], ids=["th32-p1e3", "th33-p1e308", "th31-p1e308", "th32-p1e4", "dispersion-L0",
+            "simulate-L-negative"])
+    def test_exit_code_without_traceback(self, tmp_path, capsys, command, name, edits, code):
+        text = (DEMO_CONFIGS / f"{name}.cfg").read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        out = tmp_path / "out"
+        got = main([*command, "--config", write_cfg(tmp_path, text), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert got == code
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("config error: [domain].L:") and err.count("\n") == 1
+        else:
+            report = read_report(out)
+            if code == 2:
+                assert report["status"] == "not_applicable"
+                assert "alpha_factor" in report["reason"]
+                assert report["constants"]["alpha_factor"] == "inf"
 
 
 class TestCommandOutputs:

@@ -88,6 +88,16 @@ class TestProfileDerivative:
         assert profile_derivative(prof, 1.6) == pytest.approx(-1.0, rel=1e-6)
 
 
+class TestKineticsSpec:
+    def test_linear_part_is_a_constant_matrix(self):
+        np.testing.assert_array_equal(KineticsSpec(n_components=2).linear, np.zeros((2, 2)))
+        assert KineticsSpec(n_components=1, linear=[[2]]).linear.dtype == float
+        with pytest.raises(ValueError, match="constant matrix"):
+            KineticsSpec(n_components=1, linear=lambda x, t: np.array([[1.0]]))
+        with pytest.raises(ValueError, match="2x2"):
+            KineticsSpec(n_components=2, linear=np.eye(1))
+
+
 class TestEvalReaction:
     def test_zero_state_maps_to_zero_exactly(self):
         kinetics = [
@@ -192,17 +202,6 @@ class TestGamma:
         assert gamma_of_t(kin, 3.0) == pytest.approx(-0.5)
         ts = np.array([0.0, 3.0, 7.5])
         assert gamma_of_t(kin, ts) == pytest.approx([-2.0, -0.5, -2.0 / 8.5])
-
-    def test_coefficient_field_worst_case(self):
-        kin = KineticsSpec(n_components=1,
-                           linear=lambda x, t: np.array([[math.sin(3.0 * x)]]))
-        xs = np.linspace(0.0, math.pi, 101)
-        gamma = gamma_of_t(kin, 0.0, positions=xs)
-        assert gamma == pytest.approx(-np.max(np.sin(3.0 * xs)))
-        assert gamma_of_t(kin, np.array([0.0, 2.0]), positions=xs) == \
-            pytest.approx([gamma, gamma])
-        with pytest.raises(ValueError):
-            gamma_of_t(kin, 0.0)  # positions required
 
 
 class TestCouplingGamma0:

@@ -166,14 +166,16 @@ class TestStepAndSimulate:
         assert abs(coarse_two - ref) < abs(coarse_one - ref)
 
     @pytest.mark.parametrize("scheme", ["one_stage", "two_stage"])
-    @pytest.mark.parametrize("bc,m,field", [("dirichlet", 1, False), ("neumann", 1, False),
-                                            ("dirichlet", 2, False), ("neumann", 2, False),
-                                            ("neumann", 2, True)])
-    def test_simulate_matches_step_imex(self, bc, m, field, scheme):
+    @pytest.mark.parametrize("bc,m,zero_linear", [("dirichlet", 1, False),
+                                                  ("neumann", 1, False),
+                                                  ("dirichlet", 2, False),
+                                                  ("neumann", 2, False),
+                                                  ("dirichlet", 2, True)])
+    def test_simulate_matches_step_imex(self, bc, m, zero_linear, scheme):
         # 150 steps span several norm blocks of the run
         g = Grid1D(1.0, 64, bc)
         matrix = np.array([[0.6]]) if m == 1 else np.array([[0.3, 1.1], [-0.9, 0.2]])
-        linear = (lambda x, t: (1.0 + x) * matrix) if field else matrix
+        linear = None if zero_linear else matrix
         kin = KineticsSpec(n_components=m, linear=linear, nonlinearity="saturated_power",
                            c0=TimeProfile.power_decay(0.8, 0.5), p=2.5,
                            modulation=TimeProfile.power_decay(1.0, 1.5, offset=0.3))
@@ -272,14 +274,10 @@ def crank_nicolson_reference(sys, T, dt, scheme):
     return states
 
 
-def pinned_system(bc, m, diffusion, linear="matrix"):
+def pinned_system(bc, m, diffusion):
     g = Grid1D(2.0, 48, bc)
     matrix = np.array([[0.6]]) if m == 1 else np.array([[0.3, 1.1], [-0.9, 0.2]])
-    if linear == "field":
-        kin_linear = lambda x, t: (1.0 + x) * (1.0 + t) * matrix  # noqa: E731
-    else:
-        kin_linear = matrix
-    kin = KineticsSpec(n_components=m, linear=kin_linear, nonlinearity="saturated_power",
+    kin = KineticsSpec(n_components=m, linear=matrix, nonlinearity="saturated_power",
                        c0=TimeProfile.power_decay(0.8, 0.5), p=2.5,
                        modulation=TimeProfile.power_decay(1.0, 1.5, offset=0.3))
     if diffusion == "constant":
@@ -310,11 +308,6 @@ class TestStepFormula:
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_matches_textbook_step(self, bc, m, diffusion, scheme):
         self.assert_pinned(pinned_system(bc, m, diffusion), 0.2, 0.004, scheme)
-
-    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    def test_coefficient_field_linear_part(self, bc):
-        self.assert_pinned(pinned_system(bc, 2, "power_decay", linear="field"),
-                           0.1, 0.005, "two_stage")
 
     def test_manufactured_forcing(self):
         g = Grid1D(1.0, 40)

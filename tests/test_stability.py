@@ -142,6 +142,11 @@ class TestBandAndConditions:
             inside = band[0] < mode.k < band[1]
             assert mode.unstable == inside
 
+    @pytest.mark.parametrize("L", [0.0, -4.0, math.inf, math.nan])
+    def test_interval_length_must_be_finite_and_positive(self, L):
+        with pytest.raises(ValueError, match="interval length"):
+            dispersion_scan(TURING, L=L)
+
 
 class TestCriticalD1:
     def test_turing_example_value(self):
