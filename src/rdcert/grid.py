@@ -151,13 +151,16 @@ def _integrate(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sum(samples * weights, axis=-1)
 
 
-def norms_batch(values: np.ndarray, grid: Grid1D,
-                weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Discrete norms of k states at once.
+def _lp_from_squares(sq: np.ndarray, exponent: float, weights: np.ndarray) -> np.ndarray:
+    # sq holds the pointwise squared magnitudes |u(x)|^2, shape (k, n)
+    return _integrate(np.sqrt(sq) ** exponent, weights)
 
-    ``values`` has shape (k, n_components, n); the result has shape (k, 4)
-    with columns l2, sup, h1_semi and h2, the fields of :class:`NormSet`.
-    """
+
+def _norm_rows(values: np.ndarray, grid: Grid1D, weights: Optional[np.ndarray] = None,
+               exponent: Optional[float] = None) -> np.ndarray:
+    """The columns of :func:`norms_batch`, followed, when ``exponent`` is
+    given, by the column of :func:`lp_integrals`: both read the pointwise
+    squared magnitudes, which are formed once."""
     if weights is None:
         weights = quadrature_weights(grid)
     sq = np.sum(values * values, axis=1)
@@ -170,7 +173,22 @@ def norms_batch(values: np.ndarray, grid: Grid1D,
     h1sq = np.sum(edges * edges, axis=(1, 2)) / grid.h
     d2 = _second_differences(values, grid)
     h2sq = l2sq + h1sq + _integrate(np.sum(d2 * d2, axis=1), weights)
-    return np.sqrt(np.column_stack([l2sq, np.max(sq, axis=-1), h1sq, h2sq]))
+    norms = np.sqrt(np.column_stack([l2sq, np.max(sq, axis=-1), h1sq, h2sq]))
+    if exponent is None:
+        return norms
+    return np.column_stack([norms, _lp_from_squares(sq, exponent, weights)])
+
+
+def norms_batch(values: np.ndarray, grid: Grid1D,
+                weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Discrete norms of k states at once.
+
+    ``values`` has shape (k, n_components, n); the result has shape (k, 4)
+    with columns l2, sup, h1_semi and h2, the fields of :class:`NormSet`.
+    The l2 and sup columns come from the pointwise squared magnitudes
+    |u(x)|^2, which a simulation shares with :func:`lp_integrals`.
+    """
+    return _norm_rows(values, grid, weights)
 
 
 def norms_from_values(values: np.ndarray, grid: Grid1D,
@@ -188,11 +206,12 @@ def discrete_norms(field: Field) -> NormSet:
 def lp_integrals(values: np.ndarray, grid: Grid1D, exponent: float,
                  weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Integral of |u(x)|**exponent for each of k states of shape
-    (k, n_components, n), with |.| the pointwise euclidean norm."""
+    (k, n_components, n), with |.| the pointwise euclidean norm, taken from
+    the same squared magnitudes as the l2 and sup columns of
+    :func:`norms_batch`."""
     if weights is None:
         weights = quadrature_weights(grid)
-    mag = np.sqrt(np.sum(values * values, axis=1))
-    return _integrate(mag ** exponent, weights)
+    return _lp_from_squares(np.sum(values * values, axis=1), exponent, weights)
 
 
 def lp_integral(field: Field, exponent: float) -> float:

@@ -394,12 +394,15 @@ class CertificateReport:
 
 def growth_residual(problem: ScalarProblem, cert: Certificate, t: TimeLike) -> np.ndarray:
     """r(t) = mu**(q-1) (sigma - mu'/mu) - alpha: the growth condition of the
-    certificate holds at t iff r(t) >= 0."""
+    certificate holds at t iff r(t) >= 0.  For a large q the power may
+    overflow to inf; that is the residual's value, so it is not warned about."""
     t_arr = np.asarray(t, dtype=float)
     mu = np.asarray(cert.mu(t_arr), dtype=float)
-    return mu ** (problem.q - 1.0) * (np.asarray(problem.sigma_fn()(t_arr), dtype=float)
-                                      - np.asarray(cert.mu_log_derivative(t_arr), dtype=float)) \
-        - np.asarray(problem.alpha_fn()(t_arr), dtype=float)
+    slack = (np.asarray(problem.sigma_fn()(t_arr), dtype=float)
+             - np.asarray(cert.mu_log_derivative(t_arr), dtype=float))
+    alpha = np.asarray(problem.alpha_fn()(t_arr), dtype=float)
+    with np.errstate(over="ignore"):
+        return mu ** (problem.q - 1.0) * slack - alpha
 
 
 def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,

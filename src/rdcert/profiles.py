@@ -247,7 +247,6 @@ class KineticsSpec:
     c0: TimeProfile = TimeProfile.constant(0.0)
     p: float = 2.0
     modulation: TimeProfile = TimeProfile.constant(1.0)
-    lipschitz_const: Optional[float] = None  # informational only
 
     def __post_init__(self):
         if self.n_components not in (1, 2):
@@ -265,8 +264,6 @@ class KineticsSpec:
         if not np.all(np.isfinite(mat)):
             raise ValueError("linear part must be finite")
         object.__setattr__(self, "linear", mat)
-        if self.lipschitz_const is not None and self.lipschitz_const <= 0:
-            raise ValueError("declared Lipschitz constant must be positive")
 
 
 def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:

@@ -11,12 +11,15 @@ reaction's c0 and phi at both stage times are evaluated as vectorised tables.
 With M = I - delta L, delta = (dt/2) D(t + dt/2) and L the three-point
 Laplacian, I + delta L = 2I - M, so a stage is M^-1 (2 v + dt f) - v and no
 explicit Laplacian is applied.  All components form one block-diagonal
-tridiagonal M, factored by LAPACK ``gttrf`` once per distinct row of midpoint
-diffusion values (once per run for constant diffusion) and solved by one
-``gttrs`` per stage.  ``Trajectory.metadata`` counts the steps, the
-factorizations and the reaction evaluations of the run.  ``simulate``
-computes the norms of a block of buffered states at a time and still raises
-errors in step order.
+tridiagonal M.  Scaling its rows by the trapezoid weights W = diag(1/2, 1,
+..., 1, 1/2) per block under Neumann ends (W = I under Dirichlet ends) makes
+W M symmetric and strictly diagonally dominant, so it is factored as L D L^T
+by LAPACK ``pttrf`` once per distinct row of midpoint diffusion values (once
+per run for constant diffusion), and a stage solves W M x = W rhs by one
+``pttrs``.  ``Trajectory.metadata`` counts the steps, the factorizations and
+the reaction evaluations of the run.  ``simulate`` computes the norms of a
+block of buffered states at a time, squaring each state once, and still
+raises errors in step order.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .grid import (Field, Grid1D, NormSet, lp_integrals, norms_batch, norms_from_values,
+from .grid import (Field, Grid1D, NormSet, _norm_rows, norms_from_values,
                    quadrature_weights)
 from .profiles import (KineticsSpec, TimeProfile, coefficient_table, effective_c0,
                        eval_profile, eval_reaction, gamma_of_t, reaction_coefficients,
@@ -37,8 +40,9 @@ from .profiles import (KineticsSpec, TimeProfile, coefficient_table, effective_c
 
 Scheme = str  # "one_stage" | "two_stage"
 
-# LAPACK's tridiagonal LU factorization and the solve that uses it
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0),))
+# LAPACK's L D L^T factorization of a symmetric positive-definite tridiagonal
+# matrix and the solve that uses it
+_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0),))
 
 
 class BlowUpError(RuntimeError):
@@ -140,7 +144,8 @@ class _StepPlan:
     Step k goes from ``starts[k]`` to ``starts[k] + dt``.  The plan holds the
     diffusion values at the step midpoints and c0, phi at both stage times as
     tables.  All components are solved as one block-diagonal tridiagonal
-    system, factored once per distinct row of midpoint diffusion values.
+    system, row-scaled to the symmetric W M and factored as L D L^T once per
+    distinct row of midpoint diffusion values.
     """
 
     def __init__(self, sys: SystemSpec, starts: np.ndarray, dt: float, scheme: Scheme):
@@ -166,27 +171,27 @@ class _StepPlan:
         if self.two_stage:
             end_coeffs, self.end_error = coefficient_table(react, starts + dt)
             self.end_coeffs = end_coeffs.tolist()
-        # one block of -L per component, per unit weight: the sub- and
-        # super-diagonal, whose last entry is the zero coupling to the next
-        # block, and the diagonal value
+        # one block of -W L per component, per unit weight: the row weights
+        # W, the off-diagonal, whose last entry is the zero coupling to the
+        # next block, and the diagonal value of -L
         h2 = sys.grid.h * sys.grid.h
-        self.unit_lower = np.full(sys.grid.n, -1.0 / h2)
-        self.unit_upper = np.full(sys.grid.n, -1.0 / h2)
-        self.unit_lower[-1] = self.unit_upper[-1] = 0.0
-        if sys.grid.bc == "neumann":
-            self.unit_lower[-2] = self.unit_upper[0] = -2.0 / h2
+        self.row_weights = quadrature_weights(sys.grid) / sys.grid.h
+        self.unit_off = np.full(sys.grid.n, -1.0 / h2)
+        self.unit_off[-1] = 0.0
         self.unit_centre = 2.0 / h2
+        self.neumann = sys.grid.bc == "neumann"
         self.factor = None
         self.factorizations = 0
         self.reaction_evals = 0
 
     def _factor(self, delta: np.ndarray) -> None:
-        """Factor M = I - delta L, the block of component i weighted by delta_i;
-        M is strictly diagonally dominant for delta > 0."""
-        weights = delta[:, None]
-        *factor, info = _gttrf((self.unit_lower * weights).ravel()[:-1],
-                               np.repeat(self.unit_centre * delta + 1.0, len(self.unit_lower)),
-                               (self.unit_upper * weights).ravel()[:-1], True, True, True)
+        """Factor W M = W (I - delta L), the block of component i weighted by
+        delta_i: diagonal w (1 + 2 delta/h^2), off-diagonal -delta/h^2.  It is
+        symmetric and strictly diagonally dominant for delta > 0."""
+        *factor, info = _pttrf(((self.unit_centre * delta + 1.0)[:, None]
+                                * self.row_weights).ravel(),
+                               (self.unit_off * delta[:, None]).ravel()[:-1],
+                               True, True)
         _check_info(info)
         self.factor = factor
         self.factorizations += 1
@@ -194,8 +199,11 @@ class _StepPlan:
     def _stage(self, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs - values, with rhs = 2 values + dt f: the Crank-Nicolson
         stage (I - delta L)^-1 ((I + delta L) values + dt f), since
-        I + delta L = 2I - M.  Overwrites rhs."""
-        x, info = _gttrs(*self.factor, rhs.reshape(-1), overwrite_b=True)
+        I + delta L = 2I - M.  Solves W M x = W rhs.  Overwrites rhs."""
+        if self.neumann:
+            # W rhs: halve the first and last column of every block (n >= 3)
+            rhs[:, ::rhs.shape[1] - 1] *= 0.5
+        x, info = _pttrs(*self.factor, rhs.reshape(-1), overwrite_b=True)
         _check_info(info)
         out = x.reshape(values.shape)
         out -= values
@@ -302,8 +310,7 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
         pending.clear()
         rows = series[:, first:done]
         with np.errstate(over="ignore", invalid="ignore"):
-            rows[:4] = norms_batch(states, grid, weights).T
-            rows[4] = lp_integrals(states, grid, lp_exp, weights)
+            rows[:] = _norm_rows(states, grid, weights, lp_exp).T
         finite = np.isfinite(rows).all(axis=0)
         if not finite.all():
             # finite state whose squared norms overflow: treat as blow-up,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +296,7 @@ class TestExitCodes:
 
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestExtremeInputs:
@@ -301,7 +305,7 @@ class TestExtremeInputs:
     never a traceback.  The runs are shortened; the powers that overflow on
     the full-length runs overflow on the shortened ones too."""
 
-    @pytest.mark.parametrize("command, name, edits, code", [
+    OVERFLOWING = [
         # the measured factor c_hat**(p-1) m2_hat**(3(p-1)/4) overflows
         (["run-theorem", "3.2"], "theorem32",
          {"T = 50.0": "T = 5.0", "p = 2.0": "p = 1e3"}, 0),
@@ -310,21 +314,30 @@ class TestExtremeInputs:
         # the exponential scenario's cap g0**-(q-1) overflows
         (["run-theorem", "3.1"], "theorem31",
          {"T = 20.0": "T = 2.0", "p = 2.0": "p = 1e308"}, 0),
+    ]
+    OVERFLOWING_IDS = ["th32-p1e3", "th33-p1e308", "th31-p1e308"]
+
+    @staticmethod
+    def edited_config(tmp_path, name, edits):
+        text = (DEMO_CONFIGS / f"{name}.cfg").read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        return write_cfg(tmp_path, text)
+
+    @pytest.mark.parametrize("command, name, edits, code", [
+        *OVERFLOWING,
         # the measured factor itself is past the double range
         (["run-theorem", "3.2"], "theorem32",
          {"T = 50.0": "T = 5.0", "p = 2.0": "p = 1e4",
           "ic = mode(1, 0.42)": "ic = mode(1, 1.0)"}, 2),
         (["analyze-dispersion"], "dispersion", {"L = 4.0": "L = 0"}, 1),
         (["simulate"], "theorem31", {"L = 3.141592653589793": "L = -1"}, 1),
-    ], ids=["th32-p1e3", "th33-p1e308", "th31-p1e308", "th32-p1e4", "dispersion-L0",
-            "simulate-L-negative"])
+    ], ids=[*OVERFLOWING_IDS, "th32-p1e4", "dispersion-L0", "simulate-L-negative"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, command, name, edits, code):
-        text = (DEMO_CONFIGS / f"{name}.cfg").read_text()
-        for old, new in edits.items():
-            assert old in text
-            text = text.replace(old, new)
         out = tmp_path / "out"
-        got = main([*command, "--config", write_cfg(tmp_path, text), "--out", str(out)])
+        got = main([*command, "--config", self.edited_config(tmp_path, name, edits),
+                    "--out", str(out)])
         err = capsys.readouterr().err
         assert got == code
         assert "Traceback" not in err
@@ -336,6 +349,19 @@ class TestExtremeInputs:
                 assert report["status"] == "not_applicable"
                 assert "alpha_factor" in report["reason"]
                 assert report["constants"]["alpha_factor"] == "inf"
+
+    @pytest.mark.parametrize("command, name, edits, code", OVERFLOWING, ids=OVERFLOWING_IDS)
+    def test_overflow_prints_no_warning(self, tmp_path, command, name, edits, code):
+        # a separate interpreter with the default warning filters, so that
+        # numpy's warnings reach stderr as a user would see them
+        env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-m", "rdcert", *command,
+                               "--config", self.edited_config(tmp_path, name, edits),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == code
+        assert "RuntimeWarning" not in done.stderr
 
 
 class TestCommandOutputs:
