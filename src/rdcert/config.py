@@ -166,7 +166,10 @@ def parse_config(path: str) -> RunConfig:
                                        inline_comment_prefixes=("#",),
                                        delimiters=("=",))
     parser.optionxform = str
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:  # repeated key or section, unparsable line
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     values = {}

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
-from .profiles import ProfileLike, TimeLike, TimeProfile, as_time_function
+from .profiles import ProfileLike, TimeLike, TimeProfile, _blocks, as_time_function
 
 __all__ = [
     "ScalarProblem", "Certificate", "CertificateReport", "ComparisonSolution",
@@ -135,13 +135,17 @@ class Certificate:
 
     def mu_log_derivative(self, t: TimeLike) -> TimeLike:
         """mu'(t)/mu(t), analytic for the parametric families."""
-        from .profiles import eval_profile, profile_derivative
-        prof = self._profile()
+        return self._log_derivative(t, None if self.family == "exponential" else self.mu(t))
+
+    def _log_derivative(self, t: TimeLike, mu: Optional[TimeLike]) -> TimeLike:
+        """mu'(t)/mu(t) given mu = self.mu(t), which the exponential family
+        does not need."""
         if self.family == "exponential":
             t_arr = np.asarray(t, dtype=float)
             out = np.full(t_arr.shape, self.nu)
             return float(out) if t_arr.ndim == 0 else out
-        return profile_derivative(prof, t) / eval_profile(prof, t)
+        from .profiles import profile_derivative
+        return profile_derivative(self._profile(), t) / mu
 
     @property
     def decays_to_zero_envelope(self) -> bool:
@@ -397,19 +401,38 @@ def growth_residual(problem: ScalarProblem, cert: Certificate, t: TimeLike) -> n
     certificate holds at t iff r(t) >= 0.  For a large q the power may
     overflow to inf; that is the residual's value, so it is not warned about."""
     t_arr = np.asarray(t, dtype=float)
-    mu = np.asarray(cert.mu(t_arr), dtype=float)
-    slack = (np.asarray(problem.sigma_fn()(t_arr), dtype=float)
-             - np.asarray(cert.mu_log_derivative(t_arr), dtype=float))
-    alpha = np.asarray(problem.alpha_fn()(t_arr), dtype=float)
+    return _residual(problem, cert, t_arr, np.asarray(cert.mu(t_arr), dtype=float))
+
+
+def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
+              mu: np.ndarray) -> np.ndarray:
+    """:func:`growth_residual` at t from mu = cert.mu(t); sigma, mu'/mu and
+    alpha are evaluated in that order."""
+    slack = (np.asarray(problem.sigma_fn()(t), dtype=float)
+             - np.asarray(cert._log_derivative(t, mu), dtype=float))
+    alpha = np.asarray(problem.alpha_fn()(t), dtype=float)
     with np.errstate(over="ignore"):
         return mu ** (problem.q - 1.0) * slack - alpha
+
+
+def _valid_mu(cert: Certificate, t: np.ndarray) -> np.ndarray:
+    mu = np.asarray(cert.mu(t), dtype=float)
+    if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
+        raise InvalidCertificateError("mu must be positive and finite on the horizon")
+    return mu
 
 
 def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
                       grid_points: int = 10_000, tol: float = 0.0) -> CertificateReport:
     """Evaluate both certificate conditions on a dense time grid.
 
-    The residual is :func:`growth_residual`; the grid minimum is sharpened
+    The residual is :func:`growth_residual`, evaluated block by block so that
+    each block's temporaries stay in cache: per block, mu is computed once
+    and serves the positivity check, mu**(q-1) and the denominator of
+    mu'/mu.  The residuals equal the whole-grid formula bit for bit, and the
+    errors keep its precedence: a mu that is not positive and finite
+    somewhere on the grid raises :class:`InvalidCertificateError` even when
+    sigma or alpha fails in an earlier block.  The grid minimum is sharpened
     by bounded scalar minimization between its neighbours, and the first sign
     change is located by bisection so failures carry a meaningful time.
     """
@@ -418,14 +441,22 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
     ts = np.linspace(0.0, horizon, grid_points)
-    mu_vals = np.asarray(cert.mu(ts), dtype=float)
-    if not np.all(np.isfinite(mu_vals)) or np.any(mu_vals <= 0.0):
-        raise InvalidCertificateError("mu must be positive and finite on the horizon")
+    residuals = np.empty(grid_points)
+    for block in _blocks(grid_points):
+        t = ts[block]
+        try:
+            residuals[block] = _residual(problem, cert, t, _valid_mu(cert, t))
+        except Exception:
+            # Earlier blocks raised nothing, so the whole-grid evaluation of
+            # the rest raises what the whole grid would: mu's errors first.
+            rest = ts[block.start:]
+            _valid_mu(cert, rest)
+            growth_residual(problem, cert, rest)
+            raise
 
     def residual_at(t):
         return float(growth_residual(problem, cert, t))
 
-    residuals = growth_residual(problem, cert, ts)
     i_min = int(np.argmin(residuals))
     worst_residual = float(residuals[i_min])
     worst_t = float(ts[i_min])

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .inequality import Certificate, CertificateReport, ScalarProblem, check_certificate
-from .profiles import ProfileLike, TimeProfile, as_time_function, coupling_gamma0
+from .profiles import ProfileLike, TimeProfile, _blocks, as_time_function, coupling_gamma0
 
 __all__ = [
     "ScenarioInputs", "HypothesisReport", "Scenario", "ScenarioNotApplicable",
@@ -175,14 +175,20 @@ def _require(inp: ScenarioInputs, names) -> None:
 
 
 def _grid_check(fn_lhs, fn_rhs, horizon: float, grid_points: int):
-    """all(lhs <= rhs) on a uniform grid; returns (ok, first failing t)."""
+    """all(lhs <= rhs) on a uniform grid; returns (ok, first failing t).
+
+    The grid is evaluated in cache-sized blocks, every block even after a
+    failure, so that an error lhs raises anywhere on the grid is still raised.
+    """
     ts = np.linspace(0.0, horizon, grid_points)
-    lhs = np.asarray(fn_lhs(ts), dtype=float)
-    rhs = np.asarray(fn_rhs(ts), dtype=float)
-    bad = np.nonzero(lhs > rhs)[0]
-    if bad.size:
-        return False, float(ts[int(bad[0])])
-    return True, None
+    first_bad = None
+    for block in _blocks(grid_points):
+        t = ts[block]
+        bad = np.flatnonzero(np.asarray(fn_lhs(t), dtype=float)
+                             > np.asarray(fn_rhs(t), dtype=float))
+        if first_bad is None and bad.size:
+            first_bad = float(t[bad[0]])
+    return first_bad is None, first_bad
 
 
 def _bounded_certificate(inp: ScenarioInputs) -> Certificate:

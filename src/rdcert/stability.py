@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .grid import Field, Grid1D
-from .profiles import KineticsSpec, TimeProfile, symmetric_part_max
+from .profiles import KineticsSpec, TimeProfile, _blocks, symmetric_part_max
 from .solver import SystemSpec, simulate
 
 
@@ -138,26 +138,22 @@ class DispersionReport:
     modes: tuple  # admissible modes n pi / L when a length was supplied
 
 
-def _eigen_pair_arrays(tr: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    disc = tr * tr - 4.0 * det
-    root = np.sqrt(disc.astype(complex))
-    lam_a = 0.5 * (tr + root)
-    lam_b = 0.5 * (tr - root)
-    swap = lam_a.real < lam_b.real
-    lam1 = np.where(swap, lam_b, lam_a)
-    lam2 = np.where(swap, lam_a, lam_b)
-    return lam1, lam2
-
-
 def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
                     samples: int = 400, L: Optional[float] = None) -> DispersionReport:
     """Evaluate det, trace and eigenvalues of M(k) on a uniform grid of
     wavenumbers in (0, k_max].
 
+    The grid is filled in cache-sized blocks.  The eigenvalues are
+    (tr +- sqrt(disc))/2 with disc = tr^2 - 4 det, taken in real arithmetic:
+    the real parts are (tr +- sqrt(max(disc, 0)))/2 and the imaginary parts
+    +-sqrt(max(-disc, 0))/2, so lam1 always has the larger real part and, in
+    a complex pair, the positive imaginary part.  No imaginary part is -0.0.
+
     Default k_max is twice the larger of the band's upper edge and 10 pi / L
     (or a kinetics-based scale when there is neither).  When ``L`` is given,
     the admissible Dirichlet modes k_n = n pi / L are listed with their
-    leading growth rates.
+    leading growth rates; there are floor(k_max L / pi) of them, and more
+    than ``samples`` is rejected: a scan that coarse cannot resolve them.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -176,10 +172,23 @@ def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
         k_max = 2.0 * max(candidates)
     if k_max <= 0.0:
         raise ValueError("k_max must be positive")
+    if L is not None and k_max * L / math.pi >= samples + 1:  # floor(k_max L / pi) > samples
+        raise ValueError(f"k_max = {k_max:g} admits {k_max * L / math.pi:.6g} modes n pi / L, "
+                         f"more than the {samples} samples of the scan resolve")
     ks = np.linspace(k_max / samples, k_max, samples)
-    det = det_m(lin, ks)
-    tr = trace_m(lin, ks)
-    lam1, lam2 = _eigen_pair_arrays(tr, det)
+    det, tr = np.empty(samples), np.empty(samples)
+    lam1, lam2 = np.empty(samples, dtype=complex), np.empty(samples, dtype=complex)
+    for block in _blocks(samples):
+        k = ks[block]
+        det[block] = d = det_m(lin, k)
+        tr[block] = t = trace_m(lin, k)
+        root = np.sqrt(np.maximum(t * t - 4.0 * d, 0.0))
+        # 4 det - tr^2 rather than -disc: a zero discriminant gives +0, not -0
+        half_im = 0.5 * np.sqrt(np.maximum(4.0 * d - t * t, 0.0))
+        lam1.real[block] = 0.5 * (t + root)
+        lam1.imag[block] = half_im
+        lam2.real[block] = 0.5 * (t - root)
+        lam2.imag[block] = 0.0 - half_im
     modes = []
     if L is not None:
         n = 1

@@ -177,6 +177,27 @@ class TestExitCodes:
         assert code == 1
         assert "[domain].L" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[domain]\nL = 1.0\nL = 2.0\n",
+        "[domain]\nL = 1.0\n[domain]\nN = 32\n",
+        "L = 1.0\n[domain]\nN = 32\n",
+        "[domain]\nL = 1.0\nthis line has no delimiter\n",
+    ], ids=["repeated-key", "repeated-section", "line-before-section", "unparsable-line"])
+    def test_malformed_config_is_one_line_error(self, tmp_path, capsys, text):
+        code = main(["simulate", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_dispersion_modes_past_the_samples(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, DISPERSION_CFG + "\n[dispersion]\nk_max = 1e9\n")
+        code = main(["analyze-dispersion", "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "more than the 400 samples" in err and err.count("\n") == 1
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate", "--config", "x", "--out", "y"]) == 1
 

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq, minimize_scalar
+
 from rdcert.inequality import (Certificate, InvalidCertificateError, ScalarProblem,
                                bernoulli_blowup_time, bernoulli_closed_form,
-                               check_certificate, comparison_solve, verify_envelope)
-from rdcert.profiles import TimeProfile
+                               check_certificate, comparison_solve, growth_residual,
+                               verify_envelope)
+from rdcert.profiles import _BLOCK, TimeProfile
 
 CONST = TimeProfile.constant
 
@@ -342,6 +345,113 @@ class TestCheckCertificate:
     def test_passing_decay_certificate_envelope_shrinks(self):
         cert = Certificate.exponential(1.0, 0.5)
         assert 1.0 / cert.mu(20.0) < 1e-4
+
+
+def whole_grid_check(problem, cert, horizon, n, tol):
+    """The verdict of check_certificate from one whole-array evaluation of
+    r = mu**(q-1) (sigma - mu'/mu) - alpha, refined the same way:
+    (residuals, worst_residual, worst_t, first_violation_t)."""
+    ts = np.linspace(0.0, horizon, n)
+    mu = np.asarray(cert.mu(ts), dtype=float)
+    slack = (np.asarray(problem.sigma_fn()(ts), dtype=float)
+             - np.asarray(cert.mu_log_derivative(ts), dtype=float))
+    residuals = mu ** (problem.q - 1.0) * slack - np.asarray(problem.alpha_fn()(ts), dtype=float)
+
+    def at(t):
+        return float(growth_residual(problem, cert, t))
+    i = int(np.argmin(residuals))
+    worst, worst_t = float(residuals[i]), float(ts[i])
+    refined = minimize_scalar(at, bounds=(ts[max(i - 1, 0)], ts[min(i + 1, n - 1)]),
+                              method="bounded", options={"xatol": 1e-12 * max(horizon, 1.0)})
+    if refined.fun < worst:
+        worst, worst_t = float(refined.fun), float(refined.x)
+    first = None
+    if worst < -tol:
+        bad = np.flatnonzero(residuals < -tol)
+        if not bad.size:
+            first = worst_t
+        elif bad[0] > 0 and residuals[bad[0] - 1] != residuals[bad[0]]:
+            j = bad[0]
+            first = float(brentq(lambda s: at(s) + tol, ts[j - 1], ts[j], xtol=1e-12))
+        else:
+            first = float(ts[bad[0]])
+    return residuals, worst, worst_t, first
+
+
+BLOCKED_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+
+
+def spike(horizon, n, index, height):
+    """A tabulated alpha that is 0 except for a hat of the given height on the
+    grid point ts[index] of an n-point grid on [0, horizon]."""
+    ts = np.linspace(0.0, horizon, n)
+    return TimeProfile.tabulated([0.0, ts[index - 1], ts[index], ts[index + 1], horizon],
+                                 [0.0, 0.0, height, 0.0, 0.0])
+
+
+class TestBlockedCheck:
+    """check_certificate evaluates the grid in blocks of _BLOCK points; its
+    report must equal the whole-array formula bit for bit."""
+
+    FAMILIES = {
+        # residual 0.5 e^(t/8) - c e^(t/2) turns negative at t = 8 (block 2 of 3B+7)
+        "exponential": (Certificate.exponential(1.0, 0.5), CONST(1.0),
+                        TimeProfile.exponential(0.5 * math.exp(-3.0), 0.5), 10.0),
+        "power": (Certificate.power(1.0, 0.5), CONST(1.0),
+                  TimeProfile.power_growth(0.05, 2.0), 40.0),
+        "bounded": (Certificate.bounded(0.5, 0.5, 1.0), TimeProfile.power_decay(-0.1, 2.0),
+                    TimeProfile.power_decay(0.2, 2.0), 50.0),
+    }
+
+    def assert_matches(self, problem, cert, horizon, n, tol=1e-12):
+        rep = check_certificate(problem, cert, horizon, grid_points=n, tol=tol)
+        residuals, worst, worst_t, first = whole_grid_check(problem, cert, horizon, n, tol)
+        assert rep.residuals.tobytes() == residuals.tobytes()
+        assert (rep.worst_residual, rep.worst_t) == (worst, worst_t)
+        assert rep.first_violation_t == first
+        assert rep.passed == (worst >= -tol)
+        return rep
+
+    @pytest.mark.parametrize("n", BLOCKED_SIZES, ids=["B-1", "B", "B+1", "3B+7"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_whole_grid(self, family, n):
+        cert, sigma, alpha, horizon = self.FAMILIES[family]
+        g0 = 1.0 / float(cert.mu(0.0))
+        rep = self.assert_matches(ScalarProblem(sigma=sigma, alpha=alpha, q=1.25, g0=g0),
+                                  cert, horizon, n)
+        if family == "exponential":
+            assert not rep.passed
+            assert rep.first_violation_t == pytest.approx(8.0, rel=1e-9)
+            if n > 2 * _BLOCK:
+                assert rep.first_violation_t > rep.times[2 * _BLOCK]
+
+    @pytest.mark.parametrize("edge", [_BLOCK - 1, _BLOCK, 2 * _BLOCK],
+                             ids=["last-of-block-0", "first-of-block-1", "first-of-block-2"])
+    @pytest.mark.parametrize("dip", [0.25, -1.0], ids=["passing", "failing"])
+    def test_minimum_on_a_block_edge(self, edge, dip):
+        # r = 0.5 e^(t/8) - spike: the spike takes r down to dip at ts[edge],
+        # below r(0) = 0.5, so ts[edge] is the grid minimum
+        n, horizon = 3 * _BLOCK + 7, 10.0
+        height = 0.5 * math.exp(np.linspace(0.0, horizon, n)[edge] / 8.0) - dip
+        cert = Certificate.exponential(1.0, 0.5)
+        problem = ScalarProblem(sigma=CONST(1.0), alpha=spike(horizon, n, edge, height),
+                                q=1.25, g0=1.0)
+        rep = self.assert_matches(problem, cert, horizon, n)
+        assert int(np.argmin(rep.residuals)) == edge
+        assert rep.passed == (dip > 0.0)
+        if not rep.passed:
+            assert rep.times[edge - 1] < rep.first_violation_t < rep.times[edge]
+
+    def test_invalid_mu_in_a_later_block_outranks_alpha_in_block_0(self):
+        # alpha < 0 fails in block 0; mu = (1+t)**775 overflows past t = 1.5, in block 2
+        n, horizon = 3 * _BLOCK + 7, 2.0
+        problem = ScalarProblem(sigma=CONST(1.0), alpha=CONST(-1.0), q=1.25, g0=1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidCertificateError):
+                check_certificate(problem, Certificate.power(1.0, 775.0), horizon, n)
+            with pytest.raises(ValueError, match="alpha") as caught:
+                check_certificate(problem, Certificate.power(1.0, 1.0), horizon, n)
+        assert not isinstance(caught.value, InvalidCertificateError)
 
 
 class TestVerifyEnvelope:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rdcert.profiles import TimeProfile
-from rdcert.scenarios import (ScenarioInputs, ScenarioNotApplicable,
+from rdcert.profiles import _BLOCK, TimeProfile
+from rdcert.scenarios import (ScenarioInputs, ScenarioNotApplicable, _grid_check,
                               bounded_neumann_scenario, comparison_exponent,
                               exponential_decay_scenario, modulated_scenario,
                               power_decay_scenario)
@@ -18,6 +18,32 @@ def test_comparison_exponent():
     assert comparison_exponent(5.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         comparison_exponent(1.0)
+
+
+class TestGridCheck:
+    """_grid_check evaluates its grid in blocks of _BLOCK points."""
+
+    N = 3 * _BLOCK + 7
+
+    def test_first_failure_past_block_zero(self):
+        ts = np.linspace(0.0, 1.0, self.N)
+        cap = 0.5 * (ts[2 * _BLOCK + 100] + ts[2 * _BLOCK + 101])
+        ok, first = _grid_check(np.square, lambda t: np.full(np.shape(t), cap ** 2),
+                                1.0, self.N)
+        assert not ok
+        assert first == ts[np.flatnonzero(ts ** 2 > cap ** 2)[0]] == ts[2 * _BLOCK + 101]
+
+    def test_passing_grid(self):
+        assert _grid_check(np.square, np.ones_like, 1.0, self.N) == (True, None)
+
+    def test_error_in_a_later_block_is_raised(self):
+        # the check fails in block 0, and lhs raises in block 2 as on the whole grid
+        def lhs(t):
+            if np.any(t > 0.9):
+                raise ValueError("lhs undefined past 0.9")
+            return np.ones_like(t)
+        with pytest.raises(ValueError, match="past 0.9"):
+            _grid_check(lhs, np.zeros_like, 1.0, self.N)
 
 
 class TestExponentialDecay:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rdcert.profiles import _BLOCK
 from rdcert.stability import (Linearization2, critical_d1, det_m, dispersion_scan, eig2,
                               growth_rate_experiment, instability_band, m_of_k,
                               numerical_abscissa, trace_m, turing_conditions)
@@ -142,10 +143,70 @@ class TestBandAndConditions:
             inside = band[0] < mode.k < band[1]
             assert mode.unstable == inside
 
+    def test_huge_k_max_rejected_for_too_few_samples(self):
+        # floor(1e9 * 4 / pi) modes, far more than 400 samples resolve
+        with pytest.raises(ValueError, match="more than the 400 samples"):
+            dispersion_scan(TURING, k_max=1e9, samples=400, L=4.0)
+
+    def test_as_many_modes_as_samples_allowed(self):
+        assert len(dispersion_scan(TURING, k_max=400.5, samples=400, L=math.pi).modes) == 400
+        with pytest.raises(ValueError, match="more than the 400 samples"):
+            dispersion_scan(TURING, k_max=401.5, samples=400, L=math.pi)
+
     @pytest.mark.parametrize("L", [0.0, -4.0, math.inf, math.nan])
     def test_interval_length_must_be_finite_and_positive(self, L):
         with pytest.raises(ValueError, match="interval length"):
             dispersion_scan(TURING, L=L)
+
+
+def complex_sqrt_pair(tr, det):
+    """Both eigenvalues (tr +- sqrt(tr^2 - 4 det))/2 with a complex sqrt,
+    swapped so that the first has the larger real part."""
+    root = np.sqrt((tr * tr - 4.0 * det).astype(complex))
+    lam_a, lam_b = 0.5 * (tr + root), 0.5 * (tr - root)
+    swap = lam_a.real < lam_b.real
+    return np.where(swap, lam_b, lam_a), np.where(swap, lam_a, lam_b)
+
+
+class TestDispersionKernel:
+    """dispersion_scan's real-arithmetic eigenvalues, block by block, against
+    the complex-sqrt formula."""
+
+    N = 3 * _BLOCK + 7
+
+    def scan(self, lin, k_max):
+        report = dispersion_scan(lin, k_max=k_max, samples=self.N)
+        assert report.det.tobytes() == det_m(lin, report.k).tobytes()
+        assert report.trace.tobytes() == trace_m(lin, report.k).tobytes()
+        lam1, lam2 = complex_sqrt_pair(report.trace, report.det)
+        assert report.lam1.tobytes() == lam1.tobytes()
+        assert report.lam2.tobytes() == lam2.tobytes()
+        for imag in (report.lam1.imag, report.lam2.imag):
+            assert not np.any(np.signbit(imag) & (imag == 0.0))  # no -0.0
+        return report, report.trace ** 2 - 4.0 * report.det
+
+    def test_real_band(self):
+        _, disc = self.scan(Linearization2(a=1.0, b=2.0, c=1.0, d=-2.0, d1=0.5, d2=10.0), 5.0)
+        assert np.all(disc > 0.0)
+
+    def test_complex_band(self):
+        report, disc = self.scan(Linearization2(a=-1.0, b=2.0, c=-2.0, d=-1.0, d1=1.0, d2=1.0),
+                                 5.0)
+        assert np.all(disc < 0.0)
+        assert np.all(report.lam1.imag > 0.0) and np.all(report.lam2.imag < 0.0)
+
+    def test_zero_discriminant(self):
+        # tr = -2 k^2 and det = (k^2)^2 in floating point, so disc is exactly 0
+        report, disc = self.scan(Linearization2(a=0.0, b=0.0, c=0.0, d=0.0, d1=1.0, d2=1.0),
+                                 5.0)
+        assert np.all(disc == 0.0)
+        assert np.all(report.lam1 == report.lam2)
+
+    def test_regime_change_inside_a_block(self):
+        _, disc = self.scan(TURING, 0.65)
+        change = np.flatnonzero(np.diff(np.sign(disc)))
+        assert change.size == 1 and 0 < change[0] % _BLOCK < _BLOCK - 1
+        assert disc[0] < 0.0 < disc[-1]
 
 
 class TestCriticalD1:
