@@ -11,6 +11,7 @@ metadata goes to run_meta.json.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -47,7 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and every call returns a new namespace."""
     parser = _Parser(prog="rdcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

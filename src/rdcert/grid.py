@@ -126,10 +126,38 @@ class NormSet:
     h2: float
 
 
-def _second_differences(values: np.ndarray, grid: Grid1D) -> np.ndarray:
+def _scratch_len(shapes) -> int:
+    """Elements of a flat scratch array that :func:`_carve` cuts into arrays
+    of the given shapes."""
+    return sum(math.prod(shape) for shape in shapes)
+
+
+def _carve(scratch: np.ndarray, shapes) -> list:
+    """Consecutive C-order views of the flat array ``scratch``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(scratch[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _norm_shapes(shape, grid: Grid1D) -> tuple:
+    """The arrays :func:`_norm_rows` works in for states of shape (k, m, n):
+    the pointwise products, the edge differences, the squared magnitudes
+    and one row of samples per state."""
+    k, m, n = shape
+    edges = n + 1 if grid.bc == "dirichlet" else n - 1
+    return (k, m, n), (k, m, edges), (k, n), (k, n)
+
+
+def _second_differences(values: np.ndarray, grid: Grid1D, out: np.ndarray) -> np.ndarray:
     h2 = grid.h * grid.h
-    out = np.empty_like(values)
-    out[..., 1:-1] = (values[..., :-2] - 2.0 * values[..., 1:-1] + values[..., 2:]) / h2
+    # (v[j-1] - 2 v[j] + v[j+1]) / h^2, formed in place
+    inner = np.multiply(values[..., 1:-1], 2.0, out=out[..., 1:-1])
+    np.subtract(values[..., :-2], inner, out=inner)
+    inner += values[..., 2:]
+    inner /= h2
     if grid.bc == "dirichlet":
         # implicit zero boundary values close the stencil
         out[..., 0] = (-2.0 * values[..., 0] + values[..., 1]) / h2
@@ -145,38 +173,57 @@ def _second_differences(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     return out
 
 
-def _integrate(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _integrate(samples: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
     # a reduction along the last axis sums each row in the same order whatever
-    # the number of rows, so a batch of states gets the norms of each one alone
-    return np.sum(samples * weights, axis=-1)
+    # the number of rows, so a batch of states gets the norms of each one
+    # alone; out (samples' shape) may be samples itself
+    return np.sum(np.multiply(samples, weights, out=out), axis=-1)
 
 
-def _lp_from_squares(sq: np.ndarray, exponent: float, weights: np.ndarray) -> np.ndarray:
-    # sq holds the pointwise squared magnitudes |u(x)|^2, shape (k, n)
-    return _integrate(np.sqrt(sq) ** exponent, weights)
+def _squares(values: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """The pointwise squared magnitudes |u(x)|^2 of states (k, m, n) into
+    ``out`` (k, n), with ``prod`` (k, m, n) for the products."""
+    return np.sum(np.multiply(values, values, out=prod), axis=1, out=out)
 
 
-def _norm_rows(values: np.ndarray, grid: Grid1D, weights: Optional[np.ndarray] = None,
-               exponent: Optional[float] = None) -> np.ndarray:
+def _lp_from_squares(sq: np.ndarray, exponent: float, weights: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    # sq holds the pointwise squared magnitudes |u(x)|^2, shape (k, n); out
+    # has its shape
+    np.sqrt(sq, out=out)
+    out **= exponent
+    return _integrate(out, weights, out)
+
+
+def _norm_rows(values: np.ndarray, grid: Grid1D, weights: np.ndarray,
+               exponent: Optional[float], scratch: np.ndarray) -> np.ndarray:
     """The columns of :func:`norms_batch`, followed, when ``exponent`` is
     given, by the column of :func:`lp_integrals`: both read the pointwise
-    squared magnitudes, which are formed once."""
-    if weights is None:
-        weights = quadrature_weights(grid)
-    sq = np.sum(values * values, axis=1)
-    l2sq = _integrate(sq, weights)
+    squared magnitudes, which are formed once.
+
+    Every state-sized intermediate lives in ``scratch``, a flat float array
+    of at least ``_scratch_len(_norm_shapes(values.shape, grid))`` elements
+    that the caller supplies; only arrays of k or k * m values are new.
+    """
+    prod, edges, sq, row = _carve(scratch, _norm_shapes(values.shape, grid))
+    _squares(values, sq, prod)
+    l2sq = _integrate(sq, weights, row)
     if grid.bc == "dirichlet":
-        edges = np.concatenate([values[..., :1], np.diff(values, axis=-1),
-                                -values[..., -1:]], axis=-1)
+        # the implicit zero boundary values close the first and last edge
+        edges[..., 0] = values[..., 0]
+        np.subtract(values[..., 1:], values[..., :-1], out=edges[..., 1:-1])
+        np.negative(values[..., -1], out=edges[..., -1])
     else:
-        edges = np.diff(values, axis=-1)
-    h1sq = np.sum(edges * edges, axis=(1, 2)) / grid.h
-    d2 = _second_differences(values, grid)
-    h2sq = l2sq + h1sq + _integrate(np.sum(d2 * d2, axis=1), weights)
+        np.subtract(values[..., 1:], values[..., :-1], out=edges)
+    edges *= edges
+    h1sq = np.sum(edges, axis=(1, 2)) / grid.h
+    d2 = _second_differences(values, grid, prod)
+    d2 *= d2
+    h2sq = l2sq + h1sq + _integrate(np.sum(d2, axis=1, out=row), weights, row)
     norms = np.sqrt(np.column_stack([l2sq, np.max(sq, axis=-1), h1sq, h2sq]))
     if exponent is None:
         return norms
-    return np.column_stack([norms, _lp_from_squares(sq, exponent, weights)])
+    return np.column_stack([norms, _lp_from_squares(sq, exponent, weights, row)])
 
 
 def norms_batch(values: np.ndarray, grid: Grid1D,
@@ -188,7 +235,10 @@ def norms_batch(values: np.ndarray, grid: Grid1D,
     The l2 and sup columns come from the pointwise squared magnitudes
     |u(x)|^2, which a simulation shares with :func:`lp_integrals`.
     """
-    return _norm_rows(values, grid, weights)
+    if weights is None:
+        weights = quadrature_weights(grid)
+    scratch = np.empty(_scratch_len(_norm_shapes(values.shape, grid)))
+    return _norm_rows(values, grid, weights, None, scratch)
 
 
 def norms_from_values(values: np.ndarray, grid: Grid1D,
@@ -211,7 +261,9 @@ def lp_integrals(values: np.ndarray, grid: Grid1D, exponent: float,
     :func:`norms_batch`."""
     if weights is None:
         weights = quadrature_weights(grid)
-    return _lp_from_squares(np.sum(values * values, axis=1), exponent, weights)
+    k, _, n = values.shape
+    sq = _squares(values, np.empty((k, n)), np.empty(values.shape))
+    return _lp_from_squares(sq, exponent, weights, sq)
 
 
 def lp_integral(field: Field, exponent: float) -> float:

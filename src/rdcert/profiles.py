@@ -131,6 +131,24 @@ def _blocks(n: int):
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
+def _grid_block(horizon: float, n: int, block: slice) -> np.ndarray:
+    """``np.linspace(0.0, horizon, n)[block]`` bit for bit, for n >= 2,
+    horizon >= 0 and a block of :func:`_blocks` (n), without forming the
+    whole grid: point i is i * (horizon / (n - 1)), and the last point is
+    horizon itself."""
+    stop = min(block.stop, n)
+    t = np.arange(block.start, stop, dtype=float)
+    step = horizon / (n - 1)
+    if step == 0.0:  # linspace's order for a step below the double range
+        t /= n - 1
+        t *= horizon
+    else:
+        t *= step
+    if stop == n:
+        t[-1] = horizon
+    return t
+
+
 def eval_profile(profile: TimeProfile, t: TimeLike) -> TimeLike:
     """Evaluate ``profile`` at a scalar or array time t >= 0."""
     if isinstance(t, (float, int)):  # fast scalar path (np.float64 subclasses float)
@@ -293,7 +311,8 @@ def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:
     c0 = reaction_c0(kin, t)
     phi = eval_profile(kin.modulation, t)
     with np.errstate(divide="ignore", over="ignore"):
-        return reaction_kernel(kin, u_arr, c0, phi)
+        return reaction_kernel(kin, u_arr, c0, phi, np.empty(u_arr.shape),
+                               np.empty((1,) + u_arr.shape[1:]), np.empty(u_arr.shape))
 
 
 def reaction_c0(kin: KineticsSpec, t: TimeLike) -> TimeLike:
@@ -331,27 +350,36 @@ def coefficient_table(fn, times: np.ndarray):
     raise error
 
 
-def _saturation(kin: KineticsSpec, u: np.ndarray, c0) -> np.ndarray:
-    """c0 s / (1 + s) with s = |u|**(p-1), taken as c0 / (1 + 1/s): exactly 0
-    at u = 0 (1/s = inf) and c0 where s overflows (1/s = 0).  Warns of a
-    division by zero at u = 0, and of an overflow where 1/s passes the
-    double range, unless the caller silences both."""
-    inv_s = u * u  # |u|^2 as a new row, so the steps below work in place
+def _saturation(kin: KineticsSpec, u: np.ndarray, c0, row: np.ndarray,
+                prod: np.ndarray) -> np.ndarray:
+    """c0 s / (1 + s) with s = |u|**(p-1), taken as c0 / (1 + 1/s), written
+    into ``row`` (shape (1,) + u.shape[1:]); ``prod`` (u's shape) holds the
+    squares of the components when there are two.  Exactly 0 at u = 0
+    (1/s = inf) and c0 where s overflows (1/s = 0).  Warns of a division by
+    zero at u = 0, and of an overflow where 1/s passes the double range,
+    unless the caller silences both."""
     if len(u) > 1:
-        inv_s = inv_s.sum(axis=0, keepdims=True)
-    inv_s **= 0.5 * (1.0 - kin.p)
-    inv_s += 1.0
-    return np.divide(c0, inv_s, out=inv_s)
+        np.add.reduce(np.multiply(u, u, out=prod), axis=0, keepdims=True, out=row)
+    else:
+        np.multiply(u, u, out=row)
+    row **= 0.5 * (1.0 - kin.p)
+    row += 1.0
+    return np.divide(c0, row, out=row)
 
 
-def reaction_kernel(kin: KineticsSpec, u: np.ndarray, c0: float, phi: float) -> np.ndarray:
+def reaction_kernel(kin: KineticsSpec, u: np.ndarray, c0: float, phi: float,
+                    out: np.ndarray, row: np.ndarray, prod: np.ndarray) -> np.ndarray:
     """F(u, t) from a finite float state and the coefficients c0(t) and
-    phi(t) already evaluated; no input checks.  Callers silence numpy's
+    phi(t) already evaluated, written into ``out``; no input checks.
+
+    The caller supplies every array the kernel writes: ``out`` and ``prod``
+    of u's shape (C order) and the saturation ``row`` of shape
+    (1,) + u.shape[1:], none sharing memory with u.  Returns ``out``.  Callers silence numpy's
     division-by-zero and overflow warnings, which u = 0 and states near it
     raise on the way to an exact 0."""
-    out = np.dot(kin.linear, u)
+    np.dot(kin.linear, u, out=out)
     if kin.nonlinearity == "saturated_power":
-        out -= u * _saturation(kin, u, c0)
+        out -= np.multiply(u, _saturation(kin, u, c0, row, prod), out=prod)
     out *= phi
     return out
 
@@ -434,7 +462,8 @@ def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float,
     damped = np.zeros_like(points)  # B(u) / c0
     if kin.nonlinearity == "saturated_power":
         with np.errstate(divide="ignore", over="ignore"):
-            damped = points * _saturation(kin, points, 1.0)
+            sat = _saturation(kin, points, 1.0, np.empty((1, points.shape[1])), damped)
+        np.multiply(points, sat, out=damped)
     worst = 0.0
     for c0, phi in coeffs.tolist():
         f = linear - c0 * damped

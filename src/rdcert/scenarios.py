@@ -33,7 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .inequality import Certificate, CertificateReport, ScalarProblem, check_certificate
-from .profiles import ProfileLike, TimeProfile, _blocks, as_time_function, coupling_gamma0
+from .profiles import (ProfileLike, TimeProfile, _blocks, _grid_block, as_time_function,
+                       coupling_gamma0)
 
 __all__ = [
     "ScenarioInputs", "HypothesisReport", "Scenario", "ScenarioNotApplicable",
@@ -177,13 +178,15 @@ def _require(inp: ScenarioInputs, names) -> None:
 def _grid_check(fn_lhs, fn_rhs, horizon: float, grid_points: int):
     """all(lhs <= rhs) on a uniform grid; returns (ok, first failing t).
 
-    The grid is evaluated in cache-sized blocks, every block even after a
-    failure, so that an error lhs raises anywhere on the grid is still raised.
+    The grid is formed and evaluated in cache-sized blocks, every block even
+    after a failure, so that an error lhs raises anywhere on the grid is
+    still raised.
     """
-    ts = np.linspace(0.0, horizon, grid_points)
+    if grid_points < 2:
+        raise ValueError("need at least 2 grid points")
     first_bad = None
     for block in _blocks(grid_points):
-        t = ts[block]
+        t = _grid_block(horizon, grid_points, block)
         bad = np.flatnonzero(np.asarray(fn_lhs(t), dtype=float)
                              > np.asarray(fn_rhs(t), dtype=float))
         if first_bad is None and bad.size:

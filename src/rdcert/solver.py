@@ -20,6 +20,12 @@ per run for constant diffusion), and a stage solves W M x = W rhs by one
 the reaction evaluations of the run.  ``simulate`` computes the norms of a
 block of buffered states at a time, squaring each state once, and still
 raises errors in step order.
+
+A run allocates its state-sized arrays once, as LAPACK routines take
+caller-supplied workspace: the plan's workspace serves every step and every
+norm flush, and ``simulate`` writes each state straight into one of two
+alternating blocks of states.  The operations and their order are those of a
+step with fresh arrays, so the numbers are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .grid import (Field, Grid1D, NormSet, _norm_rows, norms_from_values,
-                   quadrature_weights)
+from .grid import (Field, Grid1D, NormSet, _carve, _norm_rows, _norm_shapes, _scratch_len,
+                   norms_from_values, quadrature_weights)
 from .profiles import (KineticsSpec, TimeProfile, coefficient_table, effective_c0,
                        eval_profile, eval_reaction, gamma_of_t, reaction_coefficients,
                        reaction_kernel)
@@ -146,9 +152,17 @@ class _StepPlan:
     tables.  All components are solved as one block-diagonal tridiagonal
     system, row-scaled to the symmetric W M and factored as L D L^T once per
     distinct row of midpoint diffusion values.
+
+    The plan also owns the run's workspace, so that no step allocates a
+    state-sized array: the factor's two arrays, and one flat ``scratch``
+    array holding 2 v, f0, f1, the right-hand side and the reaction's
+    saturation row and product.  ``scratch`` is also large enough for the
+    norms of ``norm_states`` states (see :func:`rdcert.grid._norm_rows`),
+    which a caller may compute in it between steps.
     """
 
-    def __init__(self, sys: SystemSpec, starts: np.ndarray, dt: float, scheme: Scheme):
+    def __init__(self, sys: SystemSpec, starts: np.ndarray, dt: float, scheme: Scheme,
+                 norm_states: int):
         if scheme not in ("one_stage", "two_stage"):
             raise ValueError(f"unknown scheme {scheme!r}")
         self.sys = sys
@@ -180,6 +194,13 @@ class _StepPlan:
         self.unit_off[-1] = 0.0
         self.unit_centre = 2.0 / h2
         self.neumann = sys.grid.bc == "neumann"
+        shape = sys.initial.values.shape
+        self.diag, self.off = np.empty(shape), np.empty(shape)
+        step_shapes = (shape,) * 5 + ((1, shape[1]),)
+        norm_shapes = _norm_shapes((norm_states,) + shape, sys.grid)
+        self.scratch = np.empty(max(_scratch_len(step_shapes), _scratch_len(norm_shapes)))
+        (self.twice, self.f0, self.f1, self.rhs, self.prod,
+         self.row) = _carve(self.scratch, step_shapes)
         self.factor = None
         self.factorizations = 0
         self.reaction_evals = 0
@@ -188,38 +209,41 @@ class _StepPlan:
         """Factor W M = W (I - delta L), the block of component i weighted by
         delta_i: diagonal w (1 + 2 delta/h^2), off-diagonal -delta/h^2.  It is
         symmetric and strictly diagonally dominant for delta > 0."""
-        *factor, info = _pttrf(((self.unit_centre * delta + 1.0)[:, None]
-                                * self.row_weights).ravel(),
-                               (self.unit_off * delta[:, None]).ravel()[:-1],
+        np.multiply((self.unit_centre * delta + 1.0)[:, None], self.row_weights,
+                    out=self.diag)
+        np.multiply(self.unit_off, delta[:, None], out=self.off)
+        *factor, info = _pttrf(self.diag.reshape(-1), self.off.reshape(-1)[:-1],
                                True, True)
         _check_info(info)
         self.factor = factor
         self.factorizations += 1
 
-    def _stage(self, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """M^-1 rhs - values, with rhs = 2 values + dt f: the Crank-Nicolson
-        stage (I - delta L)^-1 ((I + delta L) values + dt f), since
-        I + delta L = 2I - M.  Solves W M x = W rhs.  Overwrites rhs."""
+    def _stage(self, values: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """M^-1 rhs - values into ``out``, with rhs = 2 values + dt f: the
+        Crank-Nicolson stage (I - delta L)^-1 ((I + delta L) values + dt f),
+        since I + delta L = 2I - M.  Solves W M x = W rhs in place in rhs;
+        ``out`` may be rhs itself."""
         if self.neumann:
             # W rhs: halve the first and last column of every block (n >= 3)
             rhs[:, ::rhs.shape[1] - 1] *= 0.5
         x, info = _pttrs(*self.factor, rhs.reshape(-1), overwrite_b=True)
         _check_info(info)
-        out = x.reshape(values.shape)
-        out -= values
-        return out
+        return np.subtract(x.reshape(values.shape), values, out=out)
 
-    def _explicit(self, values: np.ndarray, t: float, coeffs: list) -> np.ndarray:
+    def _explicit(self, values: np.ndarray, t: float, coeffs: list,
+                  out: np.ndarray) -> np.ndarray:
         sys = self.sys
         c0, phi = coeffs
         self.reaction_evals += 1
-        out = reaction_kernel(sys.kinetics, values, c0, phi)
+        reaction_kernel(sys.kinetics, values, c0, phi, out, self.row, self.prod)
         if sys.forcing is not None:
-            out = out + np.asarray(sys.forcing(self.xs, t), dtype=float)
+            out += np.asarray(sys.forcing(self.xs, t), dtype=float)
         return out
 
-    def advance(self, values: np.ndarray, k: int) -> np.ndarray:
-        """The state after step k from ``values``, as a new array.
+    def advance(self, values: np.ndarray, k: int, dest: np.ndarray) -> np.ndarray:
+        """Write the state after step k from ``values`` into ``dest``, an
+        array of the state's shape in C order that shares no memory with
+        ``values`` or the plan's workspace, and return ``dest``.
 
         Raises :class:`BlowUpError` when a stage loses finiteness, and the
         error of a coefficient table when the step reaches its first
@@ -230,18 +254,23 @@ class _StepPlan:
             raise self.mid_error
         if k >= len(self.start_coeffs):
             raise self.start_error
-        f0 = self._explicit(values, self.starts[k], self.start_coeffs[k])
+        f0 = self._explicit(values, self.starts[k], self.start_coeffs[k], self.f0)
         if self.refactor[k]:
             self._factor(self.delta[k])
-        twice = values + values
-        out = self._stage(values, twice + self.dt * f0)
+        twice = np.add(values, values, out=self.twice)
+        rhs = np.multiply(self.dt, f0, out=self.rhs)
+        rhs += twice
+        # a two-stage step keeps its first stage in the right-hand side
+        out = self._stage(values, rhs, rhs if self.two_stage else dest)
         if not _finite(out):
             raise BlowUpError(self.ends[k])
         if self.two_stage:
             if k >= len(self.end_coeffs):
                 raise self.end_error
-            f1 = self._explicit(out, self.ends[k], self.end_coeffs[k])
-            out = self._stage(values, twice + (0.5 * self.dt) * (f0 + f1))
+            f1 = self._explicit(out, self.ends[k], self.end_coeffs[k], self.f1)
+            f1 += f0
+            f1 *= 0.5 * self.dt
+            out = self._stage(values, np.add(twice, f1, out=rhs), dest)
             if not _finite(out):
                 raise BlowUpError(self.ends[k])
         return out
@@ -254,9 +283,10 @@ def step_imex(state: Field, t: float, dt: float, sys: SystemSpec,
         raise ValueError("dt must be positive")
     if state.grid != sys.grid:
         raise ValueError("state lives on a different grid")
-    plan = _StepPlan(sys, np.array([float(t)]), dt, scheme)
+    plan = _StepPlan(sys, np.array([float(t)]), dt, scheme, norm_states=0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return Field._trusted(sys.grid, plan.advance(state.values, 0))
+        return Field._trusted(sys.grid, plan.advance(state.values, 0,
+                                                     np.empty(state.values.shape)))
 
 
 # States wait, at most this many bytes of them and at least one, before their
@@ -275,6 +305,10 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
     state.  Blow-up raises :class:`BlowUpError` carrying the failure time;
     non-finite values are never recorded.  Norms are computed a block of
     steps at a time; errors are still raised in step order.
+
+    Each step writes its state straight into one of two blocks of states,
+    which alternate: the step after a block's norms reads that block's last
+    state and writes into the other.  Only the snapshots kept are copied.
     """
     if T <= 0.0:
         raise ValueError("final time T must be positive")
@@ -292,50 +326,50 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
     lp_exp = sys.kinetics.p + 1.0
 
     times = dt * np.arange(n_steps + 1)
-    plan = _StepPlan(sys, times[:-1], dt, scheme)
+    initial = sys.initial.values
+    block_len = max(1, _NORM_BLOCK_BYTES // initial.nbytes)
+    plan = _StepPlan(sys, times[:-1], dt, scheme, block_len)
     series = np.empty((5, n_steps + 1))  # l2, sup, h1_semi, h2, lp1
     snapshot_times = [0.0]
-    snapshots = [Field._trusted(grid, sys.initial.values.copy())]
+    snapshots = [Field._trusted(grid, initial.copy())]
 
-    block_len = max(1, _NORM_BLOCK_BYTES // sys.initial.values.nbytes)
-    pending = []  # states of steps done, done + 1, ... whose norms are not in `series`
-    done = 0
+    block, spare = np.empty((2, block_len) + initial.shape)
+    block[0] = initial
+    count = 1  # states in `block` whose norms are not in `series`
+    done = 0   # states whose norms are in `series`
 
     def flush():
-        nonlocal done
-        # a lone state is viewed, not copied
-        states = np.stack(pending) if len(pending) > 1 else pending[0][None]
-        first = done
-        done += len(pending)
-        pending.clear()
+        nonlocal count, done
+        first, states = done, block[:count]
+        done += count
+        count = 0
         rows = series[:, first:done]
         with np.errstate(over="ignore", invalid="ignore"):
-            rows[:] = _norm_rows(states, grid, weights, lp_exp).T
+            rows[:] = _norm_rows(states, grid, weights, lp_exp, plan.scratch).T
         finite = np.isfinite(rows).all(axis=0)
         if not finite.all():
             # finite state whose squared norms overflow: treat as blow-up,
             # non-finite values are never recorded
             raise BlowUpError(float(times[first + int(np.argmin(finite))]))
 
-    values = sys.initial.values
-    pending.append(values)
+    values = block[0]
     try:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for step in range(1, n_steps + 1):
-                if len(pending) == block_len:
+                if count == block_len:
                     flush()
-                values = plan.advance(values, step - 1)
-                pending.append(values)
+                    block, spare = spare, block
+                values = plan.advance(values, step - 1, block[count])
+                count += 1
                 if step % record_every == 0 or step == n_steps:
                     snapshot_times.append(float(times[step]))
-                    # each step returns a new finite array that nothing writes
-                    # to again
-                    snapshots.append(Field._trusted(grid, values))
+                    # the block is written again two blocks later
+                    snapshots.append(Field._trusted(grid, values.copy()))
         flush()
     except Exception:
         # the buffered states come before the failing step: if the norms of
         # one of them overflow, that is the first failure in step order
-        if pending:
+        if count:
             try:
                 flush()
             except BlowUpError as earlier:

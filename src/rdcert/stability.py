@@ -170,7 +170,7 @@ def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
             scale = max(abs(lin.a), abs(lin.d), 1e-12) / min(lin.d1, lin.d2)
             candidates.append(math.sqrt(scale))
         k_max = 2.0 * max(candidates)
-    if k_max <= 0.0:
+    if not k_max > 0.0:  # NaN included
         raise ValueError("k_max must be positive")
     if L is not None and k_max * L / math.pi >= samples + 1:  # floor(k_max L / pi) > samples
         raise ValueError(f"k_max = {k_max:g} admits {k_max * L / math.pi:.6g} modes n pi / L, "
@@ -189,17 +189,38 @@ def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
         lam1.imag[block] = half_im
         lam2.real[block] = 0.5 * (t - root)
         lam2.imag[block] = 0.0 - half_im
-    modes = []
-    if L is not None:
-        n = 1
-        while n * math.pi / L <= k_max:
-            kn = n * math.pi / L
-            lam = eig2(m_of_k(lin, kn))[0]
-            modes.append(ModeRate(n=n, k=kn, rate=lam, unstable=lam.real > 0.0))
-            n += 1
+    modes = () if L is None else _mode_rates(lin, k_max, L)
     return DispersionReport(k=ks, det=det, trace=tr, lam1=lam1, lam2=lam2,
                             max_growth_rate=float(np.max(lam1.real)),
-                            band=band, modes=tuple(modes))
+                            band=band, modes=modes)
+
+
+def _mode_rates(lin: Linearization2, k_max: float, L: float) -> tuple:
+    """The :class:`ModeRate` of every admissible mode k_n = n pi / L <= k_max,
+    each the leading eigenvalue ``eig2(m_of_k(lin, k_n))[0]``, computed for
+    all modes at once with eig2's formulas and masks in place of its
+    branches."""
+    ns = np.arange(1, int(k_max * L / math.pi) + 2)
+    k = ns * math.pi / L
+    keep = k <= k_max  # k_n increases with n
+    ns, k = ns[keep], k[keep]
+    k2 = k * k
+    m00, m11 = lin.a - lin.d1 * k2, lin.d - lin.d2 * k2
+    if not (np.isfinite(m00).all() and np.isfinite(m11).all()):
+        raise ValueError("need a finite 2x2 matrix")
+    tr = m00 + m11
+    det = m00 * m11 - lin.b * lin.c
+    disc = tr * tr - 4.0 * det
+    real = disc >= 0.0
+    root = np.sqrt(disc, out=np.zeros_like(disc), where=real)
+    # the cancellation-free root r1, then det / r1, and the larger of the two
+    r1 = np.where(tr >= 0.0, 0.5 * (tr + root), 0.5 * (tr - root))
+    r2 = np.divide(det, r1, out=np.zeros_like(r1), where=real & (r1 != 0.0))
+    half_im = 0.5 * np.sqrt(np.negative(disc), out=np.zeros_like(disc), where=~real)
+    rate_re = np.where(real, np.where(r2 < r1, r1, r2), 0.5 * tr)
+    return tuple(ModeRate(n=n, k=kn, rate=complex(re, im), unstable=re > 0.0)
+                 for n, kn, re, im in zip(ns.tolist(), k.tolist(), rate_re.tolist(),
+                                          half_im.tolist()))
 
 
 @dataclass(frozen=True)

@@ -453,6 +453,28 @@ class TestCommandOutputs:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
+    def test_repeated_calls_share_no_arguments(self, tmp_path, capsys):
+        # main() builds its parser once per process; options given to one
+        # call must not carry over to the next, and usage errors still exit 1
+        path = write_cfg(tmp_path, TH31_CFG.replace("T = 10.0", "T = 1.0")
+                         .replace("ic = mode(1, 0.0797884560802865)", "ic = noise(0.05)"))
+        runs = {name: tmp_path / name for name in ("plain", "options", "again")}
+        assert main(["run-theorem", "3.1", "--config", path, "--out", str(runs["plain"])]) == 0
+        assert main(["run-theorem", "3.1", "--config", path, "--out", str(runs["options"]),
+                     "--seed", "7", "--grid-points", "5000"]) == 0
+        assert main(["run-theorem", "3.9", "--config", path, "--out", "x"]) == 1
+        assert main(["run-theorem", "3.1", "--seed", "7"]) == 1
+        assert "usage error:" in capsys.readouterr().err
+        assert main(["run-theorem", "3.1", "--config", path, "--out", str(runs["again"])]) == 0
+        assert rdcert.cli._build_parser() is rdcert.cli._build_parser()
+        grid_points = {name: read_report(out)["certificate_check"]["grid_points"]
+                       for name, out in runs.items()}
+        assert grid_points == {"plain": 10_000, "options": 5000, "again": 10_000}
+        series = {name: (out / "series.csv").read_bytes() for name, out in runs.items()}
+        assert series["again"] == series["plain"] != series["options"]
+        assert (runs["again"] / "report.json").read_bytes() == \
+            (runs["plain"] / "report.json").read_bytes()
+
     def test_seed_changes_noise_run(self, tmp_path):
         path = write_cfg(tmp_path, TH31_CFG.replace("T = 10.0", "T = 1.0")
                          .replace("ic = mode(1, 0.0797884560802865)", "ic = noise(0.05)"))

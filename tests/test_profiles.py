@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rdcert.profiles import (KineticsSpec, TimeProfile, coupling_gamma0, effective_c0,
+from rdcert.profiles import (_BLOCK, KineticsSpec, TimeProfile, _blocks, _grid_block,
+                             coupling_gamma0, effective_c0,
                              eval_profile, eval_reaction, gamma_of_t, profile_derivative,
                              reaction_sup_bound, symmetric_part_max)
 
@@ -288,3 +289,13 @@ class TestHelpers:
             KineticsSpec(n_components=1, p=1.0)
         with pytest.raises(ValueError):
             KineticsSpec(n_components=2, linear=np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("n", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("horizon", [1.0, 10.0, 0.1, math.pi, 7.3e5, 3e-7, 0.0, 5e-324])
+def test_grid_block_is_linspace_bit_for_bit(n, horizon):
+    whole = np.linspace(0.0, horizon, n)
+    pieces = [_grid_block(horizon, n, block) for block in _blocks(n)]
+    assert [len(p) for p in pieces] == [len(whole[b]) for b in _blocks(n)]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+    assert pieces[-1][-1] == horizon

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from rdcert.grid import (Grid1D, constant_field, discrete_norms, lp_integral, mode_field,
-                         noise_field, zero_field)
+from rdcert.grid import (Grid1D, constant_field, discrete_norms, lp_integral, lp_integrals,
+                         mode_field, noise_field, norms_batch, zero_field)
 from rdcert.profiles import KineticsSpec, TimeProfile, eval_profile, eval_reaction
-from rdcert.solver import (BlowUpError, InconclusiveOrderError, ManufacturedCase,
-                           SystemSpec, apply_laplacian, convergence_orders,
+from rdcert.solver import (_NORM_BLOCK_BYTES, BlowUpError, InconclusiveOrderError,
+                           ManufacturedCase, SystemSpec, apply_laplacian, convergence_orders,
                            energy_inequality_residuals, manufactured_system, simulate,
                            step_imex)
 
@@ -361,6 +361,92 @@ class TestStepFormula:
         sys = manufactured_system(g, kin, (TimeProfile.power_decay(0.6, 1.0, positive=True),),
                                   decaying_sine_case())
         self.assert_pinned(sys, 0.2, 0.004, "two_stage")
+
+
+def block_len(sys):
+    """States per norm block of a run of sys, as simulate sizes its blocks."""
+    return max(1, _NORM_BLOCK_BYTES // sys.initial.values.nbytes)
+
+
+def workspace_system(bc, m, n, forcing=None, diffusion=None):
+    g = Grid1D(1.0, n, bc)
+    matrix = np.array([[0.6]]) if m == 1 else np.array([[0.3, 1.1], [-0.9, 0.2]])
+    kin = KineticsSpec(n_components=m, linear=matrix, nonlinearity="saturated_power",
+                       c0=TimeProfile.power_decay(0.8, 0.5), p=2.5,
+                       modulation=TimeProfile.power_decay(1.0, 1.5, offset=0.3))
+    if diffusion is None:
+        diffusion = tuple(TimeProfile.power_decay(0.5 + 0.4 * i, 1.0, positive=True)
+                          for i in range(m))
+    return SystemSpec(grid=g, kinetics=kin, diffusion=diffusion,
+                      initial=noise_field(g, m, 0.8, seed=n + m), forcing=forcing)
+
+
+class TestWorkspace:
+    """simulate writes its states into two alternating blocks and works in
+    one per-run workspace; every number it records equals, bit for bit, the
+    same step taken alone by step_imex and the norms of that state alone."""
+
+    DT = 1e-3
+
+    @pytest.mark.parametrize("scheme", ["one_stage", "two_stage"])
+    @pytest.mark.parametrize("bc,m", [("dirichlet", 1), ("neumann", 1), ("dirichlet", 2),
+                                      ("neumann", 2)])
+    @pytest.mark.parametrize("n", [128, 20_001])
+    @pytest.mark.parametrize("steps", ["B-1", "B", "B+1", "2B+1"])
+    def test_matches_chained_steps_bit_for_bit(self, n, bc, m, scheme, steps):
+        sys = workspace_system(bc, m, n)
+        B = block_len(sys)
+        assert (B > 1) == (n == 128)
+        n_steps = max(1, {"B-1": B - 1, "B": B, "B+1": B + 1, "2B+1": 2 * B + 1}[steps])
+        traj = simulate(sys, n_steps * self.DT, dt=self.DT, record_every=1, scheme=scheme)
+        assert len(traj.snapshots) == n_steps + 1
+        got = np.array([traj.l2, traj.sup, traj.h1_semi, traj.h2, traj.lp1]).T
+        state = sys.initial
+        for i in range(n_steps + 1):
+            if i:
+                state = step_imex(state, self.DT * (i - 1), self.DT, sys, scheme)
+            states = state.values[None]
+            row = np.append(norms_batch(states, sys.grid)[0],
+                            lp_integrals(states, sys.grid, sys.kinetics.p + 1.0))
+            assert traj.snapshot_times[i] == traj.times[i]
+            assert traj.snapshots[i].values.tobytes() == state.values.tobytes(), i
+            assert got[i].tobytes() == row.tobytes(), i
+
+    @pytest.mark.parametrize("scheme", ["one_stage", "two_stage"])
+    @pytest.mark.parametrize("n", [128, 20_001])
+    @pytest.mark.parametrize("failure", ["blow_up", "table_ends"])
+    def test_failure_after_a_block_swap_keeps_step_order(self, n, scheme, failure):
+        # the blocks swap before steps B and 2B; step 2B writes into the
+        # block that held the initial state
+        B = block_len(workspace_system("dirichlet", 1, n))
+        fail_step = 2 * B
+        stages = StageTimes()
+        diffusion = None
+        if failure == "blow_up":
+            # infinite from the last stage time of step 2B on
+            last = (fail_step - 1 if scheme == "one_stage" else fail_step) * self.DT
+
+            def forcing(xs, t):
+                stages(xs, t)
+                return np.full(len(xs), np.inf if t > last - 0.5 * self.DT else 0.0)
+        else:
+            forcing = stages
+            # step 2B is the first whose midpoint, (2B - 0.5) dt, is past the table
+            diffusion = (TimeProfile.tabulated([0.0, (fail_step - 1) * self.DT], [1.0, 1.0],
+                                               positive=True),)
+        sys = workspace_system("dirichlet", 1, n, forcing=forcing, diffusion=diffusion)
+        T = (fail_step + 3) * self.DT
+        with pytest.raises((BlowUpError, ValueError)) as got:
+            simulate(sys, T, dt=self.DT, scheme=scheme)
+        got_stages, stages.times = stages.times, []
+        ref = stepwise_run(sys, T, self.DT, scheme)
+        assert type(got.value) is type(ref)
+        assert str(got.value) == str(ref)
+        assert got_stages == stages.times
+        if failure == "blow_up":
+            assert got.value.time == ref.time == fail_step * self.DT
+        else:
+            assert "queried outside" in str(ref)
 
 
 class TestStepCounters:

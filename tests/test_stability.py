@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rdcert.profiles import _BLOCK
-from rdcert.stability import (Linearization2, critical_d1, det_m, dispersion_scan, eig2,
-                              growth_rate_experiment, instability_band, m_of_k,
+from rdcert.stability import (Linearization2, ModeRate, critical_d1, det_m, dispersion_scan,
+                              eig2, growth_rate_experiment, instability_band, m_of_k,
                               numerical_abscissa, trace_m, turing_conditions)
 
 TURING = Linearization2(a=1.0, b=2.0, c=-2.0, d=-2.0, d1=0.5, d2=10.0)
@@ -207,6 +208,57 @@ class TestDispersionKernel:
         change = np.flatnonzero(np.diff(np.sign(disc)))
         assert change.size == 1 and 0 < change[0] % _BLOCK < _BLOCK - 1
         assert disc[0] < 0.0 < disc[-1]
+
+
+def scalar_mode_rates(lin, k_max, L):
+    """The admissible modes listed one eig2 call at a time."""
+    modes, n = [], 1
+    while n * math.pi / L <= k_max:
+        kn = n * math.pi / L
+        lam = eig2(m_of_k(lin, kn))[0]
+        modes.append(ModeRate(n=n, k=kn, rate=lam, unstable=lam.real > 0.0))
+        n += 1
+    return tuple(modes)
+
+
+class TestModeRates:
+    """dispersion_scan lists the admissible modes in one vectorised pass; every
+    field keeps the Python type and value of the mode-by-mode eig2 loop."""
+
+    @pytest.mark.parametrize("lin, k_max, L, kind", [
+        (Linearization2(a=1.0, b=2.0, c=1.0, d=-2.0, d1=0.5, d2=10.0), 5.0, 7.3, "real"),
+        (Linearization2(a=-1.0, b=2.0, c=-2.0, d=-1.0, d1=1.0, d2=1.0), 5.0, 7.3, "complex"),
+        # tr^2 = 4 det exactly: a double real root a - d1 k^2
+        (Linearization2(a=1.0, b=0.0, c=0.0, d=1.0, d1=1.0, d2=1.0), 5.0, 7.3, "double"),
+        (TURING, 20.0, 20.0, "mixed"),
+        (TURING, 400.5, math.pi, "real"),
+    ], ids=["real-band", "complex-band", "zero-discriminant", "turing", "as-many-as-samples"])
+    def test_matches_scalar_loop(self, lin, k_max, L, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            modes = dispersion_scan(lin, k_max=k_max, samples=400, L=L).modes
+        expected = scalar_mode_rates(lin, k_max, L)
+        assert len(modes) == len(expected) > 0
+        for got, want in zip(modes, expected):
+            assert [type(v) for v in got] == [int, float, complex, bool]
+            assert repr(got) == repr(want)
+        imag = np.array([m.rate.imag for m in modes])
+        if kind == "real":
+            assert np.all(imag == 0.0)
+        elif kind == "complex":
+            assert np.all(imag > 0.0)
+        elif kind == "double":
+            assert [m.rate for m in modes] == [complex(lin.a - lin.d1 * m.k * m.k)
+                                               for m in modes]
+        else:
+            assert np.any(imag > 0.0) and np.any(imag == 0.0)
+
+    def test_no_admissible_mode(self):
+        assert dispersion_scan(TURING, k_max=0.5, L=4.0).modes == ()
+
+    def test_nan_k_max_rejected(self):
+        with pytest.raises(ValueError, match="k_max must be positive"):
+            dispersion_scan(TURING, k_max=math.nan, L=4.0)
 
 
 class TestCriticalD1:
