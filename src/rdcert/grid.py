@@ -182,16 +182,18 @@ def _integrate(samples: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.
 
 def _squares(values: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.ndarray:
     """The pointwise squared magnitudes |u(x)|^2 of states (k, m, n) into
-    ``out`` (k, n), with ``prod`` (k, m, n) for the products."""
+    ``out`` (k, n), with ``prod`` (k, m, n) for the products when m > 1.
+    ``values`` may be a view of ``out`` or of ``prod``."""
+    if values.shape[1] == 1:
+        return np.multiply(values[:, 0], values[:, 0], out=out)
     return np.sum(np.multiply(values, values, out=prod), axis=1, out=out)
 
 
 def _lp_from_squares(sq: np.ndarray, exponent: float, weights: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
     # sq holds the pointwise squared magnitudes |u(x)|^2, shape (k, n); out
-    # has its shape
-    np.sqrt(sq, out=out)
-    out **= exponent
+    # has its shape and may be sq itself.  |u|^p = (|u|^2)^(p/2) in one pass
+    np.power(sq, 0.5 * exponent, out=out)
     return _integrate(out, weights, out)
 
 
@@ -217,9 +219,10 @@ def _norm_rows(values: np.ndarray, grid: Grid1D, weights: np.ndarray,
         np.subtract(values[..., 1:], values[..., :-1], out=edges)
     edges *= edges
     h1sq = np.sum(edges, axis=(1, 2)) / grid.h
-    d2 = _second_differences(values, grid, prod)
-    d2 *= d2
-    h2sq = l2sq + h1sq + _integrate(np.sum(d2, axis=1, out=row), weights, row)
+    # one component: the second differences go straight into row and are
+    # squared in place there
+    d2 = _second_differences(values, grid, row[:, None] if values.shape[1] == 1 else prod)
+    h2sq = l2sq + h1sq + _integrate(_squares(d2, row, prod), weights, row)
     norms = np.sqrt(np.column_stack([l2sq, np.max(sq, axis=-1), h1sq, h2sq]))
     if exponent is None:
         return norms

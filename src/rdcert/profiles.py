@@ -296,6 +296,15 @@ class KineticsSpec:
         object.__setattr__(self, "linear", mat)
 
 
+def _finite(values: np.ndarray) -> bool:
+    """Whether every entry of the float array ``values`` is finite.  A finite
+    sum needs finite terms; only an overflowing sum of finite terms takes the
+    elementwise check, so the common case allocates no mask.  The sum warns
+    of an overflow, or of inf - inf, unless the caller silences numpy's
+    overflow and invalid-value warnings."""
+    return math.isfinite(values.sum()) or bool(np.isfinite(values).all())
+
+
 def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:
     """Evaluate F(u, t) at one point (u shape (n,)) or a batch (n, N).
 
@@ -304,15 +313,24 @@ def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:
     at u = 0.
     """
     u_arr = np.asarray(u, dtype=float)
-    if u_arr.ndim not in (1, 2) or u_arr.shape[0] != kin.n_components:
+    return _reaction_into(kin, u_arr, t, np.empty(u_arr.shape),
+                          np.empty((1,) + u_arr.shape[1:]), np.empty(u_arr.shape))
+
+
+def _reaction_into(kin: KineticsSpec, u: np.ndarray, t: float, out: np.ndarray,
+                   row: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """:func:`eval_reaction` of the float array u, input checks included,
+    written into arrays the caller supplies as to :func:`reaction_kernel`."""
+    if u.ndim not in (1, 2) or u.shape[0] != kin.n_components:
         raise ValueError(f"state must have {kin.n_components} leading components")
-    if not np.all(np.isfinite(u_arr)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = _finite(u)
+    if not finite:
         raise ValueError("state must be finite")
     c0 = reaction_c0(kin, t)
     phi = eval_profile(kin.modulation, t)
     with np.errstate(divide="ignore", over="ignore"):
-        return reaction_kernel(kin, u_arr, c0, phi, np.empty(u_arr.shape),
-                               np.empty((1,) + u_arr.shape[1:]), np.empty(u_arr.shape))
+        return reaction_kernel(kin, u, c0, phi, out, row, prod)
 
 
 def reaction_c0(kin: KineticsSpec, t: TimeLike) -> TimeLike:

@@ -25,7 +25,9 @@ A run allocates its state-sized arrays once, as LAPACK routines take
 caller-supplied workspace: the plan's workspace serves every step and every
 norm flush, and ``simulate`` writes each state straight into one of two
 alternating blocks of states.  The operations and their order are those of a
-step with fresh arrays, so the numbers are the same bit for bit.
+step with fresh arrays, so the numbers are the same bit for bit.  The forcing
+of :func:`manufactured_system` keeps its reaction workspace in the same way
+and allocates one state-sized array per call, the one it returns.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from scipy.linalg import get_lapack_funcs
 
 from .grid import (Field, Grid1D, NormSet, _carve, _norm_rows, _norm_shapes, _scratch_len,
                    norms_from_values, quadrature_weights)
-from .profiles import (KineticsSpec, TimeProfile, coefficient_table, effective_c0,
-                       eval_profile, eval_reaction, gamma_of_t, reaction_coefficients,
+from .profiles import (KineticsSpec, TimeProfile, _finite, _reaction_into, coefficient_table,
+                       effective_c0, eval_profile, gamma_of_t, reaction_coefficients,
                        reaction_kernel)
 
 Scheme = str  # "one_stage" | "two_stage"
@@ -131,12 +133,6 @@ def _diffusion_table(sys: SystemSpec, times: np.ndarray) -> np.ndarray:
         raise ValueError("diffusion coefficient is not positive at "
                          f"t = {times[np.argmax(bad)]:.6g}")
     return d
-
-
-def _finite(values: np.ndarray) -> bool:
-    # a finite sum needs finite terms; only an overflowing sum of finite
-    # terms takes the elementwise check
-    return math.isfinite(values.sum()) or bool(np.isfinite(values).all())
 
 
 def _check_info(info: int) -> None:
@@ -427,15 +423,26 @@ def manufactured_system(grid: Grid1D, kinetics: KineticsSpec,
                         diffusion: Sequence[TimeProfile],
                         case: ManufacturedCase) -> SystemSpec:
     """System whose exact solution is ``case.solution``: the induced forcing
-    f = u*_t - D(t) (u*)_xx - F(u*) is appended to the reaction."""
+    f = u*_t - D(t) (u*)_xx - F(u*) is appended to the reaction.
+
+    The forcing computes F(u*) as :func:`rdcert.profiles.eval_reaction` does,
+    input checks included, in arrays it keeps from call to call while the
+    shape of u* stays the same; each call returns one fresh array."""
     profiles = tuple(diffusion)
+    work = []  # F(u*), the saturation row and the product
 
     def forcing(xs, t):
         exact = np.atleast_2d(np.asarray(case.solution(xs, t), dtype=float))
         d_vals = np.array([eval_profile(p, t) for p in profiles])
         lap = np.atleast_2d(np.asarray(case.laplacian(xs, t), dtype=float))
         dudt = np.atleast_2d(np.asarray(case.time_derivative(xs, t), dtype=float))
-        return dudt - d_vals[:, None] * lap - eval_reaction(kinetics, exact, xs, t)
+        f = d_vals[:, None] * lap
+        np.subtract(dudt, f, out=f)
+        if not work or work[0].shape != exact.shape:
+            work[:] = (np.empty(exact.shape), np.empty((1,) + exact.shape[1:]),
+                       np.empty(exact.shape))
+        f -= _reaction_into(kinetics, exact, t, *work)
+        return f
 
     initial = Field(grid, np.atleast_2d(np.asarray(case.solution(grid.x, 0.0), dtype=float)))
     return SystemSpec(grid=grid, kinetics=kinetics, diffusion=profiles,
@@ -485,10 +492,12 @@ def convergence_orders(case: ManufacturedCase, kinetics: KineticsSpec,
     """Observed spatial and temporal orders against a manufactured solution.
 
     Spatial study: refine the grid at a small fixed dt.  Temporal study:
-    refine dt on one fine grid.  Errors at round-off level short-circuit to
-    the label "exact"; non-monotone errors raise
-    :class:`InconclusiveOrderError`.
+    refine dt on one fine grid.  Each study needs at least two levels.
+    Errors at round-off level short-circuit to the label "exact";
+    non-monotone errors raise :class:`InconclusiveOrderError`.
     """
+    if len(space_ns) < 2 or len(time_dts) < 2:
+        raise ValueError("space_ns and time_dts need at least two refinement levels each")
     space_errors = []
     space_h = []
     for n in space_ns:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,23 @@ class TestCommandOutputs:
         assert report["pass"] is True
         assert report["p_space"] >= 1.9
         assert report["p_time"] >= 1.9
+
+    @pytest.mark.parametrize("old,new", [("time_dts = 0.2,0.1,0.05,0.025", "time_dts = 0.2"),
+                                         ("space_ns = 32,64,128", "space_ns = 32")])
+    def test_convergence_needs_two_levels(self, tmp_path, capsys, old, new):
+        # one level gives no slope: not a fitted order, but a config error
+        text = (DEMO_CONFIGS / "convergence.cfg").read_text()
+        assert old in text
+        path = write_cfg(tmp_path, text.replace(old, new))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["convergence-test", "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "at least two" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not caught
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_report_reproducibility(self, tmp_path):
         path = write_cfg(tmp_path, TH31_CFG.replace("T = 10.0", "T = 1.0")

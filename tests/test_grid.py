@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdcert.grid import (Field, Grid1D, constant_field, discrete_norms,
                          discrete_poincare_constant, lp_integral, lp_integrals, mode_field,
@@ -112,37 +115,95 @@ class TestNorms:
         batch = norms_batch(states, g)
         lp = lp_integrals(states, g, 3.0)
         assert batch.shape == (k, 4) and lp.shape == (k,)
-        w = quadrature_weights(g)
         for j in range(k):
             single = norms_from_values(states[j], g)
             assert tuple(batch[j]) == (single.l2, single.sup, single.h1_semi, single.h2)
             assert lp[j] == lp_integral(Field(g, states[j]), 3.0)
-            # the norms written out one state at a time
-            u = states[j]
-            sq = np.sum(u * u, axis=0)
-            l2sq = float(sq @ w)
-            pad = [np.zeros((2, 1))] if bc == "dirichlet" else []
-            edges = np.diff(np.concatenate(pad + [u] + pad, axis=1), axis=1)
-            h1sq = float(np.sum(edges ** 2)) / g.h
-            d2 = np.empty_like(u)
-            for i in range(n):
-                if 0 < i < n - 1:
-                    d2[:, i] = u[:, i - 1] - 2.0 * u[:, i] + u[:, i + 1]
-                elif bc == "dirichlet":
-                    inner = 1 if i == 0 else n - 2
-                    d2[:, i] = u[:, inner] - 2.0 * u[:, i]
-                elif n >= 4:
-                    s = 1 if i == 0 else -1
-                    d2[:, i] = (2.0 * u[:, i] - 5.0 * u[:, i + s] + 4.0 * u[:, i + 2 * s]
-                                - u[:, i + 3 * s])
-                else:
-                    d2[:, i] = u[:, 0] - 2.0 * u[:, 1] + u[:, 2]
-            d2 /= g.h ** 2
-            h2sq = l2sq + h1sq + float(np.sum(d2 * d2, axis=0) @ w)
-            expected = (math.sqrt(l2sq), math.sqrt(float(np.max(sq))), math.sqrt(h1sq),
-                        math.sqrt(h2sq))
+            *expected, lp_expected = written_out_norms(states[j], g, 3.0)
             assert batch[j] == pytest.approx(expected, rel=1e-13)
-            assert lp[j] == pytest.approx(float(np.sqrt(sq) ** 3 @ w), rel=1e-13)
+            assert lp[j] == pytest.approx(lp_expected, rel=1e-13)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), k=st.integers(1, 5), m=st.sampled_from([1, 2]),
+           n=st.integers(3, 64), bc=st.sampled_from(["dirichlet", "neumann"]),
+           exponent=st.sampled_from([2.5, 3.0, 3.5]), L=st.floats(0.5, 3.0))
+    def test_norm_rows_property(self, data, k, m, n, bc, exponent, L):
+        # magnitudes stay away from the subnormal range, where |u|^p keeps
+        # too few digits for a relative comparison
+        entries = st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+        states = data.draw(arrays(float, (k, m, n), elements=entries))
+        g = Grid1D(L, n, bc)
+        batch = norms_batch(states, g)
+        lp = lp_integrals(states, g, exponent)
+        # the l2, sup, h1 and h2 columns keep their operations and order
+        assert batch.tobytes() == unfused_norm_columns(states, g).tobytes()
+        for j in range(k):
+            alone = states[j:j + 1]
+            assert norms_batch(alone, g).tobytes() == batch[j:j + 1].tobytes()
+            assert lp_integrals(alone, g, exponent).tobytes() == lp[j:j + 1].tobytes()
+            *expected, lp_expected = written_out_norms(states[j], g, exponent)
+            assert batch[j] == pytest.approx(expected, rel=1e-13, abs=0.0)
+            assert lp[j] == pytest.approx(lp_expected, rel=1e-13, abs=0.0)
+
+
+def written_out_norms(u, g, exponent):
+    """l2, sup, h1_semi, h2 and the integral of |u|**exponent of one state
+    (m, n), written out node by node."""
+    m, n = u.shape
+    w = quadrature_weights(g)
+    sq = np.sum(u * u, axis=0)
+    l2sq = float(sq @ w)
+    pad = [np.zeros((m, 1))] if g.bc == "dirichlet" else []
+    edges = np.diff(np.concatenate(pad + [u] + pad, axis=1), axis=1)
+    h1sq = float(np.sum(edges ** 2)) / g.h
+    d2 = np.empty_like(u)
+    for i in range(n):
+        if 0 < i < n - 1:
+            d2[:, i] = u[:, i - 1] - 2.0 * u[:, i] + u[:, i + 1]
+        elif g.bc == "dirichlet":
+            inner = 1 if i == 0 else n - 2
+            d2[:, i] = u[:, inner] - 2.0 * u[:, i]
+        elif n >= 4:
+            s = 1 if i == 0 else -1
+            d2[:, i] = (2.0 * u[:, i] - 5.0 * u[:, i + s] + 4.0 * u[:, i + 2 * s]
+                        - u[:, i + 3 * s])
+        else:
+            d2[:, i] = u[:, 0] - 2.0 * u[:, 1] + u[:, 2]
+    d2 /= g.h ** 2
+    h2sq = l2sq + h1sq + float(np.sum(d2 * d2, axis=0) @ w)
+    return (math.sqrt(l2sq), math.sqrt(float(np.max(sq))), math.sqrt(h1sq), math.sqrt(h2sq),
+            float(np.sqrt(sq) ** exponent @ w))
+
+
+def unfused_norm_columns(states, g):
+    """The columns of norms_batch for states (k, m, n) from fresh arrays,
+    with the operations of the norms routine in their order: sums over the
+    components, then over the nodes, of products."""
+    w = quadrature_weights(g)
+    h2 = g.h * g.h
+    sq = np.sum(states * states, axis=1)
+    l2sq = np.sum(sq * w, axis=-1)
+    if g.bc == "dirichlet":
+        edges = np.concatenate([states[..., :1], states[..., 1:] - states[..., :-1],
+                                -states[..., -1:]], axis=-1)
+    else:
+        edges = states[..., 1:] - states[..., :-1]
+    h1sq = np.sum(edges * edges, axis=(1, 2)) / g.h
+    v = states
+    d2 = np.empty_like(v)
+    d2[..., 1:-1] = (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]) / h2
+    if g.bc == "dirichlet":
+        d2[..., 0] = (-2.0 * v[..., 0] + v[..., 1]) / h2
+        d2[..., -1] = (v[..., -2] - 2.0 * v[..., -1]) / h2
+    elif g.n >= 4:
+        d2[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h2
+        d2[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3]
+                       - v[..., -4]) / h2
+    else:
+        d2[..., 0] = d2[..., 1]
+        d2[..., -1] = d2[..., -2]
+    h2sq = l2sq + h1sq + np.sum(np.sum(d2 * d2, axis=1) * w, axis=-1)
+    return np.sqrt(np.column_stack([l2sq, np.max(sq, axis=-1), h1sq, h2sq]))
 
 
 class TestPoincare:

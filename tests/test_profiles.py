@@ -135,8 +135,17 @@ class TestEvalReaction:
 
     def test_non_finite_state_rejected(self):
         kin = KineticsSpec(n_components=1)
-        with pytest.raises(ValueError):
-            eval_reaction(kin, np.array([math.inf]))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^state must be finite$"):
+                eval_reaction(kin, np.array([bad]))
+            with pytest.raises(ValueError, match="^state must be finite$"):
+                eval_reaction(kin, np.array([[1e308, 1e308, bad]]))
+
+    def test_finite_state_whose_sum_overflows_accepted(self):
+        # the finiteness check sums first and warns of nothing
+        kin = KineticsSpec(n_components=1, linear=np.array([[-1e-300]]))
+        out = eval_reaction(kin, np.full((1, 4), 1e308))
+        assert out.tolist() == [[-1e8] * 4]
 
     def test_saturated_growth_bound_randomized(self):
         # |B(u)| <= c0(t) |u|^p for every state, time and exponent

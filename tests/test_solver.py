@@ -557,3 +557,102 @@ class TestManufactured:
         case = decaying_sine_case()
         sys = manufactured_system(g, KineticsSpec(n_components=1), (CONST_D,), case)
         assert sys.initial.values == pytest.approx(case.solution(g.x, 0.0))
+
+    @pytest.mark.parametrize("space_ns,time_dts", [((32,), (0.1, 0.05)), ((16, 32), (0.2,)),
+                                                   ((), (0.1, 0.05))])
+    def test_fewer_than_two_levels_rejected(self, space_ns, time_dts):
+        # a line through one point has no slope to measure
+        with pytest.raises(ValueError, match="at least two refinement levels"):
+            convergence_orders(decaying_sine_case(), KineticsSpec(n_components=1), (CONST_D,),
+                               T=0.5, space_ns=space_ns, space_dt=1e-2, time_n=41,
+                               time_dts=time_dts)
+
+
+def two_component_case():
+    """A two-component manufactured solution that vanishes at x = 0, where
+    the saturation takes its exact-zero branch."""
+    def solution(x, t):
+        return (1.0 + t) * np.array([np.sin(np.pi * x), x * (1.0 - x)])
+
+    def time_derivative(x, t):
+        return np.array([np.sin(np.pi * x), x * (1.0 - x)])
+
+    def laplacian(x, t):
+        return (1.0 + t) * np.array([-np.pi ** 2 * np.sin(np.pi * x), np.full(len(x), -2.0)])
+    return ManufacturedCase(solution, time_derivative, laplacian)
+
+
+class TestManufacturedForcing:
+    """The forcing keeps its reaction workspace from call to call and is,
+    bit for bit, u*_t - D(t) (u*)_xx - F(u*) written out with eval_reaction."""
+
+    DIFFUSION = (TimeProfile.power_decay(0.4, 1.0, positive=True),
+                 TimeProfile.constant(0.7, positive=True))
+
+    def system(self, case, n=101):
+        kin = pinned_system("neumann", 2, "constant").kinetics  # saturated and modulated
+        return manufactured_system(Grid1D(1.0, n, "neumann"), kin, self.DIFFUSION, case)
+
+    def expected(self, sys, case, xs, t):
+        d = np.array([eval_profile(p, t) for p in self.DIFFUSION])
+        return (case.time_derivative(xs, t) - d[:, None] * case.laplacian(xs, t)
+                - eval_reaction(sys.kinetics, case.solution(xs, t), xs, t))
+
+    def test_matches_formula_bit_for_bit(self):
+        case = two_component_case()
+        sys = self.system(case)
+        assert sys.kinetics.nonlinearity == "saturated_power"
+        other_xs = np.linspace(0.0, 1.0, 37)
+        # other_xs changes the shape of u*, so the workspace is renewed, and
+        # renewed again on the call after it
+        for t, xs in [(0.0, sys.grid.x), (0.05, sys.grid.x), (0.4, sys.grid.x),
+                      (1.7, sys.grid.x), (0.4, other_xs), (0.9, sys.grid.x)]:
+            got = sys.forcing(xs, t)
+            assert got.shape == (2, len(xs))
+            assert got.tobytes() == self.expected(sys, case, xs, t).tobytes(), t
+
+    def test_calls_return_fresh_arrays(self):
+        sys = self.system(two_component_case())
+        first = sys.forcing(sys.grid.x, 0.3)
+        kept = first.copy()
+        second = sys.forcing(sys.grid.x, 0.3)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes() == second.tobytes()
+
+    def test_finite_state_whose_sum_overflows_is_accepted(self):
+        # the finiteness check sums first; an overflowing sum of finite
+        # entries must not pass for a non-finite state
+        case = ManufacturedCase(solution=lambda x, t: np.full((2, len(x)), 1e306),
+                                time_derivative=lambda x, t: np.zeros((2, len(x))),
+                                laplacian=lambda x, t: np.zeros((2, len(x))))
+        sys = self.system(case, n=201)
+        xs = sys.grid.x
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(case.solution(xs, 0.5).sum())
+        got = sys.forcing(xs, 0.5)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == self.expected(sys, case, xs, 0.5).tobytes()
+
+    def broken_system(self, corrupt):
+        """The system of two_component_case whose solution passes through
+        ``corrupt`` after t = 0, so that the initial field is valid."""
+        case = two_component_case()
+
+        def solution(x, t):
+            u = case.solution(x, t)
+            return corrupt(u) if t > 0.0 else u
+        return self.system(dataclasses.replace(case, solution=solution))
+
+    def test_wrong_component_count_rejected(self):
+        sys = self.broken_system(lambda u: u[:1])
+        with pytest.raises(ValueError, match="^state must have 2 leading components$"):
+            sys.forcing(sys.grid.x, 0.2)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_state_rejected(self, bad):
+        def corrupt(u):
+            u[1, 7] = bad
+            return u
+        sys = self.broken_system(corrupt)
+        with pytest.raises(ValueError, match="^state must be finite$"):
+            sys.forcing(sys.grid.x, 0.2)
