@@ -177,23 +177,18 @@ def verify_pointwise_bound(traj: Trajectory, us: UpperSolution,
                            tol: Optional[float] = None) -> list:
     """All recorded (t, x, component) points where the trajectory escapes the
     barrier, above v or below -v.  Empty list means the bound holds."""
-    if not traj.snapshots:
-        raise ValueError("trajectory carries no snapshots")
-    grid = traj.snapshots[0].grid
-    xs = grid.x
-    n_comp = traj.snapshots[0].n_components
-    bound = us.bound_at(xs, n_comp)
+    vals = traj.states
+    xs = traj.grid.x
+    bound = us.bound_at(xs, vals.shape[1])
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.max(np.abs(bound))))
-    vals = np.stack([snap.values for snap in traj.snapshots])
     outside = (vals > bound + tol) | (vals < -bound - tol)
     # nonzero walks snapshots, then components, then nodes: the order of a
     # snapshot-by-snapshot scan
     i, comp, j = np.nonzero(outside)
-    times = np.asarray(traj.snapshot_times, dtype=float)
     return [PointwiseViolation(*row) for row in zip(
-        times[i].tolist(), xs[j].tolist(), comp.tolist(), vals[i, comp, j].tolist(),
-        bound[comp, j].tolist())]
+        traj.snapshot_times[i].tolist(), xs[j].tolist(), comp.tolist(),
+        vals[i, comp, j].tolist(), bound[comp, j].tolist())]
 
 
 def h2_monitor(traj: Trajectory) -> tuple[float, float]:

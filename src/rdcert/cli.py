@@ -2,10 +2,11 @@
 run-theorem, convergence-test, estimate-constants.
 
 Every command reads one config file and writes its outputs (report.json,
-CSV series, optional SVG plots) into --out.  Exit codes: 0 all checks passed,
-1 usage or config error, 2 hypotheses failed or scenario not applicable,
-3 envelope or bound violated.  report.json is byte-reproducible; wall-clock
-metadata goes to run_meta.json.
+CSV series, simulate's snapshots.npy, optional SVG plots) into --out.  Exit
+codes: 0 all checks passed, 1 usage or config error, 2 hypotheses failed or
+scenario not applicable, 3 envelope or bound violated.  report.json is
+byte-reproducible; wall-clock metadata, the command and its exit code go to
+run_meta.json, written on every exit once --out exists.
 """
 
 from __future__ import annotations
@@ -86,19 +87,24 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out = code = None
     try:
         cfg = parse_config(args.config)
         if args.grid_points is not None:
             cfg.values["theorem"]["grid_points"] = parse_value(
                 "theorem", "grid_points", args.grid_points)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         code = args.func(cfg, out, args)
-        write_run_meta(out / "run_meta.json", {"command": args.command})
-        return code
     except (ValueError, UsageError) as exc:  # ConfigError and the library's input checks
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
+    finally:
+        # every exit once --out exists; exit_code stays null on an uncaught error
+        if out is not None:
+            write_run_meta(out / "run_meta.json", {"command": args.command,
+                                                   "exit_code": code})
+    return code
 
 
 def _run_params(cfg: RunConfig, args):
@@ -113,15 +119,6 @@ def _run_params(cfg: RunConfig, args):
 def _write_trajectory_csv(path, traj):
     write_csv(path, ["t", "g", "sup", "h1_semi", "h2"],
               [traj.times, traj.g, traj.sup, traj.h1_semi, traj.h2])
-
-
-def _write_snapshots(out: Path, traj):
-    snap_dir = out / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
-    for t, snap in zip(traj.snapshot_times, traj.snapshots):
-        name = snap_dir / f"t_{t:012.6f}.csv"
-        header = ["x"] + [f"u{i + 1}" for i in range(snap.n_components)]
-        write_csv(name, header, [snap.grid.x, *snap.values])
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +138,8 @@ def _cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
         print(f"blow-up at t = {exc.time:.6g}; reported", file=sys.stderr)
         return EXIT_OK  # a reportable outcome, not a failed check
     _write_trajectory_csv(out / "series.csv", traj)
-    _write_snapshots(out, traj)
+    np.save(out / "snapshots.npy", traj.states)
+    write_csv(out / "snapshot_times.csv", ["t"], [traj.snapshot_times])
     write_report(out / "report.json", {
         "status": "completed",
         "final": {"t": traj.times[-1], "g": traj.g[-1], "sup": traj.sup[-1],

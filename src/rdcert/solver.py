@@ -88,7 +88,11 @@ class SystemSpec:
 
 @dataclass
 class Trajectory:
-    """Discrete solution record: per-step norm series plus thinned snapshots."""
+    """Discrete solution record: per-step norm series plus thinned snapshots.
+
+    The snapshots are one array ``states`` of shape (k, n_components, grid.n),
+    row i being the state at ``snapshot_times[i]``.
+    """
 
     times: np.ndarray
     l2: np.ndarray
@@ -97,8 +101,14 @@ class Trajectory:
     h2: np.ndarray
     lp1: np.ndarray  # integral of |u|**(p+1), for the energy-inequality check
     snapshot_times: np.ndarray
-    snapshots: list
+    grid: Grid1D
+    states: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def snapshots(self) -> tuple:
+        """One :class:`Field` per row of ``states``, each a view of its row."""
+        return tuple(Field._trusted(self.grid, row) for row in self.states)
 
     @property
     def g(self) -> np.ndarray:
@@ -296,15 +306,18 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
     """Advance the system to time T, recording norms every step.
 
     ``T`` is rounded to a whole number of steps of size ``dt`` (default
-    min(1e-3, h)).  Snapshots of the full field are kept every
-    ``record_every`` steps (default about 2000 over the run) plus the final
-    state.  Blow-up raises :class:`BlowUpError` carrying the failure time;
-    non-finite values are never recorded.  Norms are computed a block of
-    steps at a time; errors are still raised in step order.
+    min(1e-3, h)).  The full field is kept at step 0, at every
+    ``record_every``-th step (default about 2000 over the run) and at the
+    last step, in ``Trajectory.states``: one array of shape
+    (k, n_components, grid.n) allocated before the first step.  Blow-up
+    raises :class:`BlowUpError` carrying the failure time; non-finite values
+    are never recorded.  Norms are computed a block of steps at a time;
+    errors are still raised in step order.
 
     Each step writes its state straight into one of two blocks of states,
     which alternate: the step after a block's norms reads that block's last
-    state and writes into the other.  Only the snapshots kept are copied.
+    state and writes into the other.  A kept state is copied into its row of
+    ``states``.
     """
     if T <= 0.0:
         raise ValueError("final time T must be positive")
@@ -326,8 +339,10 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
     block_len = max(1, _NORM_BLOCK_BYTES // initial.nbytes)
     plan = _StepPlan(sys, times[:-1], dt, scheme, block_len)
     series = np.empty((5, n_steps + 1))  # l2, sup, h1_semi, h2, lp1
-    snapshot_times = [0.0]
-    snapshots = [Field._trusted(grid, initial.copy())]
+    kept = np.unique(np.append(np.arange(0, n_steps + 1, record_every), n_steps))
+    states = np.empty((len(kept),) + initial.shape)
+    states[0] = initial
+    row = 1  # the next row of `states` to write
 
     block, spare = np.empty((2, block_len) + initial.shape)
     block[0] = initial
@@ -336,12 +351,12 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
 
     def flush():
         nonlocal count, done
-        first, states = done, block[:count]
+        first, pending = done, block[:count]
         done += count
         count = 0
         rows = series[:, first:done]
         with np.errstate(over="ignore", invalid="ignore"):
-            rows[:] = _norm_rows(states, grid, weights, lp_exp, plan.scratch).T
+            rows[:] = _norm_rows(pending, grid, weights, lp_exp, plan.scratch).T
         finite = np.isfinite(rows).all(axis=0)
         if not finite.all():
             # finite state whose squared norms overflow: treat as blow-up,
@@ -358,9 +373,9 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
                 values = plan.advance(values, step - 1, block[count])
                 count += 1
                 if step % record_every == 0 or step == n_steps:
-                    snapshot_times.append(float(times[step]))
                     # the block is written again two blocks later
-                    snapshots.append(Field._trusted(grid, values.copy()))
+                    states[row] = values
+                    row += 1
         flush()
     except Exception:
         # the buffered states come before the failing step: if the norms of
@@ -378,7 +393,7 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
                 "reaction_evals": plan.reaction_evals}
     l2, sup, h1, h2, lp1 = series
     return Trajectory(times=times, l2=l2, sup=sup, h1_semi=h1, h2=h2, lp1=lp1,
-                      snapshot_times=np.asarray(snapshot_times), snapshots=snapshots,
+                      snapshot_times=times[kept], grid=grid, states=states,
                       metadata=metadata)
 
 
@@ -453,7 +468,7 @@ def _final_error(sys: SystemSpec, case: ManufacturedCase, T: float, dt: float,
                  scheme: Scheme) -> float:
     traj = simulate(sys, T, dt=dt, record_every=10 ** 9, scheme=scheme)
     exact = np.atleast_2d(np.asarray(case.solution(sys.grid.x, traj.metadata["T"]), dtype=float))
-    diff = traj.snapshots[-1].values - exact
+    diff = traj.states[-1] - exact
     return norms_from_values(diff, sys.grid).l2
 
 
@@ -470,14 +485,17 @@ class ConvergenceReport:
 
 
 def _fit_order(steps, errors, what: str):
+    """Slope of log error against log step over the levels as listed; the
+    errors must fall as the step shrinks, whatever order the levels are in."""
+    steps = np.asarray(steps, dtype=float)
     errors = np.asarray(errors, dtype=float)
     scale = max(float(np.max(errors)), 0.0)
     if scale < 1e-12:
         return math.inf, "exact"
-    if np.any(np.diff(errors) >= 0.0):
+    if np.any(np.diff(errors[np.argsort(-steps, kind="stable")]) >= 0.0):
         raise InconclusiveOrderError(
             f"{what} errors do not decrease monotonically: {errors.tolist()}")
-    slope = np.polyfit(np.log(np.asarray(steps, dtype=float)), np.log(errors), 1)[0]
+    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     return float(slope), "measured"
 
 

@@ -109,8 +109,7 @@ class TestVerifyPointwise:
         bound = us.bound_at(g.x, 2)
         tol = 1e-9
         expected = []
-        for t, snap in zip(traj.snapshot_times, traj.snapshots):
-            vals = snap.values
+        for t, vals in zip(traj.snapshot_times, traj.states):
             for comp, j in zip(*np.nonzero((vals > bound + tol) | (vals < -bound - tol))):
                 expected.append(PointwiseViolation(
                     t=float(t), x=float(g.x[j]), component=int(comp),

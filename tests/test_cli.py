@@ -11,7 +11,8 @@ import pytest
 
 import rdcert.cli
 from rdcert.cli import main
-from rdcert.config import ConfigError, build_initial, parse_config, parse_matrix
+from rdcert.config import ConfigError, build_initial, build_system, parse_config, parse_matrix
+from rdcert.solver import simulate
 
 TH31_CFG = """
 [domain]
@@ -191,6 +192,7 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # nor a run_meta.json in it
 
     def test_dispersion_modes_past_the_samples(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DISPERSION_CFG + "\n[dispersion]\nk_max = 1e9\n")
@@ -309,6 +311,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "config error: [theorem].grid_points: need at least 2 grid points\n"
 
+    @pytest.mark.parametrize("cfg_text, which, old, new, code", [
+        # a ConfigError raised after the simulation, inside the command
+        (TH34_CFG, "3.4", "mu_split = 0.5", "mu_split = 1.5", 1),
+        (TH31_CFG, "3.1", "matrix = 1.0", "matrix = 5.0", 2),
+        (TH31_CFG, "3.1", "[run]", "[theorem]\nenvelope_slack = -0.5\n\n[run]", 3),
+    ], ids=["config-error", "not-applicable", "envelope"])
+    def test_run_meta_on_every_exit(self, tmp_path, capsys, cfg_text, which, old, new, code):
+        assert old in cfg_text
+        out = tmp_path / "out"
+        assert main(["run-theorem", which, "--config",
+                     write_cfg(tmp_path, cfg_text.replace(old, new)), "--out", str(out)]) == code
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["command"] == "run-theorem"
+        assert meta["exit_code"] == code
+        assert (out / "report.json").exists() == (code != 1)
+
     def test_theorem_alpha_factor_is_unknown(self, tmp_path, capsys):
         text = TH31_CFG + "\n[theorem]\nalpha_factor = 1.0\n"
         code = main(["run-theorem", "3.1", "--config", write_cfg(tmp_path, text),
@@ -396,7 +414,40 @@ class TestCommandOutputs:
         assert series[0] == "t,g,sup,h1_semi,h2"
         assert len(series) == 252  # header + 251 steps
         assert (out / "plots_norms.svg").exists()
-        assert any((out / "snapshots").iterdir())
+        # the snapshots are one .npy array and one column of times
+        cfg = parse_config(path)
+        traj = simulate(build_system(cfg), cfg.require("run", "T"), dt=cfg.get("run", "dt"),
+                        record_every=cfg.get("run", "record_every"),
+                        scheme=cfg.get("run", "scheme"))
+        stored = np.load(out / "snapshots.npy")
+        assert stored.dtype == traj.states.dtype and stored.shape == traj.states.shape
+        assert stored.tobytes() == traj.states.tobytes()
+        times = (out / "snapshot_times.csv").read_text().splitlines()
+        assert times[0] == "t"
+        assert [float(t) for t in times[1:]] == traj.snapshot_times.tolist()
+        assert not (out / "snapshots").exists()
+        again = tmp_path / "again"
+        assert main(["simulate", "--config", path, "--out", str(again)]) == 0
+        for name in ("snapshots.npy", "snapshot_times.csv", "series.csv", "report.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_restart_from_snapshots(self, tmp_path):
+        # README's recipe: a kept state written as an x, u1, ..., un CSV for ic = file(path)
+        from rdcert import Grid1D
+        from rdcert.reporting import write_csv
+        path = write_cfg(tmp_path, TH34_CFG)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        states = np.load(out / "snapshots.npy")
+        assert states.shape == (51, 2, 64)
+        x = Grid1D(4.0, 64, "dirichlet").x
+        restart = tmp_path / "restart.csv"
+        write_csv(restart, ["x"] + [f"u{i + 1}" for i in range(states.shape[1])],
+                  [x, *states[-1]])
+        cfg = parse_config(write_cfg(tmp_path, TH34_CFG.replace(
+            "ic = mode(1, 0.1, 0.1)", f"ic = file({restart})"), name="restart.cfg"))
+        assert build_initial(cfg, build_system(cfg).grid, 2).values.tobytes() == \
+            states[-1].tobytes()
 
     def test_simulate_reports_blow_up(self, tmp_path):
         text = TH31_CFG.replace("matrix = 1.0", "matrix = 4000.0").replace(
@@ -459,6 +510,21 @@ class TestCommandOutputs:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not caught
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_convergence_levels_in_any_order(self, tmp_path):
+        # the errors fall as the step shrinks, whichever way the levels are listed
+        text = (DEMO_CONFIGS / "convergence.cfg").read_text()
+        old = "time_dts = 0.2,0.1,0.05,0.025"
+        assert old in text
+        path = write_cfg(tmp_path, text.replace(old, "time_dts = 0.025,0.05,0.1,0.2"))
+        out = tmp_path / "out"
+        assert main(["convergence-test", "--config", path, "--out", str(out)]) == 0
+        report = read_report(out)
+        assert report["pass"] is True
+        assert report["time_dts"] == [0.025, 0.05, 0.1, 0.2]
+        errors = report["time_errors"]
+        assert errors == sorted(errors)
+        assert report["p_time"] == pytest.approx(2.0, abs=0.1)
 
     def test_report_reproducibility(self, tmp_path):
         path = write_cfg(tmp_path, TH31_CFG.replace("T = 10.0", "T = 1.0")

@@ -111,7 +111,7 @@ class TestStepAndSimulate:
             return simulate(sys, 0.2, dt=1e-3, seed=seed)
         a, b, c = run(1), run(1), run(2)
         assert np.array_equal(a.g, b.g)
-        assert np.array_equal(a.snapshots[-1].values, b.snapshots[-1].values)
+        assert np.array_equal(a.states, b.states)
         assert not np.array_equal(a.g, c.g)
 
     def test_blow_up_reports_time(self):
@@ -132,15 +132,30 @@ class TestStepAndSimulate:
                 state = step_imex(state, 1e-3 * i, 1e-3, sys)
         assert later.value.time > exc.value.time
 
-    def test_series_and_snapshot_bookkeeping(self):
+    @pytest.mark.parametrize("record_every", [1, 3, 7, 20, 100, 10 ** 9])
+    def test_series_and_snapshot_bookkeeping(self, record_every):
         sys = diffusion_system(n=32)
-        traj = simulate(sys, 0.1, dt=1e-3, record_every=20)
-        assert len(traj.times) == 101
+        n = 100
+        traj = simulate(sys, 0.1, dt=1e-3, record_every=record_every)
+        assert len(traj.times) == n + 1
         assert np.all(np.diff(traj.times) > 0)
-        assert traj.snapshot_times[0] == 0.0
+        # step 0, every record_every-th step and the last step, as listed
+        # one kept state at a time
+        expected = [0.0] + [float(traj.times[s]) for s in range(1, n + 1)
+                            if s % record_every == 0 or s == n]
+        assert traj.snapshot_times.tolist() == expected
         assert traj.snapshot_times[-1] == pytest.approx(0.1)
-        assert len(traj.snapshots) == len(traj.snapshot_times)
+        assert traj.states.shape == (len(expected), 1, 32)
+        assert traj.grid == sys.grid
+        assert np.array_equal(traj.states[0], sys.initial.values)
+        snaps = traj.snapshots
+        assert len(snaps) == len(expected)
+        for i, snap in enumerate(snaps):
+            assert snap.grid == sys.grid
+            assert np.shares_memory(snap.values, traj.states[i])
+            assert snap.values.shape == (1, 32)
         assert traj.metadata["dt"] == 1e-3
+        assert traj.metadata["record_every"] == record_every
         assert np.all(np.isfinite(traj.g))
 
     def test_argument_validation(self):
@@ -302,9 +317,9 @@ class TestStepFormula:
         bound instead and only the rest of the deviation to 1e-12."""
         traj = simulate(sys, T, dt=dt, record_every=1, scheme=scheme)
         states = crank_nicolson_reference(sys, T, dt, scheme)
-        assert len(traj.snapshots) == len(states)
-        for snap, ref in zip(traj.snapshots, states):
-            dev = snap.values - ref
+        assert len(traj.states) == len(states)
+        for got, ref in zip(traj.states, states):
+            dev = got - ref
             size = np.max(np.abs(ref))
             if offset_rtol is not None:
                 offset = dev.mean(axis=1, keepdims=True)
@@ -399,7 +414,7 @@ class TestWorkspace:
         assert (B > 1) == (n == 128)
         n_steps = max(1, {"B-1": B - 1, "B": B, "B+1": B + 1, "2B+1": 2 * B + 1}[steps])
         traj = simulate(sys, n_steps * self.DT, dt=self.DT, record_every=1, scheme=scheme)
-        assert len(traj.snapshots) == n_steps + 1
+        assert len(traj.states) == n_steps + 1
         got = np.array([traj.l2, traj.sup, traj.h1_semi, traj.h2, traj.lp1]).T
         state = sys.initial
         for i in range(n_steps + 1):
@@ -409,7 +424,7 @@ class TestWorkspace:
             row = np.append(norms_batch(states, sys.grid)[0],
                             lp_integrals(states, sys.grid, sys.kinetics.p + 1.0))
             assert traj.snapshot_times[i] == traj.times[i]
-            assert traj.snapshots[i].values.tobytes() == state.values.tobytes(), i
+            assert traj.states[i].tobytes() == state.values.tobytes(), i
             assert got[i].tobytes() == row.tobytes(), i
 
     @pytest.mark.parametrize("scheme", ["one_stage", "two_stage"])
@@ -551,6 +566,33 @@ class TestManufactured:
         with pytest.raises(InconclusiveOrderError):
             from rdcert.solver import _fit_order
             _fit_order([0.1, 0.05, 0.025], [1.0, 2.0, 0.5], "test")
+
+    def test_monotonicity_follows_the_step_not_the_listing(self):
+        from rdcert.solver import _fit_order
+        steps, errors = [0.2, 0.1, 0.05, 0.025], [1.6e-3, 4e-4, 1e-4, 2.5e-5]
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
+            p, label = _fit_order([steps[i] for i in order], [errors[i] for i in order], "t")
+            assert label == "measured"
+            assert p == pytest.approx(2.0, rel=1e-12)
+        with pytest.raises(InconclusiveOrderError, match=r"\[0.0016, 0.0004, 0.0001, 2.5e-05\]"):
+            # ascending steps whose errors also fall: not a convergent refinement
+            _fit_order(steps[::-1], errors, "t")
+
+    def test_ascending_time_dts_give_the_same_order(self):
+        case = decaying_sine_case()
+        kin = KineticsSpec(n_components=1)
+        common = dict(T=0.5, space_ns=(16, 32), space_dt=1e-2, time_n=401)
+        down = convergence_orders(case, kin, (CONST_D,), time_dts=(0.25, 0.125, 0.0625),
+                                  **common)
+        up = convergence_orders(case, kin, (CONST_D,), time_dts=(0.0625, 0.125, 0.25),
+                                **common)
+        # each level's error does not depend on the listing, only the fit's
+        # rounding does; the report keeps the levels as listed
+        assert up.time_dts == (0.0625, 0.125, 0.25)
+        assert up.time_errors == down.time_errors[::-1]
+        assert up.time_label == down.time_label == "measured"
+        assert up.p_time == pytest.approx(down.p_time, rel=1e-12)
+        assert down.p_time == pytest.approx(2.0, abs=0.15)
 
     def test_manufactured_initial_matches_solution(self):
         g = Grid1D(1.0, 33)
