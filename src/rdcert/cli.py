@@ -25,13 +25,14 @@ from .config import ConfigError, RunConfig, build_system, parse_config, parse_va
 from .grid import poincare_constant
 from .inequality import (Certificate, ScalarProblem, check_certificate, growth_residual,
                          verify_envelope)
-from .profiles import effective_c0, eval_profile, reaction_sup_bound, symmetric_part_max
+from .profiles import (ProfileSum, effective_c0, eval_profile, reaction_sup_bound,
+                       symmetric_part_max)
 from .reporting import svg_line_plot, write_csv, write_report, write_run_meta
 from .scenarios import (ScenarioInputs, ScenarioNotApplicable, bounded_neumann_scenario,
-                        comparison_exponent, exponential_decay_scenario,
+                        comparison_exponent, comparison_sigma, exponential_decay_scenario,
                         modulated_scenario, power_decay_scenario)
-from .solver import BlowUpError, convergence_orders, dissipation_rates, \
-    InconclusiveOrderError, ManufacturedCase, simulate
+from .solver import BlowUpError, convergence_orders, InconclusiveOrderError, \
+    ManufacturedCase, simulate
 from .stability import Linearization2, dispersion_scan, turing_conditions
 
 EXIT_OK = 0
@@ -211,15 +212,14 @@ def _cmd_dispersion(cfg: RunConfig, out: Path, args) -> int:
 # check-certificate
 # ---------------------------------------------------------------------------
 
-def _sigma_function(sys_spec):
-    """sigma(t) = c(Omega) * min_i d_i(t) + gamma(t) for the configured system."""
-    c_omega = poincare_constant(sys_spec.grid)
-
-    def sigma(ts):
-        d_min, gamma = dissipation_rates(sys_spec, np.atleast_1d(np.asarray(ts, dtype=float)))
-        result = c_omega * d_min + gamma
-        return float(result[0]) if np.ndim(ts) == 0 else result
-    return sigma
+def _system_sigma(sys_spec) -> ProfileSum:
+    """sigma(t) = c(Omega) min_i d_i(t) - lambda_max((A + A^T)/2) phi(t).  The
+    configured diffusion profiles differ only in v0, so the smallest v0 gives
+    the pointwise minimum."""
+    kin = sys_spec.kinetics
+    d_min = min(sys_spec.diffusion, key=lambda d: d.v0)
+    return comparison_sigma(poincare_constant(sys_spec.grid), d_min,
+                            symmetric_part_max(kin.linear), kin.modulation)
 
 
 def _alpha_factor_from_config(cfg: RunConfig, kin) -> float:
@@ -263,9 +263,8 @@ def _cmd_check_certificate(cfg: RunConfig, out: Path, args) -> int:
     g0 = discrete_norms(sys_spec.initial).l2
     kin = sys_spec.kinetics
     factor = _alpha_factor_from_config(cfg, kin)
-    c0_eff = effective_c0(kin)
-    problem = ScalarProblem(sigma=_sigma_function(sys_spec),
-                            alpha=lambda t: factor * np.asarray(c0_eff(t), dtype=float),
+    problem = ScalarProblem(sigma=_system_sigma(sys_spec),
+                            alpha=ProfileSum(((factor, (effective_c0(kin),)),)),
                             q=comparison_exponent(kin.p), g0=g0)
     cert = _certificate_from_config(cfg, g0 if g0 > 0 else 1.0)
     report = check_certificate(problem, cert, horizon=T,
@@ -319,9 +318,8 @@ def _scenario_inputs(which: str, cfg: RunConfig, sys_spec, g0: float,
     kin = sys_spec.kinetics
     L = sys_spec.grid.L
     bc = sys_spec.grid.bc
-    c0_eff = effective_c0(kin)
     lam = symmetric_part_max(kin.linear)
-    common = dict(L=L, bc=bc, p=kin.p, g0=g0, c0=c0_eff, alpha_factor=alpha_factor)
+    common = dict(L=L, bc=bc, p=kin.p, g0=g0, c0=effective_c0(kin), alpha_factor=alpha_factor)
 
     if which == "3.1":
         if kin.modulation.kind != "constant":
@@ -573,6 +571,11 @@ def _cmd_convergence(cfg: RunConfig, out: Path, args) -> int:
         write_report(out / "report.json", {"status": "inconclusive", "reason": str(exc)})
         print(f"inconclusive refinement: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESES
+    except BlowUpError as exc:
+        write_report(out / "report.json",
+                     {"status": "blow_up", "time_of_failure": exc.time})
+        print(f"blow-up at t = {exc.time:.6g}: no order can be fitted", file=sys.stderr)
+        return EXIT_ENVELOPE
     time_threshold = 1.9 if scheme == "two_stage" else 0.9
     passed = (report.p_space >= 1.9) and (report.p_time >= time_threshold)
     write_report(out / "report.json", {

@@ -106,7 +106,8 @@ def mode_field(grid: Grid1D, mode: int, amplitudes: Union[float, Sequence[float]
         raise ValueError("mode number must be nonnegative")
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     shape = np.sin if grid.bc == "dirichlet" else np.cos
-    profile = shape(mode * np.pi * grid.x / grid.L)
+    with np.errstate(over="ignore", invalid="ignore"):  # L near the double range: Field
+        profile = shape(mode * np.pi * grid.x / grid.L)  # rejects the nan values
     return Field(grid, amps[:, None] * profile[None, :])
 
 

@@ -10,6 +10,7 @@ nonlinearity ``B``; it does not depend on the position x.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Literal, NamedTuple, Optional, Union
@@ -18,7 +19,7 @@ import numpy as np
 
 ProfileKind = Literal["constant", "power_decay", "power_growth", "exponential", "tabulated"]
 TimeLike = Union[float, np.ndarray]
-ProfileLike = Union["TimeProfile", Callable[[TimeLike], TimeLike]]
+ProfileLike = Union["TimeProfile", "ProfileSum", Callable[[TimeLike], TimeLike]]
 
 _PARAMETRIC_KINDS = ("constant", "power_decay", "power_growth", "exponential")
 
@@ -118,6 +119,36 @@ class TimeProfile:
     def __call__(self, t: TimeLike) -> TimeLike:
         return eval_profile(self, t)
 
+    def _values(self, t):
+        """The value at a checked time t: Python float arithmetic for a float
+        t, else a new array (one float for a constant profile).  Skipping a
+        factor v0 = 1, and an offset 0 after v0 > 0 (no -0 to turn +0), is exact."""
+        kind = self.kind
+        if kind == "constant":
+            val = self.v0 + self.offset
+        elif kind == "tabulated":
+            if np.any(t > self.table[-1, 0]):
+                raise ValueError(f"tabulated profile queried outside [0, {self.t_max:g}]")
+            val = np.interp(t, self.table[:, 0], self.table[:, 1])
+            val += self.offset
+        else:
+            if kind == "exponential":  # a 0-d t gives a numpy scalar, not an array
+                val = self.rate * t
+                if not isinstance(t, np.ndarray):
+                    val = math.exp(val)
+                else:
+                    val = np.exp(val, out=val) if t.ndim else np.exp(val)
+            else:
+                val = 1.0 + t
+                val **= -self.exponent if kind == "power_decay" else self.exponent
+            if self.v0 != 1.0:
+                val *= self.v0
+            if not (self.offset == 0.0 and self.v0 > 0.0):
+                val += self.offset
+        if self.positive and np.size(t) and np.any(val <= 0.0):
+            raise ValueError("profile declared positive evaluated to a value <= 0")
+        return val
+
 
 # Points per block when a dense grid of times or wavenumbers is evaluated:
 # 2^15 doubles (256 kB) per temporary, so the few temporaries of one block
@@ -151,53 +182,71 @@ def _grid_block(horizon: float, n: int, block: slice) -> np.ndarray:
 
 def eval_profile(profile: TimeProfile, t: TimeLike) -> TimeLike:
     """Evaluate ``profile`` at a scalar or array time t >= 0."""
+    return _evaluate(profile._values, t)
+
+
+def _evaluate(values, t: TimeLike) -> TimeLike:
+    """``values(t)`` at a checked time t >= 0: a float for a scalar t, else an
+    array of t's shape, where values past the double range read inf."""
     if isinstance(t, (float, int)):  # fast scalar path (np.float64 subclasses float)
-        if not math.isfinite(t):
-            raise ValueError("evaluation time must be finite")
-        if t < 0.0:
-            raise ValueError("profiles are defined for t >= 0")
-        kind = profile.kind
-        if kind == "constant":
-            out = profile.v0 + profile.offset
-        elif kind == "power_decay":
-            out = profile.v0 * (1.0 + t) ** (-profile.exponent) + profile.offset
-        elif kind == "power_growth":
-            out = profile.v0 * (1.0 + t) ** profile.exponent + profile.offset
-        elif kind == "exponential":
-            out = profile.v0 * math.exp(profile.rate * t) + profile.offset
-        else:
-            t_top = profile.table[-1, 0]
-            if t > t_top:
-                raise ValueError(f"tabulated profile queried outside [0, {t_top:g}]")
-            out = float(np.interp(t, profile.table[:, 0], profile.table[:, 1])) + profile.offset
-        if profile.positive and out <= 0.0:
-            raise ValueError("profile declared positive evaluated to a value <= 0")
-        return float(out)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    if not np.all(np.isfinite(t_arr)):
-        raise ValueError("evaluation time must be finite")
-    if np.any(t_arr < 0.0):
-        raise ValueError("profiles are defined for t >= 0")
-    kind = profile.kind
-    if kind == "constant":
-        val = np.full(t_arr.shape, profile.v0 + profile.offset)
-    elif kind == "power_decay":
-        val = profile.v0 * (1.0 + t_arr) ** (-profile.exponent) + profile.offset
-    elif kind == "power_growth":
-        val = profile.v0 * (1.0 + t_arr) ** profile.exponent + profile.offset
-    elif kind == "exponential":
-        val = profile.v0 * np.exp(profile.rate * t_arr) + profile.offset
-    else:
-        t_top = profile.table[-1, 0]
-        if np.any(t_arr > t_top):
-            raise ValueError(f"tabulated profile queried outside [0, {t_top:g}]")
-        val = np.interp(t_arr, profile.table[:, 0], profile.table[:, 1]) + profile.offset
-    if profile.positive and np.any(val <= 0.0):
-        raise ValueError("profile declared positive evaluated to a value <= 0")
-    return float(val) if scalar else val
+        if not (0.0 <= t < math.inf):
+            raise ValueError("evaluation time must be finite" if not math.isfinite(t)
+                             else "profiles are defined for t >= 0")
+        return float(values(t))
+    t = np.asarray(t, dtype=float)
+    # two reductions and no temporary array when the times are valid
+    if t.size and not (t.min() >= 0.0 and t.max() < math.inf):
+        raise ValueError("evaluation time must be finite" if not np.all(np.isfinite(t))
+                         else "profiles are defined for t >= 0")
+    with np.errstate(over="ignore"):
+        val = values(t)
+    if t.ndim == 0:
+        return float(val)
+    return np.full(t.shape, val) if np.ndim(val) == 0 else val
 
 
+@dataclass(frozen=True)
+class ProfileSum:
+    """sum_i w_i * prod_j f_ij(t), from ``terms`` = ((w_i, (f_i1, f_i2, ...)), ...).
+
+    A factor is a :class:`TimeProfile`, a ProfileSum or a plain callable of t.
+    Terms are taken left to right and added in order, so the sum gives the
+    formula it is written from bit for bit; t is checked once.  The empty sum
+    is 0.
+    """
+
+    terms: tuple = ()
+
+    def __post_init__(self):
+        terms = tuple((float(w), tuple(factors)) for w, factors in self.terms)
+        if not all(math.isfinite(w) for w, _ in terms):
+            raise ValueError("profile sum weights must be finite")
+        object.__setattr__(self, "terms", terms)
+
+    def __call__(self, t: TimeLike) -> TimeLike:
+        return _evaluate(self._values, t)
+
+    def _values(self, t):
+        """The sum at a checked time t, as :meth:`TimeProfile._values`; products
+        and sums go in place into the arrays made here (x * w is w * x bit for bit)."""
+        total = 0.0
+        for i, (weight, factors) in enumerate(self.terms):
+            val = weight
+            for f in factors:
+                if isinstance(f, (TimeProfile, ProfileSum)):
+                    val = _in_place(operator.imul, val, f._values(t))
+                else:  # a plain callable's result is not ours to write into
+                    val = val * as_time_function(f)(t)
+            total = val if i == 0 else _in_place(operator.iadd, total, val)
+        return total
+
+
+def _in_place(op, a, b):
+    """op(a, b), op commutative, written into a or b if one is an array."""
+    return op(b, a) if isinstance(b, np.ndarray) and not isinstance(a, np.ndarray) else op(a, b)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # past the double range: inf, inf * 0: nan
 def profile_derivative(profile: TimeProfile, t: TimeLike) -> TimeLike:
     """d/dt of a profile; analytic for parametric kinds, refined differences for tables."""
     t_arr = np.asarray(t, dtype=float)
@@ -239,9 +288,10 @@ def _table_derivative(profile: TimeProfile, t: float) -> float:
 
 
 def as_time_function(profile: ProfileLike) -> Callable[[TimeLike], TimeLike]:
-    """Adapt a TimeProfile or a plain callable to a vectorized function of t."""
-    if isinstance(profile, TimeProfile):
-        return lambda t: eval_profile(profile, t)
+    """Adapt a TimeProfile or a plain callable to a vectorized function of t;
+    a profile or a ProfileSum is one already."""
+    if isinstance(profile, (TimeProfile, ProfileSum)):
+        return profile
     if callable(profile):
         def wrapped(t):
             t_arr = np.asarray(t, dtype=float)
@@ -419,7 +469,8 @@ def symmetric_part_max(m) -> float:
     abscissa for non-normal matrices, in which case negative eigenvalues do
     not give a negative quadratic form."""
     mat = np.asarray(m, dtype=float)
-    sym = 0.5 * (mat + mat.T)
+    # halving first gives 0.5 (m + m^T) bit for bit and cannot overflow
+    sym = 0.5 * mat + 0.5 * mat.T
     return float(np.linalg.eigvalsh(sym)[-1])
 
 
@@ -443,13 +494,12 @@ def coupling_gamma0(a: float, b: float, c: float, d: float) -> CouplingBound:
     return CouplingBound(float(gamma0), bool(b + c >= 0.0), float(mid + rad))
 
 
-def effective_c0(kin: KineticsSpec) -> Callable[[TimeLike], TimeLike]:
-    """c0 of the full reaction, phi(t) * c0(t) as the reaction uses it:
-    modulation folds into the nonlinearity bound, and without a nonlinearity
-    it is 0."""
-    def fn(t):
-        return eval_profile(kin.modulation, t) * reaction_c0(kin, t)
-    return fn
+def effective_c0(kin: KineticsSpec) -> ProfileSum:
+    """c0 of the full reaction, phi(t) * c0(t): modulation folds into the
+    nonlinearity bound, and without a nonlinearity it is the empty sum, 0."""
+    if kin.nonlinearity != "saturated_power":
+        return ProfileSum()
+    return ProfileSum(((1.0, (kin.modulation, kin.c0)),))
 
 
 def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float,

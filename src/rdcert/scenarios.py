@@ -28,18 +28,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .inequality import Certificate, CertificateReport, ScalarProblem, check_certificate
-from .profiles import (ProfileLike, TimeProfile, _blocks, _grid_block, as_time_function,
+from .profiles import (ProfileLike, ProfileSum, TimeProfile, _blocks, _grid_block,
                        coupling_gamma0)
 
 __all__ = [
     "ScenarioInputs", "HypothesisReport", "Scenario", "ScenarioNotApplicable",
-    "comparison_exponent", "exponential_decay_scenario", "power_decay_scenario",
-    "bounded_neumann_scenario", "modulated_scenario",
+    "comparison_exponent", "comparison_sigma", "exponential_decay_scenario",
+    "power_decay_scenario", "bounded_neumann_scenario", "modulated_scenario",
 ]
 
 
@@ -54,14 +54,27 @@ def comparison_exponent(p: float) -> float:
     return (p + 3.0) / 4.0
 
 
+def comparison_sigma(c_omega: float, d: Optional[ProfileLike], gamma0: float,
+                     phi: ProfileLike) -> ProfileSum:
+    """sigma(t) = c(Omega) d(t) - gamma0 phi(t) of the comparison inequality,
+    d the diffusion lower bound and gamma0 phi(t) the linear part's rate;
+    ``d = None`` leaves out the diffusion term (Neumann ends)."""
+    growth = (-gamma0, (phi,))
+    if d is None:
+        return ProfileSum((growth,))
+    return ProfileSum(((c_omega, (d,)), growth))
+
+
 @dataclass(frozen=True)
 class ScenarioInputs:
     """Everything a scenario constructor may need; each constructor validates
     the subset it uses.
 
     ``c0`` is the effective nonlinearity strength of the full reaction
-    (modulation folded in); ``alpha_factor`` is the measured aggregate that
-    converts it into the comparison coefficient alpha(t) = alpha_factor * c0(t).
+    (modulation folded in: :func:`rdcert.profiles.effective_c0`), any
+    ``ProfileLike``, None reading 0; ``alpha_factor`` is the measured aggregate
+    that converts it into the comparison coefficient alpha(t) = alpha_factor *
+    c0(t), the :class:`ProfileSum` :meth:`alpha` returns.
     """
 
     L: float
@@ -88,18 +101,13 @@ class ScenarioInputs:
             return (math.pi / self.L) ** 2
         return 0.0
 
-    def c0_fn(self) -> Callable:
-        if self.c0 is None:
-            return as_time_function(TimeProfile.constant(0.0))
-        return as_time_function(self.c0)
-
-    def alpha_fn(self) -> Callable:
+    def alpha(self) -> ProfileSum:
         factor = self.alpha_factor
         if not math.isfinite(factor):
             raise ScenarioNotApplicable(f"alpha_factor = {factor} is not finite: the "
                                         "measured factor is past the double range")
-        c0 = self.c0_fn()
-        return lambda t: factor * c0(t)
+        c0 = TimeProfile.constant(0.0) if self.c0 is None else self.c0
+        return ProfileSum(((factor, (c0,)),))
 
 
 @dataclass
@@ -251,20 +259,21 @@ def exponential_decay_scenario(inp: ScenarioInputs, horizon: float,
             f"not applicable: d0 c(Omega) = {inp.d0 * c_omega:.6g} does not exceed a0 = {inp.a0:.6g}")
     q = comparison_exponent(inp.p)
     nu = 0.5 * sigma0
-    alpha = inp.alpha_fn()
-    problem = ScalarProblem(sigma=TimeProfile.constant(sigma0), alpha=alpha, q=q, g0=inp.g0)
+    sigma = comparison_sigma(c_omega, TimeProfile.constant(inp.d0), inp.a0,
+                             TimeProfile.constant(1.0))
+    problem = ScalarProblem(sigma=sigma, alpha=inp.alpha(), q=q, g0=inp.g0)
 
-    # alpha-level form of the sufficient bound on c0
+    # alpha-level form of the sufficient bound on c0; past the double range, inf
+    @np.errstate(over="ignore")
     def alpha_cap(ts):
         try:
             scale = 0.5 * sigma0 * inp.g0 ** (-(q - 1.0))
         except OverflowError:  # g0**-(q-1) past the double range: the cap in logs
-            with np.errstate(over="ignore"):
-                return np.exp(math.log(0.5 * sigma0)
-                              + (q - 1.0) * (0.5 * sigma0 * ts - math.log(inp.g0)))
+            return np.exp(math.log(0.5 * sigma0)
+                          + (q - 1.0) * (0.5 * sigma0 * ts - math.log(inp.g0)))
         return scale * np.exp(0.5 * (q - 1.0) * sigma0 * ts)
 
-    growth_ok, first_bad = _grid_check(alpha, alpha_cap, horizon, grid_points)
+    growth_ok, first_bad = _grid_check(problem.alpha, alpha_cap, horizon, grid_points)
     return _certified_scenario(
         "exponential-decay", problem, Certificate.exponential(1.0 / inp.g0, nu),
         horizon, grid_points, tol,
@@ -296,13 +305,9 @@ def power_decay_scenario(inp: ScenarioInputs, horizon: float,
             f"not applicable: c(Omega) d0 = {c_omega * inp.d0:.6g} must exceed "
             f"gamma0 + m = {inp.gamma0 + inp.m:.6g}")
     q = comparison_exponent(inp.p)
-    d0, gamma0, k = inp.d0, inp.gamma0, inp.k
-
-    def sigma(ts):
-        ts = np.asarray(ts, dtype=float)
-        return c_omega * d0 / (1.0 + ts) - gamma0 * (1.0 + ts) ** (-k)
-
-    problem = ScalarProblem(sigma=sigma, alpha=inp.alpha_fn(), q=q, g0=inp.g0)
+    sigma = comparison_sigma(c_omega, TimeProfile.power_decay(inp.d0, 1.0), inp.gamma0,
+                             TimeProfile.power_decay(1.0, inp.k))
+    problem = ScalarProblem(sigma=sigma, alpha=inp.alpha(), q=q, g0=inp.g0)
     return _certified_scenario(
         "power-decay", problem, Certificate.power(1.0 / inp.g0, inp.m),
         horizon, grid_points, tol,
@@ -342,23 +347,16 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
     q = comparison_exponent(inp.p)
     gamma0, k, nu, mu0, mu1 = inp.gamma0, inp.k, inp.nu, inp.mu0, inp.mu1
     ratio_margin = nu * mu1 / mu0 - gamma0
-    alpha = inp.alpha_fn()
+    alpha = inp.alpha()
     ts_probe = np.linspace(0.0, horizon, min(grid_points, 1001))
     alpha_is_zero = float(np.max(np.abs(np.asarray(alpha(ts_probe), dtype=float)))) == 0.0
     if ratio_margin <= 0.0 and not alpha_is_zero:
         raise ScenarioNotApplicable(
             "not applicable: nu mu1 / mu0 must exceed gamma0 for a nonzero nonlinearity")
-
-    def sigma(ts):
-        return -gamma0 * (1.0 + np.asarray(ts, dtype=float)) ** (-k)
-
+    sigma = comparison_sigma(0.0, None, gamma0, TimeProfile.power_decay(1.0, k))
     problem = ScalarProblem(sigma=sigma, alpha=alpha, q=q, g0=inp.g0)
     cap = mu0 ** (q - 1.0) * ratio_margin
-
-    def weighted_alpha(ts):
-        ts = np.asarray(ts, dtype=float)
-        return (1.0 + ts) ** (nu + 1.0) * np.asarray(alpha(ts), dtype=float)
-
+    weighted_alpha = ProfileSum(((1.0, (TimeProfile.power_growth(1.0, nu + 1.0), alpha)),))
     closed_ok, first_bad = _grid_check(weighted_alpha, lambda ts: np.full(np.shape(ts), cap),
                                        horizon, grid_points)
     scenario = _certified_scenario(
@@ -405,19 +403,15 @@ def modulated_scenario(inp: ScenarioInputs, horizon: float,
     sign = d0 * c_omega - gamma0
     q = comparison_exponent(inp.p)
     phi = inp.phi
-    phi_fn = as_time_function(phi)
-    alpha = inp.alpha_fn()
     base_details = {
         "gamma0": gamma0, "gamma0_is_valid_bound": bound.gamma0 >= bound.form_max - 1e-12,
         "cross_terms_nonneg": bound.cross_nonneg, "form_max": bound.form_max,
         "d0": d0, "poincare": c_omega, "d0_c_omega": d0 * c_omega, "q": q,
         "alpha_factor": inp.alpha_factor,
     }
-
-    def sigma(ts):
-        return np.asarray(phi_fn(ts), dtype=float) * sign
-
-    problem = ScalarProblem(sigma=sigma, alpha=alpha, q=q, g0=inp.g0)
+    # comparison_sigma with d = d0 phi: (d0 c(Omega) - gamma0) phi(t)
+    problem = ScalarProblem(sigma=ProfileSum(((sign, (phi,)),)), alpha=inp.alpha(), q=q,
+                            g0=inp.g0)
 
     if sign == 0.0:
         hyp = HypothesisReport(applicable=False,

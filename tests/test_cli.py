@@ -1,18 +1,25 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdcert.cli
 from rdcert.cli import main
 from rdcert.config import ConfigError, build_initial, build_system, parse_config, parse_matrix
-from rdcert.solver import simulate
+from rdcert.grid import poincare_constant
+from rdcert.solver import dissipation_rates, simulate
 
 TH31_CFG = """
 [domain]
@@ -511,6 +518,22 @@ class TestCommandOutputs:
         assert not caught
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_convergence_blow_up_is_reported(self, tmp_path, capsys):
+        text = (DEMO_CONFIGS / "convergence.cfg").read_text()
+        assert "matrix = 0.0" in text
+        out = tmp_path / "out"
+        code = main(["convergence-test", "--config",
+                     write_cfg(tmp_path, text.replace("matrix = 0.0", "matrix = 4000.0")),
+                     "--out", str(out)])
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        report = read_report(out)
+        assert report["status"] == "blow_up"
+        assert 0.0 < report["time_of_failure"] < 1.0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["command"] == "convergence-test"
+        assert meta["exit_code"] == 3
+
     def test_convergence_levels_in_any_order(self, tmp_path):
         # the errors fall as the step shrinks, whichever way the levels are listed
         text = (DEMO_CONFIGS / "convergence.cfg").read_text()
@@ -598,3 +621,157 @@ def test_write_csv_bytes_match_value_by_value_formatting(tmp_path):
     assert path.read_bytes() == old_csv_text(header, columns).encode("utf-8")
     write_csv(path, ["empty"], [[]])
     assert path.read_bytes() == b"empty\n"
+
+
+# check-certificate needs a certificate family, and a measured alpha factor
+# where the nonlinearity is on; run-theorem picks the family of its scenario
+CERTIFICATE_KEYS = {
+    "theorem31": "\n[certificate]\nfamily = exponential\nnu = 0.5\nalpha_factor = 0.15\n",
+    "theorem32": "family = power\nalpha_factor = 0.9\n",
+    "theorem33": "family = bounded\nalpha_factor = 0.9\n",
+    "theorem34_L2": "family = power\nalpha_factor = 0.9\n",
+    "theorem34_L4": "family = bounded\nalpha_factor = 0.9\n",
+}
+
+
+def short_demo(name: str, T: str) -> str:
+    text = (DEMO_CONFIGS / f"{name}.cfg").read_text()
+    assert len(re.findall(r"(?m)^T = ", text)) == 1
+    return re.sub(r"(?m)^T = .*$", f"T = {T}", text)
+
+
+class TestOneSigma:
+    """check-certificate and run-theorem build sigma through the same
+    function, so on the same system they reach the same verdict."""
+
+    @pytest.mark.parametrize("name", ["theorem32", "theorem33", "theorem34_L2", "theorem34_L4"])
+    def test_commands_agree(self, tmp_path, name):
+        path = write_cfg(tmp_path, short_demo(name, "2.0") + CERTIFICATE_KEYS[name])
+        which = f"{name[7]}.{name[8]}"
+        main(["check-certificate", "--config", path, "--out", str(tmp_path / "cc")])
+        main(["run-theorem", which, "--config", path, "--out", str(tmp_path / "rt")])
+        checked = read_report(tmp_path / "cc")
+        theorem = read_report(tmp_path / "rt")["certificate_check"]
+        assert checked["pass"] == theorem["pass"]
+        assert checked["horizon"] == theorem["horizon"] == 2.0
+        assert checked["worst_residual"] == pytest.approx(theorem["worst_residual"],
+                                                          rel=1e-12, abs=0.0)
+
+    def test_system_sigma_is_the_dissipation_rate(self):
+        # the two-component modulated pair: c(Omega) min_i d_i(t) + gamma(t)
+        # as the energy estimate has it, bit for bit
+        sys_spec = build_system(parse_config(str(DEMO_CONFIGS / "theorem34_L4.cfg")))
+        assert len(sys_spec.diffusion) == 2
+        times = np.linspace(0.0, 50.0, 10_001)
+        d_min, gamma = dissipation_rates(sys_spec, times)
+        expected = poincare_constant(sys_spec.grid) * d_min + gamma
+        sigma = rdcert.cli._system_sigma(sys_spec)
+        assert sigma(times).tobytes() == expected.tobytes()
+        assert [sigma(float(t)) for t in times[::1000]] == \
+            [float(v) for v in expected[::1000]]
+
+
+def _fuzz_bases():
+    """(label, command, config text) of the commands whose configs are
+    mutated: run-theorem and check-certificate on each theorem demo config,
+    convergence-test on its demo config, all with short runs."""
+    bases = []
+    for name, certificate in CERTIFICATE_KEYS.items():
+        text = short_demo(name, "0.1")
+        bases.append((name, ["run-theorem", f"{name[7]}.{name[8]}"], text))
+        bases.append((f"{name}-certificate", ["check-certificate"], text + certificate))
+    bases.append(("convergence", ["convergence-test"], short_demo("convergence", "0.05")))
+    return {label: (command, text) for label, command, text in bases}
+
+
+FUZZ_BASES = _fuzz_bases()
+# 1e308 is a valid but endless run length; the other values are invalid there
+RUN_LENGTH_KEYS = {"T", "N", "grid_points", "record_every", "time_n"}
+FUZZ_VALUES = ("0", "-1", "1e308", "nan", "inf", "", "unknown-key")
+
+
+def _keys(text: str):
+    """(section, key) of every assignment in a config text."""
+    section, keys = None, []
+    for line in text.splitlines():
+        head = re.match(r"\[(\w+)\]", line)
+        if head:
+            section = head.group(1)
+        elif re.match(r"\w+ = ", line):
+            keys.append((section, line.split(" = ")[0]))
+    return keys
+
+
+def _mutated(text: str, section: str, key: str, value: str) -> str:
+    """text with [section].key set to value, or renamed to an unknown key."""
+    lines, current = text.splitlines(), None
+    for i, line in enumerate(lines):
+        head = re.match(r"\[(\w+)\]", line)
+        if head:
+            current = head.group(1)
+        elif current == section and line.startswith(f"{key} = "):
+            lines[i] = (line.replace(key, f"{key}_unknown", 1) if value == "unknown-key"
+                        else f"{key} = {value}")
+            return "\n".join(lines) + "\n"
+    raise AssertionError(f"no [{section}].{key}")
+
+
+FUZZ_MUTATIONS = [(label, section, key, value)
+                  for label, (_command, text) in FUZZ_BASES.items()
+                  for section, key in _keys(text) for value in FUZZ_VALUES
+                  if not (key in RUN_LENGTH_KEYS and value == "1e308")]
+
+
+def _run_mutation(label: str, section: str, key: str, value: str) -> int:
+    """Run one mutated config through main in process; assert an exit code
+    0-3 with a report.json, or exit 1 with one config error line, and the
+    code in run_meta.json once --out exists.  A warning or an exception out
+    of main fails."""
+    command, text = FUZZ_BASES[label]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(_mutated(text, section, key, value))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--config", str(cfg), "--out", str(out)])
+        message = err.getvalue()
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert message.startswith("config error:") and message.count("\n") == 1, message
+        else:
+            assert (out / "report.json").exists()
+        if out.exists():  # a config that does not parse stops before --out is made
+            assert json.loads((out / "run_meta.json").read_text())["exit_code"] == code
+    return code
+
+
+class TestExitCodeFuzzing:
+    """One-key mutations of the demo configs end in a documented exit code
+    and a report or a one-line message, never a traceback or a warning."""
+
+    # escapes found by the full sweep of FUZZ_MUTATIONS and fixed at their source
+    PINNED = [
+        ("convergence", "kinetics", "matrix", "1e308", 3),         # blow-up was a traceback
+        ("convergence", "diffusion", "v0", "1e308", 3),
+        ("theorem33-certificate", "kinetics", "matrix", "1e308", 2),  # lambda overflowed
+        ("theorem32-certificate", "diffusion", "v0", "1e308", 0),  # sigma past the range
+        ("theorem34_L2-certificate", "kinetics", "c0_v0", "1e308", 2),
+        ("theorem31", "diffusion", "v0", "1e308", 1),              # exp of mu and of the cap
+        ("theorem31-certificate", "certificate", "nu", "1e308", 1),
+        ("theorem34_L2", "certificate", "m", "1e308", 1),          # power of mu
+        ("theorem34_L4", "certificate", "nu", "1e308", 2),         # mu' of the bounded weight
+        ("theorem33", "certificate", "nu", "1e308", 2),            # closed-form growth bound
+        ("theorem32", "domain", "L", "1e308", 1),                  # the initial mode
+    ]
+
+    @pytest.mark.parametrize("label, section, key, value, code", PINNED,
+                             ids=[f"{p[0]}-{p[2]}" for p in PINNED])
+    def test_pinned_escape(self, label, section, key, value, code):
+        assert _run_mutation(label, section, key, value) == code
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(FUZZ_MUTATIONS))
+    def test_one_key_mutation(self, mutation):
+        _run_mutation(*mutation)

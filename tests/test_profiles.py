@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rdcert.profiles import (_BLOCK, KineticsSpec, TimeProfile, _blocks, _grid_block,
-                             coupling_gamma0, effective_c0,
+from rdcert.profiles import (_BLOCK, KineticsSpec, ProfileSum, TimeProfile, _blocks,
+                             _grid_block, as_time_function, coupling_gamma0, effective_c0,
                              eval_profile, eval_reaction, gamma_of_t, profile_derivative,
                              reaction_sup_bound, symmetric_part_max)
 
@@ -252,6 +252,7 @@ class TestHelpers:
                            c0=TimeProfile.constant(0.4),
                            modulation=TimeProfile.power_decay(2.0, 1.0))
         assert effective_c0(kin)(1.0) == pytest.approx(0.4)
+        assert effective_c0(kin) == ProfileSum(((1.0, (kin.modulation, kin.c0)),))
         # the reaction never uses c0 without a nonlinearity
         assert effective_c0(replace(kin, nonlinearity="none"))(1.0) == 0.0
 
@@ -308,3 +309,93 @@ def test_grid_block_is_linspace_bit_for_bit(n, horizon):
     assert [len(p) for p in pieces] == [len(whole[b]) for b in _blocks(n)]
     assert np.concatenate(pieces).tobytes() == whole.tobytes()
     assert pieces[-1][-1] == horizon
+
+
+# one profile of each kind, with values of both signs, zero weights and offsets
+SUM_FACTORS = [
+    TimeProfile.constant(0.7),
+    TimeProfile.power_decay(2.0, 1.0),
+    TimeProfile.power_decay(1.0, 2.5, offset=-0.25),
+    TimeProfile.power_growth(-0.5, 0.5),
+    TimeProfile.exponential(1.5, -0.3, offset=0.1),
+    TimeProfile.tabulated([0.0, 2.0, 50.0], [1.0, -1.0, 3.0]),
+]
+
+
+class TestProfileSum:
+    TIMES = np.concatenate([[0.0], np.linspace(0.0, 50.0, 997)[1:], [50.0]])
+
+    @staticmethod
+    def closed_form(t):
+        """The sum of test_matches_the_written_formula, written out."""
+        f = [eval_profile(p, t) for p in SUM_FACTORS]
+        return 3.0 * f[1] + (-0.2) * f[0] * f[2] + 0.0 * f[3] + 1.25 * f[4] * f[5] * f[1]
+
+    def make(self):
+        p = SUM_FACTORS
+        return ProfileSum(((3.0, (p[1],)), (-0.2, (p[0], p[2])), (0.0, (p[3],)),
+                           (1.25, (p[4], p[5], p[1]))))
+
+    def test_matches_the_written_formula(self):
+        total = self.make()
+        values = total(self.TIMES)
+        assert values.tobytes() == self.closed_form(self.TIMES).tobytes()
+        for t in self.TIMES[::50]:
+            assert total(float(t)) == self.closed_form(float(t))       # scalar arithmetic
+            assert total(np.asarray(t)) == self.closed_form(np.asarray(t))  # 0-d arrays
+
+    def test_single_profile_is_eval_profile(self):
+        for p in SUM_FACTORS:
+            assert ProfileSum(((1.0, (p,)),))(self.TIMES).tobytes() == \
+                eval_profile(p, self.TIMES).tobytes()
+
+    def test_nested_sums_and_callables(self):
+        inner = ProfileSum(((2.0, (SUM_FACTORS[1],)),))
+        outer = ProfileSum(((0.5, (inner, lambda t: np.asarray(t) + 1.0)), (1.0, ())))
+        twice = 2.0 * eval_profile(SUM_FACTORS[1], self.TIMES)
+        expected = 0.5 * twice * (self.TIMES + 1.0) + 1.0
+        assert outer(self.TIMES).tobytes() == expected.tobytes()
+        assert outer(3.0) == 0.5 * (2.0 * 2.0 / 4.0) * 4.0 + 1.0
+
+    def test_shapes_and_the_empty_sum(self):
+        assert ProfileSum()(2.0) == 0.0
+        assert isinstance(ProfileSum()(2.0), float)
+        zeros = ProfileSum()(self.TIMES)
+        assert zeros.shape == self.TIMES.shape and not zeros.any()
+        const = ProfileSum(((2.0, (SUM_FACTORS[0],)),))
+        assert const(np.zeros((2, 3))).shape == (2, 3)
+        assert isinstance(const(np.asarray(1.0)), float)
+
+    def test_does_not_write_into_a_callable_result(self):
+        kept = np.linspace(1.0, 2.0, 5)
+        total = ProfileSum(((2.0, (lambda t: kept,)), (1.0, (lambda t: kept,))))
+        assert total(np.linspace(0.0, 1.0, 5)).tolist() == (3.0 * kept).tolist()
+        assert kept.tolist() == np.linspace(1.0, 2.0, 5).tolist()
+
+    @pytest.mark.parametrize("t, message", [
+        (-1.0, "t >= 0"), (math.nan, "finite"), (np.array([0.0, -1.0]), "t >= 0"),
+        (np.array([math.inf, -1.0]), "finite"), (np.array([60.0]), "outside"),
+    ])
+    def test_time_checks(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            self.make()(t)
+
+    def test_positive_factors_stay_checked(self):
+        total = ProfileSum(((1.0, (TimeProfile.power_decay(1.0, 1.0, offset=-0.5,
+                                                           positive=True),)),))
+        assert total(0.5) > 0.0
+        with pytest.raises(ValueError, match="positive"):
+            total(np.linspace(0.0, 2.0, 5))
+
+    def test_weights_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            ProfileSum(((math.inf, (SUM_FACTORS[0],)),))
+
+    def test_is_its_own_time_function(self):
+        total = self.make()
+        assert as_time_function(total) is total
+
+    def test_overflow_reads_inf_without_a_warning(self):
+        big = ProfileSum(((1e300, (TimeProfile.constant(1e300),)),
+                          (1e300, (TimeProfile.exponential(1.0, 1.0),))))
+        assert np.all(big(np.array([0.0, 1000.0])) == math.inf)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rdcert.profiles import _BLOCK, TimeProfile
+from rdcert.profiles import _BLOCK, ProfileSum, TimeProfile
 from rdcert.scenarios import (ScenarioInputs, ScenarioNotApplicable, _grid_check,
                               bounded_neumann_scenario, comparison_exponent,
-                              exponential_decay_scenario, modulated_scenario,
-                              power_decay_scenario)
+                              comparison_sigma, exponential_decay_scenario,
+                              modulated_scenario, power_decay_scenario)
 from rdcert.stability import Linearization2, instability_band
 
 TURING_MATRIX = np.array([[1.0, 2.0], [-2.0, -2.0]])
@@ -18,6 +18,46 @@ def test_comparison_exponent():
     assert comparison_exponent(5.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         comparison_exponent(1.0)
+
+
+class TestProblemData:
+    """sigma and alpha of every scenario are profile sums."""
+
+    TIMES = np.linspace(0.0, 30.0, 3001)
+
+    def test_comparison_sigma_formula(self):
+        d, phi = TimeProfile.power_decay(2.0, 1.0), TimeProfile.power_decay(0.5, 2.0)
+        c_omega = (math.pi / 1.5) ** 2
+        sigma = comparison_sigma(c_omega, d, 0.3, phi)(self.TIMES)
+        expected = c_omega * d(self.TIMES) - 0.3 * phi(self.TIMES)
+        assert sigma.tobytes() == expected.tobytes()
+        without_d = comparison_sigma(0.0, None, 0.3, phi)(self.TIMES)
+        assert without_d.tobytes() == (-0.3 * phi(self.TIMES)).tobytes()
+
+    def test_scenario_sigmas(self):
+        c0 = TimeProfile.constant(0.01)
+        exp = exponential_decay_scenario(
+            ScenarioInputs(L=math.pi, a0=0.5, d0=2.0, g0=0.1, c0=c0, alpha_factor=1.0), 5.0)
+        assert np.all(exp.problem.sigma(self.TIMES) == 1.5)
+        neu = bounded_neumann_scenario(
+            ScenarioInputs(L=1.0, bc="neumann", gamma0=0.1, k=2.0, nu=1.0, mu0=1.0, mu1=1.0,
+                           g0=0.5, c0=c0, alpha_factor=1.0), 5.0)
+        assert neu.problem.sigma(self.TIMES).tobytes() == \
+            (-0.1 * (1.0 + self.TIMES) ** -2.0).tobytes()
+        for scenario in (exp, neu):
+            assert isinstance(scenario.problem.sigma, ProfileSum)
+            assert isinstance(scenario.problem.alpha, ProfileSum)
+
+    def test_alpha_is_factor_times_c0(self):
+        c0 = TimeProfile.power_decay(0.4, 1.0)
+        inputs = ScenarioInputs(L=1.0, c0=c0, alpha_factor=2.5)
+        assert inputs.alpha()(self.TIMES).tobytes() == (2.5 * c0(self.TIMES)).tobytes()
+        assert ScenarioInputs(L=1.0, c0=lambda t: 0.4 / (1.0 + t),
+                              alpha_factor=2.5).alpha()(1.0) == 2.5 * 0.2
+        assert ScenarioInputs(L=1.0, alpha_factor=2.5).alpha()(self.TIMES).tolist() == \
+            [0.0] * len(self.TIMES)
+        with pytest.raises(ScenarioNotApplicable, match="not finite"):
+            ScenarioInputs(L=1.0, c0=c0, alpha_factor=math.inf).alpha()
 
 
 class TestGridCheck:
