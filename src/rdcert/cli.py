@@ -21,7 +21,8 @@ import numpy as np
 
 from .apriori import (agmon_aggregate, build_paraboloid, find_constant_upper,
                       verify_pointwise_bound)
-from .config import ConfigError, RunConfig, build_system, parse_config, parse_value
+from .config import (ConfigError, RunConfig, build_diffusion, build_kinetics,
+                     build_system, parse_config, parse_value)
 from .grid import poincare_constant
 from .inequality import (Certificate, ScalarProblem, check_certificate, growth_residual,
                          verify_envelope)
@@ -160,18 +161,15 @@ def _cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
 # ---------------------------------------------------------------------------
 
 def _linearization(cfg: RunConfig) -> Linearization2:
-    from .config import parse_matrix
-    mat = parse_matrix(cfg.require("kinetics", "matrix"))
-    if mat.shape != (2, 2):
+    kin = build_kinetics(cfg)
+    if kin.n_components != 2:
         raise ConfigError("[kinetics].matrix: dispersion analysis needs a 2x2 matrix")
-    if cfg.get("diffusion", "kind") != "constant":
+    d1, d2 = build_diffusion(cfg, 2)
+    if d1.kind != "constant":
         raise ConfigError("[diffusion].kind: dispersion analysis needs constant diffusion")
-    v0 = cfg.require("diffusion", "v0")
-    if len(v0) != 2:
-        raise ConfigError("[diffusion].v0 needs two entries d1, d2")
+    (a, b), (c, d) = kin.linear
     try:
-        return Linearization2(a=mat[0, 0], b=mat[0, 1], c=mat[1, 0], d=mat[1, 1],
-                              d1=v0[0], d2=v0[1])
+        return Linearization2(a=a, b=b, c=c, d=d, d1=d1.v0, d2=d2.v0)
     except ValueError as exc:
         raise ConfigError(f"[diffusion]: {exc}") from None
 
@@ -272,17 +270,8 @@ def _cmd_check_certificate(cfg: RunConfig, out: Path, args) -> int:
                                tol=cfg.get("theorem", "tol"))
     write_csv(out / "residuals.csv", ["t", "c8_residual"], [report.times, report.residuals])
     write_report(out / "report.json", {
-        "pass": report.passed,
-        "worst_residual": report.worst_residual,
-        "worst_t": report.worst_t,
-        "c9_slack": report.c9_slack,
-        "grid_points": report.grid_points,
-        "horizon": report.horizon,
-        "failed_condition": report.failed_condition,
-        "first_violation_t": report.first_violation_t,
-        "certificate": _certificate_payload(cert),
-        "alpha_factor": factor,
-    })
+        **_check_payload(report), "worst_t": report.worst_t,
+        "certificate": _certificate_payload(cert), "alpha_factor": factor})
     if args.plots:
         svg_line_plot(out / "plots_residual.svg",
                       [(report.times, report.residuals, "residual")],
@@ -295,18 +284,19 @@ def _certificate_payload(cert: Certificate) -> dict:
             "nu": cert.nu, "m": cert.m}
 
 
+def _check_payload(report) -> dict:
+    """The certificate-check fields that check-certificate and run-theorem share."""
+    return {"pass": report.passed, "worst_residual": report.worst_residual,
+            "c9_slack": report.c9_slack, "grid_points": report.grid_points,
+            "horizon": report.horizon, "failed_condition": report.failed_condition,
+            "first_violation_t": report.first_violation_t}
+
+
 # ---------------------------------------------------------------------------
 # run-theorem
 # ---------------------------------------------------------------------------
 
-def _constant_diffusion_values(cfg: RunConfig, sys_spec):
-    if cfg.get("diffusion", "kind") != "constant":
-        raise ConfigError("[diffusion].kind: this scenario needs constant diffusion")
-    return [eval_profile(p, 0.0) for p in sys_spec.diffusion]
-
-
-def _require_power_modulation(kin, what: str):
-    mod = kin.modulation
+def _require_power_modulation(mod, what: str):
     if mod.kind != "power_decay" or mod.offset != 0.0:
         raise ConfigError(f"[modulation]: {what} expects kind = power_decay with "
                           "zero offset")
@@ -315,67 +305,53 @@ def _require_power_modulation(kin, what: str):
 
 def _scenario_inputs(which: str, cfg: RunConfig, sys_spec, g0: float,
                      alpha_factor: float) -> ScenarioInputs:
+    """Scenario ``which``'s inputs, read from the built system plus the
+    [certificate] keys, which every scenario gets: its constructor requires
+    the ones its case needs."""
     kin = sys_spec.kinetics
-    L = sys_spec.grid.L
-    bc = sys_spec.grid.bc
+    mod = kin.modulation
+    d_min = min(sys_spec.diffusion, key=lambda d: d.v0)  # as in _system_sigma
     lam = symmetric_part_max(kin.linear)
-    common = dict(L=L, bc=bc, p=kin.p, g0=g0, c0=effective_c0(kin), alpha_factor=alpha_factor)
+    mu0, mu1 = _bounded_weights(cfg, g0)
+    common = dict(L=sys_spec.grid.L, bc=sys_spec.grid.bc, p=kin.p, g0=g0,
+                  c0=effective_c0(kin), alpha_factor=alpha_factor,
+                  m=cfg.get("certificate", "m"), nu=cfg.get("certificate", "nu"),
+                  mu0=mu0, mu1=mu1)
 
     if which == "3.1":
-        if kin.modulation.kind != "constant":
+        if mod.kind != "constant":
             raise ConfigError("[modulation]: the exponential scenario expects "
                               "constant coefficients")
-        phi0 = eval_profile(kin.modulation, 0.0)
-        d0 = min(_constant_diffusion_values(cfg, sys_spec))
-        return ScenarioInputs(a0=phi0 * lam, d0=d0, **common)
+        if d_min.kind != "constant":
+            raise ConfigError("[diffusion].kind: this scenario needs constant diffusion")
+        return ScenarioInputs(a0=eval_profile(mod, 0.0) * lam,
+                              d0=eval_profile(d_min, 0.0), **common)
 
     if which == "3.2":
-        sec = cfg.values["diffusion"]
-        if sec["kind"] != "power_decay" or sec["exponent"] != 1.0 or sec["offset"] != 0.0:
+        if d_min.kind != "power_decay" or d_min.exponent != 1.0 or d_min.offset != 0.0:
             raise ConfigError("[diffusion]: the power-decay scenario expects "
                               "kind = power_decay with exponent = 1")
-        d0 = min(cfg.require("diffusion", "v0"))
-        if kin.modulation.kind == "constant":
-            phi0, k = eval_profile(kin.modulation, 0.0), 1.0
+        if mod.kind == "constant":
+            phi0, k = eval_profile(mod, 0.0), 1.0
         else:
-            phi0, k = _require_power_modulation(kin, "the power-decay scenario")
-        m = cfg.require("certificate", "m")
-        return ScenarioInputs(d0=d0, gamma0=phi0 * lam, k=k, m=m, **common)
+            phi0, k = _require_power_modulation(mod, "the power-decay scenario")
+        return ScenarioInputs(d0=d_min.v0, gamma0=phi0 * lam, k=k, **common)
 
     if which == "3.3":
-        phi0, k = _require_power_modulation(kin, "the bounded scenario")
-        nu = cfg.require("certificate", "nu")
-        mu0, mu1 = _bounded_weights(cfg, g0)
-        return ScenarioInputs(gamma0=phi0 * lam, k=k, nu=nu, mu0=mu0, mu1=mu1, **common)
+        phi0, k = _require_power_modulation(mod, "the bounded scenario")
+        return ScenarioInputs(gamma0=phi0 * lam, k=k, **common)
 
-    # 3.4: modulated two-component system
+    # 3.4: modulated two-component system, diffusion phi(t) * (d1, d2)
     if kin.n_components != 2:
         raise ConfigError("[kinetics].matrix: scenario 3.4 needs a 2x2 matrix")
-    mod = kin.modulation
-    sec = cfg.values["diffusion"]
-    if sec["kind"] != mod.kind or sec["exponent"] != mod.exponent \
-            or sec["rate"] != mod.rate or sec["offset"] != 0.0 or mod.offset != 0.0:
+    if (d_min.kind, d_min.exponent, d_min.rate, d_min.offset, mod.offset) \
+            != (mod.kind, mod.exponent, mod.rate, 0.0, 0.0):
         raise ConfigError("[diffusion]: scenario 3.4 expects diffusion profiles "
                           "phi(t) * d_i with the same kind/exponent/rate as [modulation]")
-    phi0 = mod.v0
-    if phi0 <= 0.0:
-        raise ConfigError("[modulation].v0 must be positive")
-    v0 = cfg.require("diffusion", "v0")
-    if len(v0) != 2:
-        raise ConfigError("[diffusion].v0 needs two entries d1, d2")
-    d1, d2 = v0[0] / phi0, v0[1] / phi0
-    from .profiles import coupling_gamma0
-    mat = kin.linear
-    gamma0 = coupling_gamma0(mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]).gamma0
-    sign = min(d1, d2) * (math.pi / L) ** 2 - gamma0
-    m = mu0 = mu1 = nu = None
-    if sign > 0.0:
-        m = cfg.require("certificate", "m")
-    elif sign < 0.0:
-        nu = cfg.require("certificate", "nu")
-        mu0, mu1 = _bounded_weights(cfg, g0)
-    return ScenarioInputs(matrix=np.asarray(mat), d1=d1, d2=d2, phi=mod,
-                          m=m, nu=nu, mu0=mu0, mu1=mu1, **common)
+    d1, d2 = (d.v0 / mod.v0 for d in sys_spec.diffusion)
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        raise ConfigError("[diffusion].v0 / [modulation].v0 is past the double range")
+    return ScenarioInputs(matrix=np.asarray(kin.linear), d1=d1, d2=d2, phi=mod, **common)
 
 
 _SCENARIO_BUILDERS = {
@@ -479,12 +455,7 @@ def _cmd_run_theorem(cfg: RunConfig, out: Path, args) -> int:
         "first_failure_t": scenario.hypotheses.first_failure_t,
         "certificate": _certificate_payload(scenario.certificate)
         if scenario.certificate else None,
-        "certificate_check": None if check is None else {
-            "pass": check.passed, "worst_residual": check.worst_residual,
-            "c9_slack": check.c9_slack, "grid_points": check.grid_points,
-            "horizon": check.horizon, "failed_condition": check.failed_condition,
-            "first_violation_t": check.first_violation_t,
-        },
+        "certificate_check": None if check is None else _check_payload(check),
         "certifies_decay": scenario.certifies_decay,
         "uniform_bound": scenario.uniform_bound,
         "envelope_description": scenario.envelope_description,

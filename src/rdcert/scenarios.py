@@ -355,7 +355,10 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
             "not applicable: nu mu1 / mu0 must exceed gamma0 for a nonzero nonlinearity")
     sigma = comparison_sigma(0.0, None, gamma0, TimeProfile.power_decay(1.0, k))
     problem = ScalarProblem(sigma=sigma, alpha=alpha, q=q, g0=inp.g0)
-    cap = mu0 ** (q - 1.0) * ratio_margin
+    try:
+        cap = mu0 ** (q - 1.0) * ratio_margin
+    except OverflowError:  # mu0**(q-1) past the double range: the cap reads +-inf
+        cap = math.copysign(math.inf, ratio_margin) if ratio_margin else 0.0
     weighted_alpha = ProfileSum(((1.0, (TimeProfile.power_growth(1.0, nu + 1.0), alpha)),))
     closed_ok, first_bad = _grid_check(weighted_alpha, lambda ts: np.full(np.shape(ts), cap),
                                        horizon, grid_points)

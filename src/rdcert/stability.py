@@ -14,13 +14,14 @@ actual simulations for cross-validation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .grid import Field, Grid1D
-from .profiles import KineticsSpec, TimeProfile, _blocks, symmetric_part_max
+from .profiles import KineticsSpec, TimeProfile, _blocks, _finite, symmetric_part_max
 from .solver import SystemSpec, simulate
 
 
@@ -91,30 +92,45 @@ def trace_m(lin: Linearization2, k) -> np.ndarray:
     return lin.a + lin.d - (lin.d1 + lin.d2) * np.asarray(k, dtype=float) ** 2
 
 
+def _half_exponent(x: float) -> int:
+    """h with x / 4^h in [0.5, 2): dividing by 4^h is exact, and so is the
+    2^h it takes off a square root."""
+    return math.frexp(x)[1] // 2
+
+
 def instability_band(lin: Linearization2) -> Optional[tuple[float, float]]:
     """Open interval of wavenumbers with det M(k) < 0, or None.
 
     The roots in K = k^2 of d1 d2 K^2 - (a d2 + d d1) K + (ad - bc) = 0 are
     computed with the cancellation-free quadratic formula; a band exists only
-    when both roots are real, positive and distinct.
+    when both roots are real, positive and distinct.  The matrix is divided
+    by 4^hm and the diffusions by 4^hs, which brings both to unit size, so no
+    coefficient leaves the double range; k then scales back by 2^(hm - hs).
+    Powers of 4 keep every step exact wherever the unscaled one is normal.
     """
-    A = lin.d1 * lin.d2
-    B = -(lin.a * lin.d2 + lin.d * lin.d1)
-    C = lin.a * lin.d - lin.b * lin.c
+    hm = _half_exponent(max(abs(lin.a), abs(lin.b), abs(lin.c), abs(lin.d)))
+    hs = _half_exponent(max(lin.d1, lin.d2))
+    a, b, c, d = (math.ldexp(float(x), -2 * hm) for x in (lin.a, lin.b, lin.c, lin.d))
+    d1, d2 = math.ldexp(lin.d1, -2 * hs), math.ldexp(lin.d2, -2 * hs)
+    A = d1 * d2
+    if A < sys.float_info.min:  # min(d1, d2) / max(d1, d2) underflows
+        raise ValueError("d1 / d2 is past the double range")
+    B = -(a * d2 + d * d1)
+    C = a * d - b * c
     disc = B * B - 4.0 * A * C
     if disc <= 0.0:
         return None
     root = math.sqrt(disc)
     q = -0.5 * (B + math.copysign(root, B)) if B != 0.0 else 0.5 * root
-    k1sq = q / A
-    k2sq = C / q if q != 0.0 else 0.0
-    lo, hi = sorted((k1sq, k2sq))
+    lo, hi = sorted((q / A, C / q if q != 0.0 else 0.0))
     if lo <= 0.0 and hi <= 0.0:
         return None
     if lo <= 0.0 < hi:
         # det < 0 already at k = 0: kinetics unstable, band starts at 0
         lo = 0.0
-    return (math.sqrt(lo), math.sqrt(hi))
+    # 2^hm then 2^-hs: each factor is normal, and an edge past the range is inf
+    up, down = math.ldexp(1.0, hm), math.ldexp(1.0, -hs)
+    return (math.sqrt(lo) * up * down, math.sqrt(hi) * up * down)
 
 
 class ModeRate(NamedTuple):
@@ -178,17 +194,22 @@ def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
     ks = np.linspace(k_max / samples, k_max, samples)
     det, tr = np.empty(samples), np.empty(samples)
     lam1, lam2 = np.empty(samples, dtype=complex), np.empty(samples, dtype=complex)
-    for block in _blocks(samples):
-        k = ks[block]
-        det[block] = d = det_m(lin, k)
-        tr[block] = t = trace_m(lin, k)
-        root = np.sqrt(np.maximum(t * t - 4.0 * d, 0.0))
-        # 4 det - tr^2 rather than -disc: a zero discriminant gives +0, not -0
-        half_im = 0.5 * np.sqrt(np.maximum(4.0 * d - t * t, 0.0))
-        lam1.real[block] = 0.5 * (t + root)
-        lam1.imag[block] = half_im
-        lam2.real[block] = 0.5 * (t - root)
-        lam2.imag[block] = 0.0 - half_im
+    with np.errstate(over="ignore", invalid="ignore"):  # disc is checked instead
+        for block in _blocks(samples):
+            k = ks[block]
+            det[block] = d = det_m(lin, k)
+            tr[block] = t = trace_m(lin, k)
+            disc = t * t - 4.0 * d  # finite: so are t, d, the roots and the eigenvalues
+            if not _finite(disc):
+                raise ValueError(f"M(k) leaves the double range on the scan up to "
+                                 f"k_max = {k_max:g}")
+            root = np.sqrt(np.maximum(disc, 0.0))
+            # 4 det - tr^2 rather than -disc: a zero discriminant gives +0, not -0
+            half_im = 0.5 * np.sqrt(np.maximum(4.0 * d - t * t, 0.0))
+            lam1.real[block] = 0.5 * (t + root)
+            lam1.imag[block] = half_im
+            lam2.real[block] = 0.5 * (t - root)
+            lam2.imag[block] = 0.0 - half_im
     modes = () if L is None else _mode_rates(lin, k_max, L)
     return DispersionReport(k=ks, det=det, trace=tr, lam1=lam1, lam2=lam2,
                             max_growth_rate=float(np.max(lam1.real)),

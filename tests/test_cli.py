@@ -214,14 +214,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, cfg_text, old, new, key", [
         (["run-theorem", "3.4"], TH34_CFG, "mu_split = 0.5", "mu_split = 1.5",
          "[certificate].mu_split"),
+        # every scenario reads the bounded weights, 3.1 too
+        (["run-theorem", "3.1"], TH31_CFG, "[run]", "[certificate]\nmu_split = 1.5\n\n[run]",
+         "[certificate].mu_split"),
         (["run-theorem", "3.1"], TH31_CFG, "dt = 0.002", "dt = -0.1", "[run].dt"),
         (["run-theorem", "3.1"], TH31_CFG, "dt = 0.002", "dt = 20.0", "[run].dt"),
         # errors the library raises on its own inputs
         (["check-certificate"], CERT31_CFG, "nu = 0.5", "nu = 0.5\nmu0 = -1", "mu0"),
         (["run-theorem", "3.1"], TH31_CFG, "[run]", "[theorem]\ngrid_points = 1\n\n[run]",
          "grid points"),
-    ], ids=["mu_split-above-1", "dt-negative", "dt-above-T", "mu0-negative",
-            "grid-points-1"])
+    ], ids=["mu_split-above-1", "mu_split-above-1-3.1", "dt-negative", "dt-above-T",
+            "mu0-negative", "grid-points-1"])
     def test_bad_run_values_are_config_errors(self, tmp_path, capsys, command, cfg_text,
                                               old, new, key):
         assert old in cfg_text
@@ -396,6 +399,18 @@ class TestExtremeInputs:
                 assert report["status"] == "not_applicable"
                 assert "alpha_factor" in report["reason"]
                 assert report["constants"]["alpha_factor"] == "inf"
+
+    def test_bounded_cap_past_the_double_range(self, tmp_path, capsys):
+        # q = (1e4 + 3)/4: the closed-form cap mu0**(q - 1) of 3.3 has no double value
+        out = tmp_path / "out"
+        path = self.edited_config(tmp_path, "theorem33", {
+            "T = 50.0": "T = 1.0", "p = 2.0": "p = 1e4",
+            "mu_split = 0.5": "mu0 = 2.0\nmu1 = 10.0\nalpha_factor = 0.9"})
+        code = main(["run-theorem", "3.3", "--config", path, "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        assert read_report(out)["hypothesis_details"]["closed_form_cap"] == "inf"
+        assert json.loads((out / "run_meta.json").read_text())["exit_code"] == code
 
     @pytest.mark.parametrize("command, name, edits, code", OVERFLOWING, ids=OVERFLOWING_IDS)
     def test_overflow_prints_no_warning(self, tmp_path, command, name, edits, code):
@@ -671,6 +686,69 @@ class TestOneSigma:
             [float(v) for v in expected[::1000]]
 
 
+class TestOneConfigReading:
+    """run-theorem and analyze-dispersion read the built system, and every
+    scenario gets the same [certificate] keys and requires those it needs."""
+
+    def test_missing_certificate_key_is_not_applicable(self, tmp_path):
+        text = short_demo("theorem32", "0.5")
+        assert re.search(r"(?m)^m = ", text)
+        out = tmp_path / "out"
+        assert main(["run-theorem", "3.2", "--config",
+                     write_cfg(tmp_path, re.sub(r"(?m)^m = .*$", "", text)),
+                     "--out", str(out)]) == 2
+        report = read_report(out)
+        assert report["status"] == "not_applicable"
+        assert report["reason"] == "missing scenario inputs: m"
+
+    def test_modulated_scenario_under_neumann_ends(self, tmp_path):
+        text = short_demo("theorem34_L2", "0.5").replace("bc = dirichlet", "bc = neumann")
+        out = tmp_path / "out"
+        assert main(["run-theorem", "3.4", "--config",
+                     write_cfg(tmp_path, text[:text.index("[certificate]")]),
+                     "--out", str(out)]) == 2
+        report = read_report(out)
+        assert report["status"] == "not_applicable"
+        assert "needs Dirichlet ends" in report["reason"]
+
+    @pytest.mark.parametrize("command, name, one, two", [
+        (["run-theorem", "3.4"], "theorem34_L2", "v0 = 5.0", "v0 = 5.0, 5.0"),
+        (["analyze-dispersion"], "dispersion", "v0 = 0.5", "v0 = 0.5, 0.5"),
+    ], ids=["3.4", "dispersion"])
+    def test_one_diffusion_value_for_two_components(self, tmp_path, command, name, one, two):
+        # one [diffusion] v0 sets d1 = d2, as simulate reads it
+        text = short_demo(name, "0.5")
+        outputs = []
+        for i, v0 in enumerate((one, two)):
+            out = tmp_path / f"out{i}"
+            code = main([*command, "--config",
+                         write_cfg(tmp_path, re.sub(r"(?m)^v0 = .*,.*$", v0, text)),
+                         "--out", str(out)])
+            assert code in (0, 2, 3)
+            outputs.append((code, {path.name: path.read_bytes() for path in out.iterdir()
+                                   if path.name != "run_meta.json"}))
+        assert outputs[0] == outputs[1]
+        if name == "theorem34_L2":
+            report = read_report(tmp_path / "out0")
+            assert report["status"] == "completed"
+            assert report["hypothesis_details"]["d0"] == 0.5  # 5.0 / phi0
+
+    @pytest.mark.parametrize("command, name, v0, message", [
+        # one v0 = 1e308 for both components: d_i = v0 / phi0 overflows
+        (["run-theorem", "3.4"], "theorem34_L4", "v0 = 1e308",
+         "[diffusion].v0 / [modulation].v0 is past the double range"),
+        # d1 d2 is subnormal at any common scale of the two diffusions
+        (["analyze-dispersion"], "dispersion", "v0 = 1.0, 1e-310",
+         "d1 / d2 is past the double range"),
+    ], ids=["3.4", "dispersion"])
+    def test_diffusions_past_the_double_range(self, tmp_path, capsys, command, name, v0,
+                                              message):
+        text = re.sub(r"(?m)^v0 = .*,.*$", v0, short_demo(name, "0.5"))
+        assert main([*command, "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def _fuzz_bases():
     """(label, command, config text) of the commands whose configs are
     mutated: run-theorem and check-certificate on each theorem demo config,
@@ -722,6 +800,14 @@ FUZZ_MUTATIONS = [(label, section, key, value)
                   if not (key in RUN_LENGTH_KEYS and value == "1e308")]
 
 
+# analyze-dispersion: every one-key mutation of its demo config, in full
+FUZZ_BASES["dispersion"] = (["analyze-dispersion"],
+                            (DEMO_CONFIGS / "dispersion.cfg").read_text())
+DISPERSION_MUTATIONS = [("dispersion", section, key, value)
+                        for section, key in _keys(FUZZ_BASES["dispersion"][1])
+                        for value in FUZZ_VALUES]
+
+
 def _run_mutation(label: str, section: str, key: str, value: str) -> int:
     """Run one mutated config through main in process; assert an exit code
     0-3 with a report.json, or exit 1 with one config error line, and the
@@ -764,12 +850,20 @@ class TestExitCodeFuzzing:
         ("theorem34_L4", "certificate", "nu", "1e308", 2),         # mu' of the bounded weight
         ("theorem33", "certificate", "nu", "1e308", 2),            # closed-form growth bound
         ("theorem32", "domain", "L", "1e308", 1),                  # the initial mode
+        ("dispersion", "diffusion", "v0", "1e308, 1e308", 1),      # det M(k) quadratic
+        ("dispersion", "diffusion", "v0", "1.0, 1e-310", 1),       # d1 d2 subnormal
+        ("theorem34_L4", "diffusion", "v0", "1e308", 1),           # v0 / phi0 overflows
     ]
 
     @pytest.mark.parametrize("label, section, key, value, code", PINNED,
                              ids=[f"{p[0]}-{p[2]}" for p in PINNED])
     def test_pinned_escape(self, label, section, key, value, code):
         assert _run_mutation(label, section, key, value) == code
+
+    @pytest.mark.parametrize("mutation", DISPERSION_MUTATIONS,
+                             ids=[f"{m[2]}={m[3]}" for m in DISPERSION_MUTATIONS])
+    def test_dispersion_mutation(self, mutation):
+        _run_mutation(*mutation)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(FUZZ_MUTATIONS))

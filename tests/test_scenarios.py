@@ -216,6 +216,15 @@ class TestBoundedNeumann:
         assert sc.hypotheses.details["closed_form_cap"] == \
             pytest.approx(0.5 ** 0.25 * 0.9, rel=1e-12)
 
+    @pytest.mark.parametrize("gamma0, cap", [(0.1, math.inf), (10.0, -math.inf)])
+    def test_closed_form_cap_past_the_double_range(self, gamma0, cap):
+        # q = (1e4 + 3)/4, so mu0**(q - 1) = 2**2499.75 has no double value: the
+        # cap reads inf with the sign of nu mu1/mu0 - gamma0 (here 4.9 or -5)
+        inp = self.base_inputs(gamma0=gamma0, p=1e4, mu0=2.0, mu1=10.0)
+        sc = bounded_neumann_scenario(inp, horizon=1.0)
+        assert sc.hypotheses.details["closed_form_cap"] == cap
+        assert sc.hypotheses.conditions["closed_form_growth_bound"] == (cap > 0.0)
+
     def test_zero_nonlinearity_passes(self):
         sc = bounded_neumann_scenario(self.base_inputs(), horizon=50.0)
         assert sc.hypotheses.passed and sc.ready

@@ -111,6 +111,34 @@ class TestBandAndConditions:
         assert instability_band(lin) is None
         assert np.all(det_m(lin, np.linspace(0.0, 10.0, 200)) > 0.0)
 
+    @pytest.mark.parametrize("matrix_scale, diffusion_scale",
+                             [(1.0, 1e-170), (1.0, 1e-160), (1.0, 1e160), (1.0, 1e300),
+                              (1e200, 1.0)])
+    def test_band_when_the_quadratic_leaves_the_double_range(self, matrix_scale,
+                                                             diffusion_scale):
+        # d1 d2 (or ad - bc) underflows, turns subnormal or overflows; the band
+        # edges scale as sqrt(matrix_scale / diffusion_scale)
+        lin = Linearization2(*(matrix_scale * v for v in (TURING.a, TURING.b, TURING.c,
+                                                          TURING.d)),
+                             TURING.d1 * diffusion_scale, TURING.d2 * diffusion_scale)
+        unit = math.sqrt(matrix_scale) / math.sqrt(diffusion_scale)
+        lo, hi = instability_band(TURING)
+        assert instability_band(lin) == pytest.approx((lo * unit, hi * unit), rel=1e-14)
+
+    def test_band_rejects_diffusions_too_far_apart(self):
+        # d1 d2 stays subnormal whatever scale the two diffusions share
+        lin = Linearization2(TURING.a, TURING.b, TURING.c, TURING.d, 1.0, 1e-310)
+        with pytest.raises(ValueError, match="d1 / d2 is past the double range"):
+            instability_band(lin)
+
+    def test_no_band_at_the_top_of_the_double_range(self):
+        # d1 = d2 = 1e308: in exact arithmetic disc = -7e616 < 0, so no band;
+        # the scan's M(k) is past the double range and is rejected, not scanned
+        lin = Linearization2(1.0, 2.0, -2.0, -2.0, 1e308, 1e308)
+        assert instability_band(lin) is None
+        with pytest.raises(ValueError, match="leaves the double range"):
+            dispersion_scan(lin, L=4.0)
+
     def test_turing_conditions_unstable_example(self):
         rep = turing_conditions(TURING)
         assert rep.trace_negative and rep.determinant_positive
