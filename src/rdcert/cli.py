@@ -4,9 +4,11 @@ run-theorem, convergence-test, estimate-constants.
 Every command reads one config file and writes its outputs (report.json,
 CSV series, simulate's snapshots.npy, optional SVG plots) into --out.  Exit
 codes: 0 all checks passed, 1 usage or config error, 2 hypotheses failed or
-scenario not applicable, 3 envelope or bound violated.  report.json is
-byte-reproducible; wall-clock metadata, the command and its exit code go to
-run_meta.json, written on every exit once --out exists.
+scenario not applicable, 3 envelope or bound violated.  A solver blow-up is
+reported by main, as status blow_up in report.json with exit 0 for simulate
+and 3 otherwise.  report.json is byte-reproducible; wall-clock metadata, the
+command and its exit code go to run_meta.json, written on every exit once
+--out exists.
 """
 
 from __future__ import annotations
@@ -98,6 +100,14 @@ def main(argv=None) -> int:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         out = Path(args.out)
         code = args.func(cfg, out, args)
+    except BlowUpError as exc:  # a reportable outcome, not a crash
+        report = {"status": "blow_up", "time_of_failure": exc.time}
+        if args.command == "run-theorem":
+            report["theorem"] = args.which
+        write_report(out / "report.json", report)
+        print(f"blow-up at t = {exc.time:.6g}: reported", file=sys.stderr)
+        # simulate has no check to fail; the others have no envelope or order to verify
+        code = EXIT_OK if args.command == "simulate" else EXIT_ENVELOPE
     except (ValueError, UsageError) as exc:  # ConfigError and the library's input checks
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
@@ -118,6 +128,14 @@ def _run_params(cfg: RunConfig, args):
     return T, dt, cfg.get("run", "record_every"), cfg.get("run", "scheme"), seed
 
 
+def _simulated(cfg: RunConfig, args):
+    """(system, trajectory) of the configured run; a blow-up propagates to main."""
+    T, dt, record_every, scheme, seed = _run_params(cfg, args)
+    sys_spec = build_system(cfg, seed=seed)
+    return sys_spec, simulate(sys_spec, T, dt=dt, record_every=record_every,
+                              scheme=scheme, seed=seed)
+
+
 def _write_trajectory_csv(path, traj):
     write_csv(path, ["t", "g", "sup", "h1_semi", "h2"],
               [traj.times, traj.g, traj.sup, traj.h1_semi, traj.h2])
@@ -128,17 +146,7 @@ def _write_trajectory_csv(path, traj):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
-    T, dt, record_every, scheme, seed = _run_params(cfg, args)
-    sys_spec = build_system(cfg, seed=seed)
-    try:
-        traj = simulate(sys_spec, T, dt=dt, record_every=record_every,
-                        scheme=scheme, seed=seed)
-    except BlowUpError as exc:
-        write_report(out / "report.json",
-                     {"status": "blow_up", "time_of_failure": exc.time,
-                      "message": str(exc)})
-        print(f"blow-up at t = {exc.time:.6g}; reported", file=sys.stderr)
-        return EXIT_OK  # a reportable outcome, not a failed check
+    traj = _simulated(cfg, args)[1]
     _write_trajectory_csv(out / "series.csv", traj)
     np.save(out / "snapshots.npy", traj.states)
     write_csv(out / "snapshot_times.csv", ["t"], [traj.snapshot_times])
@@ -331,8 +339,8 @@ def _scenario_inputs(which: str, cfg: RunConfig, sys_spec, g0: float,
         if d_min.kind != "power_decay" or d_min.exponent != 1.0 or d_min.offset != 0.0:
             raise ConfigError("[diffusion]: the power-decay scenario expects "
                               "kind = power_decay with exponent = 1")
-        if mod.kind == "constant":
-            phi0, k = eval_profile(mod, 0.0), 1.0
+        if mod.kind == "constant":  # phi0 (1+t)**0: a rate that does not decay
+            phi0, k = eval_profile(mod, 0.0), 0.0
         else:
             phi0, k = _require_power_modulation(mod, "the power-decay scenario")
         return ScenarioInputs(d0=d_min.v0, gamma0=phi0 * lam, k=k, **common)
@@ -393,17 +401,7 @@ def _pointwise_bounds(sys_spec, traj, horizon: float) -> dict:
 
 def _cmd_run_theorem(cfg: RunConfig, out: Path, args) -> int:
     which = args.which
-    T, dt, record_every, scheme, seed = _run_params(cfg, args)
-    sys_spec = build_system(cfg, seed=seed)
-    try:
-        traj = simulate(sys_spec, T, dt=dt, record_every=record_every,
-                        scheme=scheme, seed=seed)
-    except BlowUpError as exc:
-        write_report(out / "report.json", {
-            "theorem": which, "status": "blow_up", "time_of_failure": exc.time})
-        print(f"blow-up at t = {exc.time:.6g}: no envelope can be verified",
-              file=sys.stderr)
-        return EXIT_ENVELOPE
+    sys_spec, traj = _simulated(cfg, args)
     g0 = float(traj.g[0])
     if g0 == 0.0:
         write_report(out / "report.json", {
@@ -542,11 +540,6 @@ def _cmd_convergence(cfg: RunConfig, out: Path, args) -> int:
         write_report(out / "report.json", {"status": "inconclusive", "reason": str(exc)})
         print(f"inconclusive refinement: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESES
-    except BlowUpError as exc:
-        write_report(out / "report.json",
-                     {"status": "blow_up", "time_of_failure": exc.time})
-        print(f"blow-up at t = {exc.time:.6g}: no order can be fitted", file=sys.stderr)
-        return EXIT_ENVELOPE
     time_threshold = 1.9 if scheme == "two_stage" else 0.9
     passed = (report.p_space >= 1.9) and (report.p_time >= time_threshold)
     write_report(out / "report.json", {
@@ -571,15 +564,7 @@ def _cmd_convergence(cfg: RunConfig, out: Path, args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_estimate(cfg: RunConfig, out: Path, args) -> int:
-    T, dt, record_every, scheme, seed = _run_params(cfg, args)
-    sys_spec = build_system(cfg, seed=seed)
-    try:
-        traj = simulate(sys_spec, T, dt=dt, record_every=record_every,
-                        scheme=scheme, seed=seed)
-    except BlowUpError as exc:
-        write_report(out / "report.json",
-                     {"status": "blow_up", "time_of_failure": exc.time})
-        return EXIT_ENVELOPE
+    sys_spec, traj = _simulated(cfg, args)
     payload = {"status": "completed"}
     if float(np.max(traj.g)) == 0.0:
         payload.update({"M2_hat": 0.0, "c_hat": None, "C": None,

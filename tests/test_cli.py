@@ -361,7 +361,7 @@ class TestExtremeInputs:
          {"T = 50.0": "T = 5.0", "p = 2.0": "p = 1e3"}, 0),
         (["run-theorem", "3.3"], "theorem33",
          {"T = 50.0": "T = 5.0", "p = 2.0": "p = 1e308"}, 0),
-        # the exponential scenario's cap g0**-(q-1) overflows
+        # the growth residual's mu**(q-1) of the exponential certificate overflows
         (["run-theorem", "3.1"], "theorem31",
          {"T = 20.0": "T = 2.0", "p = 2.0": "p = 1e308"}, 0),
     ]
@@ -471,17 +471,6 @@ class TestCommandOutputs:
         assert build_initial(cfg, build_system(cfg).grid, 2).values.tobytes() == \
             states[-1].tobytes()
 
-    def test_simulate_reports_blow_up(self, tmp_path):
-        text = TH31_CFG.replace("matrix = 1.0", "matrix = 4000.0").replace(
-            "nonlinearity = saturated_power", "nonlinearity = none")
-        path = write_cfg(tmp_path, text)
-        out = tmp_path / "out"
-        code = main(["simulate", "--config", path, "--out", str(out)])
-        assert code == 0
-        report = read_report(out)
-        assert report["status"] == "blow_up"
-        assert 0.0 < report["time_of_failure"] <= 10.0
-
     def test_dispersion_report(self, tmp_path):
         path = write_cfg(tmp_path, DISPERSION_CFG)
         out = tmp_path / "out"
@@ -533,21 +522,31 @@ class TestCommandOutputs:
         assert not caught
         assert not (tmp_path / "out" / "report.json").exists()
 
-    def test_convergence_blow_up_is_reported(self, tmp_path, capsys):
-        text = (DEMO_CONFIGS / "convergence.cfg").read_text()
-        assert "matrix = 0.0" in text
+    @pytest.mark.parametrize("command, name, code", [
+        (["simulate"], "theorem31", 0),
+        (["run-theorem", "3.1"], "theorem31", 3),
+        (["estimate-constants"], "theorem31", 3),
+        (["convergence-test"], "convergence", 3),
+    ], ids=["simulate", "run-theorem", "estimate-constants", "convergence-test"])
+    def test_blow_up_is_reported(self, tmp_path, capsys, command, name, code):
+        # main reports a solver blow-up the same way for every integrating command
+        text, count = re.subn(r"(?m)^matrix = .*$", "matrix = 4000.0",
+                              (DEMO_CONFIGS / f"{name}.cfg").read_text())
+        assert count == 1
         out = tmp_path / "out"
-        code = main(["convergence-test", "--config",
-                     write_cfg(tmp_path, text.replace("matrix = 0.0", "matrix = 4000.0")),
-                     "--out", str(out)])
-        assert code == 3
-        assert "Traceback" not in capsys.readouterr().err
+        assert main([*command, "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)]) == code
         report = read_report(out)
-        assert report["status"] == "blow_up"
-        assert 0.0 < report["time_of_failure"] < 1.0
+        t = report["time_of_failure"]
+        assert 0.0 < t < 1.0
+        expected = {"status": "blow_up", "time_of_failure": t}
+        if command[0] == "run-theorem":
+            expected["theorem"] = "3.1"
+        assert report == expected
+        assert capsys.readouterr().err == f"blow-up at t = {t:.6g}: reported\n"
         meta = json.loads((out / "run_meta.json").read_text())
-        assert meta["command"] == "convergence-test"
-        assert meta["exit_code"] == 3
+        assert meta["command"] == command[0]
+        assert meta["exit_code"] == code
 
     def test_convergence_levels_in_any_order(self, tmp_path):
         # the errors fall as the step shrinks, whichever way the levels are listed
@@ -659,9 +658,18 @@ class TestOneSigma:
     """check-certificate and run-theorem build sigma through the same
     function, so on the same system they reach the same verdict."""
 
-    @pytest.mark.parametrize("name", ["theorem32", "theorem33", "theorem34_L2", "theorem34_L4"])
-    def test_commands_agree(self, tmp_path, name):
-        path = write_cfg(tmp_path, short_demo(name, "2.0") + CERTIFICATE_KEYS[name])
+    CASES = {name: (name, "", "") for name in
+             ("theorem32", "theorem33", "theorem34_L2", "theorem34_L4")}
+    # a constant [modulation] is a linear rate that does not decay: 3.2 reads k = 0
+    CASES["theorem32-constant-modulation"] = (
+        "theorem32", "[modulation]\nkind = power_decay", "[modulation]\nkind = constant")
+
+    @pytest.mark.parametrize("label", CASES)
+    def test_commands_agree(self, tmp_path, label):
+        name, old, new = self.CASES[label]
+        text = short_demo(name, "2.0")
+        assert old in text
+        path = write_cfg(tmp_path, text.replace(old, new) + CERTIFICATE_KEYS[name])
         which = f"{name[7]}.{name[8]}"
         main(["check-certificate", "--config", path, "--out", str(tmp_path / "cc")])
         main(["run-theorem", which, "--config", path, "--out", str(tmp_path / "rt")])
@@ -807,6 +815,15 @@ DISPERSION_MUTATIONS = [("dispersion", section, key, value)
                         for section, key in _keys(FUZZ_BASES["dispersion"][1])
                         for value in FUZZ_VALUES]
 
+# simulate and estimate-constants: every one-key mutation of a short theorem31 run
+FUZZ_BASES.update({command: ([command], short_demo("theorem31", "0.1"))
+                   for command in ("simulate", "estimate-constants")})
+INTEGRATION_MUTATIONS = [(label, section, key, value)
+                         for label in ("simulate", "estimate-constants")
+                         for section, key in _keys(FUZZ_BASES[label][1])
+                         for value in FUZZ_VALUES
+                         if not (key in RUN_LENGTH_KEYS and value == "1e308")]
+
 
 def _run_mutation(label: str, section: str, key: str, value: str) -> int:
     """Run one mutated config through main in process; assert an exit code
@@ -844,7 +861,7 @@ class TestExitCodeFuzzing:
         ("theorem33-certificate", "kinetics", "matrix", "1e308", 2),  # lambda overflowed
         ("theorem32-certificate", "diffusion", "v0", "1e308", 0),  # sigma past the range
         ("theorem34_L2-certificate", "kinetics", "c0_v0", "1e308", 2),
-        ("theorem31", "diffusion", "v0", "1e308", 1),              # exp of mu and of the cap
+        ("theorem31", "diffusion", "v0", "1e308", 1),              # exp of mu
         ("theorem31-certificate", "certificate", "nu", "1e308", 1),
         ("theorem34_L2", "certificate", "m", "1e308", 1),          # power of mu
         ("theorem34_L4", "certificate", "nu", "1e308", 2),         # mu' of the bounded weight
@@ -863,6 +880,11 @@ class TestExitCodeFuzzing:
     @pytest.mark.parametrize("mutation", DISPERSION_MUTATIONS,
                              ids=[f"{m[2]}={m[3]}" for m in DISPERSION_MUTATIONS])
     def test_dispersion_mutation(self, mutation):
+        _run_mutation(*mutation)
+
+    @pytest.mark.parametrize("mutation", INTEGRATION_MUTATIONS,
+                             ids=[f"{m[0]}-{m[2]}={m[3]}" for m in INTEGRATION_MUTATIONS])
+    def test_simulate_and_estimate_mutation(self, mutation):
         _run_mutation(*mutation)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)

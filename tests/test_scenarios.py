@@ -129,7 +129,9 @@ class TestExponentialDecay:
         assert not sc_bad.ready
 
     def test_hypotheses_imply_grid_check(self):
-        # passing the sufficient growth bound implies the comparison condition
+        # with nu = sigma0/2 the certificate check is the closed-form growth
+        # bound c0 <= sigma0/2 g0**-(q-1) exp((q-1) sigma0 t/2): a constant c0
+        # passes below the bound's value at t = 0 and fails above it
         rng = np.random.default_rng(2)
         for _ in range(20):
             d0 = rng.uniform(0.5, 3.0)
@@ -139,12 +141,14 @@ class TestExponentialDecay:
             g0 = rng.uniform(0.05, 1.0)
             q = comparison_exponent(2.0)
             cap0 = 0.5 * sigma0_target * g0 ** (-(q - 1.0))
+            share = rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.9) + 1.0
             inp = ScenarioInputs(L=L, bc="dirichlet", a0=a0, d0=d0, g0=g0,
-                                 c0=TimeProfile.constant(rng.uniform(0.0, 1.0) * cap0),
+                                 c0=TimeProfile.constant(share * cap0),
                                  alpha_factor=1.0)
             sc = exponential_decay_scenario(inp, horizon=15.0)
-            if sc.hypotheses.conditions["nonlinearity_small_enough"]:
-                assert sc.certificate_check.passed
+            small = sc.hypotheses.conditions["nonlinearity_small_enough"]
+            assert small == sc.certificate_check.passed == (share < 1.0)
+            assert sc.hypotheses.first_failure_t == (None if small else 0.0)
 
 
 class TestPowerDecay:
