@@ -81,8 +81,8 @@ def _parse_str(text: str) -> str:
 _PROFILE_KEYS = {
     "kind": (_parse_choice(_PROFILE_KINDS), "constant"),
     "v0": (_parse_float, None),
-    "exponent": (_parse_float, 0.0),
-    "rate": (_parse_float, 0.0),
+    "exponent": (_parse_float, None),
+    "rate": (_parse_float, None),
     "offset": (_parse_float, 0.0),
 }
 
@@ -98,16 +98,16 @@ SCHEMA = {
         "p": (_parse_float, 2.0),
         "c0_kind": (_parse_choice(_PROFILE_KINDS), "constant"),
         "c0_v0": (_parse_float, 0.0),
-        "c0_exponent": (_parse_float, 0.0),
-        "c0_rate": (_parse_float, 0.0),
+        "c0_exponent": (_parse_float, None),
+        "c0_rate": (_parse_float, None),
         "c0_offset": (_parse_float, 0.0),
     },
     "modulation": dict(_PROFILE_KEYS),
     "diffusion": {
         "kind": (_parse_choice(_PROFILE_KINDS), "constant"),
         "v0": (_parse_float_list, None),
-        "exponent": (_parse_float, 0.0),
-        "rate": (_parse_float, 0.0),
+        "exponent": (_parse_float, None),
+        "rate": (_parse_float, None),
         "offset": (_parse_float, 0.0),
     },
     "run": {
@@ -210,10 +210,27 @@ def parse_matrix(text: str) -> np.ndarray:
     return mat
 
 
-def _profile_from_keys(kind: str, v0: float, exponent: float, rate: float,
-                       offset: float, positive: bool = False) -> TimeProfile:
-    return TimeProfile(kind=kind, v0=v0, exponent=exponent, rate=rate,
-                       offset=offset, positive=positive)
+# the kinds that use each optional profile key
+_KEY_KINDS = {"exponent": ("power_decay", "power_growth"), "rate": ("exponential",)}
+
+
+def _profile_from_keys(section: str, prefix: str, values: dict, v0: float,
+                       positive: bool = False) -> TimeProfile:
+    """The profile of the keys ``prefix + name`` of [section], with value v0;
+    an exponent or a rate given to a kind that does not use it is an error."""
+    kind = values[prefix + "kind"]
+    params = {}
+    for name, kinds in _KEY_KINDS.items():
+        given = values[prefix + name]
+        if given is not None and kind not in kinds:
+            raise ConfigError(f"[{section}].{prefix}{name} is not used by "
+                              f"{prefix}kind = {kind}")
+        params[name] = 0.0 if given is None else given
+    try:
+        return TimeProfile(kind=kind, v0=v0, offset=values[prefix + "offset"],
+                           positive=positive, **params)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from None
 
 
 def build_grid(cfg: RunConfig) -> Grid1D:
@@ -229,22 +246,18 @@ def build_grid(cfg: RunConfig) -> Grid1D:
 def build_modulation(cfg: RunConfig) -> TimeProfile:
     sec = cfg.values["modulation"]
     v0 = 1.0 if sec["v0"] is None else sec["v0"]
-    try:
-        return _profile_from_keys(sec["kind"], v0, sec["exponent"], sec["rate"],
-                                  sec["offset"], positive=True)
-    except ValueError as exc:
-        raise ConfigError(f"[modulation]: {exc}") from None
+    return _profile_from_keys("modulation", "", sec, v0, positive=True)
 
 
 def build_kinetics(cfg: RunConfig) -> KineticsSpec:
     sec = cfg.values["kinetics"]
     matrix = parse_matrix(cfg.require("kinetics", "matrix"))
-    c0 = _profile_from_keys(sec["c0_kind"], sec["c0_v0"], sec["c0_exponent"],
-                            sec["c0_rate"], sec["c0_offset"])
+    c0 = _profile_from_keys("kinetics", "c0_", sec, sec["c0_v0"])
+    modulation = build_modulation(cfg)
     try:
         return KineticsSpec(n_components=matrix.shape[0], linear=matrix,
                             nonlinearity=sec["nonlinearity"], c0=c0, p=sec["p"],
-                            modulation=build_modulation(cfg))
+                            modulation=modulation)
     except ValueError as exc:
         raise ConfigError(f"[kinetics]: {exc}") from None
 
@@ -256,11 +269,7 @@ def build_diffusion(cfg: RunConfig, n_components: int) -> tuple:
         v0s = v0s * n_components
     if len(v0s) != n_components:
         raise ConfigError(f"[diffusion].v0 needs {n_components} entries")
-    try:
-        return tuple(_profile_from_keys(sec["kind"], v0, sec["exponent"], sec["rate"],
-                                        sec["offset"], positive=True) for v0 in v0s)
-    except ValueError as exc:
-        raise ConfigError(f"[diffusion]: {exc}") from None
+    return tuple(_profile_from_keys("diffusion", "", sec, v0, positive=True) for v0 in v0s)
 
 
 _IC_PATTERN = re.compile(r"^(zero|noise|mode|file)\s*(?:\((.*)\))?$")

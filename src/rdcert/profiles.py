@@ -348,11 +348,12 @@ class KineticsSpec:
 
 def _finite(values: np.ndarray) -> bool:
     """Whether every entry of the float array ``values`` is finite.  A finite
-    sum needs finite terms; only an overflowing sum of finite terms takes the
-    elementwise check, so the common case allocates no mask.  The sum warns
-    of an overflow, or of inf - inf, unless the caller silences numpy's
-    overflow and invalid-value warnings."""
-    return math.isfinite(values.sum()) or bool(np.isfinite(values).all())
+    sum of squares (one BLAS dot) needs finite entries; only an overflowing
+    sum of finite squares takes the elementwise check, so the common case
+    allocates no mask for a contiguous array.  The dot warns of an overflow
+    unless the caller silences numpy's overflow warnings."""
+    flat = values.reshape(-1)
+    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(values).all())
 
 
 def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:
@@ -367,20 +368,28 @@ def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:
                           np.empty((1,) + u_arr.shape[1:]), np.empty(u_arr.shape))
 
 
-def _reaction_into(kin: KineticsSpec, u: np.ndarray, t: float, out: np.ndarray,
-                   row: np.ndarray, prod: np.ndarray) -> np.ndarray:
-    """:func:`eval_reaction` of the float array u, input checks included,
-    written into arrays the caller supplies as to :func:`reaction_kernel`."""
+def _check_state(kin: KineticsSpec, u: np.ndarray) -> None:
+    """The input checks of :func:`eval_reaction` on the float array u."""
     if u.ndim not in (1, 2) or u.shape[0] != kin.n_components:
         raise ValueError(f"state must have {kin.n_components} leading components")
     with np.errstate(over="ignore", invalid="ignore"):
         finite = _finite(u)
     if not finite:
         raise ValueError("state must be finite")
+
+
+def _reaction_into(kin: KineticsSpec, u: np.ndarray, t: float, out: np.ndarray,
+                   row: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """:func:`eval_reaction` of the float array u, input checks included,
+    written into arrays the caller supplies as to :func:`reaction_kernel`:
+    phi(t) (A u + B(u)), the kernel with (A, c0(t)) times phi(t)."""
+    _check_state(kin, u)
     c0 = reaction_c0(kin, t)
     phi = eval_profile(kin.modulation, t)
     with np.errstate(divide="ignore", over="ignore"):
-        return reaction_kernel(kin, u, c0, phi, out, row, prod)
+        reaction_kernel(kin, kin.linear, u, c0, out, row, prod)
+    out *= phi
+    return out
 
 
 def reaction_c0(kin: KineticsSpec, t: TimeLike) -> TimeLike:
@@ -435,20 +444,22 @@ def _saturation(kin: KineticsSpec, u: np.ndarray, c0, row: np.ndarray,
     return np.divide(c0, row, out=row)
 
 
-def reaction_kernel(kin: KineticsSpec, u: np.ndarray, c0: float, phi: float,
+def reaction_kernel(kin: KineticsSpec, lin: np.ndarray, u: np.ndarray, num: float,
                     out: np.ndarray, row: np.ndarray, prod: np.ndarray) -> np.ndarray:
-    """F(u, t) from a finite float state and the coefficients c0(t) and
-    phi(t) already evaluated, written into ``out``; no input checks.
+    """lin @ u - u num / (1 + |u|**(1-p)) from a finite float state, written
+    into ``out``; no input checks.  The second term is taken only with the
+    saturated nonlinearity.  With (lin, num) = (A, c0(t)) this is
+    F(u, t) / phi(t); the solver passes each stage's coefficients with its
+    scalars folded in (see :class:`rdcert.solver._StepPlan`).
 
     The caller supplies every array the kernel writes: ``out`` and ``prod``
     of u's shape (C order) and the saturation ``row`` of shape
     (1,) + u.shape[1:], none sharing memory with u.  Returns ``out``.  Callers silence numpy's
     division-by-zero and overflow warnings, which u = 0 and states near it
     raise on the way to an exact 0."""
-    np.dot(kin.linear, u, out=out)
+    np.dot(lin, u, out=out)
     if kin.nonlinearity == "saturated_power":
-        out -= np.multiply(u, _saturation(kin, u, c0, row, prod), out=prod)
-    out *= phi
+        out -= np.multiply(u, _saturation(kin, u, num, row, prod), out=prod)
     return out
 
 
@@ -508,8 +519,9 @@ def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float,
     """Sampled upper bound for sup |F(u, t)| over |u| <= u_max, t in [0, horizon].
 
     The result is inflated by ``safety`` to absorb the sampling gap.  A u and
-    the saturation term of the sample states are computed once; each sample
-    time then only combines them with its c0 and phi.
+    the saturation term of the sample states are computed once, and combined
+    once per distinct c0 of the sample times; each sample time then only
+    scales that peak by its |phi|.
     """
     ts = np.linspace(0.0, horizon, t_samples)
     if kin.n_components == 1:
@@ -532,8 +544,11 @@ def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float,
         with np.errstate(divide="ignore", over="ignore"):
             sat = _saturation(kin, points, 1.0, np.empty((1, points.shape[1])), damped)
         np.multiply(points, sat, out=damped)
+    peaks = {}  # max over the samples of |A u + B(u)|, per distinct c0
     worst = 0.0
     for c0, phi in coeffs.tolist():
-        f = linear - c0 * damped
-        worst = max(worst, abs(phi) * math.sqrt(float(np.max(np.sum(f * f, axis=0)))))
+        if c0 not in peaks:
+            f = linear - c0 * damped
+            peaks[c0] = math.sqrt(float(np.max(np.sum(f * f, axis=0))))
+        worst = max(worst, abs(phi) * peaks[c0])
     return worst * (1.0 + safety)

@@ -10,14 +10,19 @@ plan built once per run: the diffusion values at the step midpoints and the
 reaction's c0 and phi at both stage times are evaluated as vectorised tables.
 With M = I - delta L, delta = (dt/2) D(t + dt/2) and L the three-point
 Laplacian, I + delta L = 2I - M, so a stage is M^-1 (2 v + dt f) - v and no
-explicit Laplacian is applied.  All components form one block-diagonal
-tridiagonal M.  Scaling its rows by the trapezoid weights W = diag(1/2, 1,
-..., 1, 1/2) per block under Neumann ends (W = I under Dirichlet ends) makes
-W M symmetric and strictly diagonally dominant, so it is factored as L D L^T
-by LAPACK ``pttrf`` once per distinct row of midpoint diffusion values (once
-per run for constant diffusion), and a stage solves W M x = W rhs by one
+explicit Laplacian is applied.  The plan folds each stage's scalars (the 2
+of 2 v, dt or dt/2, phi) into per-step tables of the reaction's linear
+matrix and saturation numerator, so that one reaction-kernel call gives a
+stage's right-hand side less the forcing; the second stage reuses half the
+first one's.  All components form one block-diagonal tridiagonal M.
+Scaling its rows by the trapezoid weights W = diag(1/2, 1, ..., 1, 1/2) per
+block under Neumann ends (W = I under Dirichlet ends) makes W M symmetric
+and strictly diagonally dominant, so it is factored as L D L^T by LAPACK
+``pttrf`` once per distinct row of midpoint diffusion values (once per run
+for constant diffusion), and a stage solves W M x = W rhs by one
 ``pttrs``.  ``Trajectory.metadata`` counts the steps, the factorizations and
-the reaction evaluations of the run.  ``simulate`` computes the norms of a
+the reaction evaluations of the run (one per stage, a skipped kernel
+included).  ``simulate`` computes the norms of a
 block of buffered states at a time, squaring each state once, and still
 raises errors in step order.
 
@@ -42,9 +47,9 @@ from scipy.linalg import get_lapack_funcs
 
 from .grid import (Field, Grid1D, NormSet, _carve, _norm_rows, _norm_shapes, _scratch_len,
                    norms_from_values, quadrature_weights)
-from .profiles import (KineticsSpec, TimeProfile, _finite, _reaction_into, coefficient_table,
-                       effective_c0, eval_profile, gamma_of_t, reaction_coefficients,
-                       reaction_kernel)
+from .profiles import (KineticsSpec, TimeProfile, _check_state, _finite, _reaction_into,
+                       coefficient_table, effective_c0, eval_profile, gamma_of_t,
+                       reaction_coefficients, reaction_kernel)
 
 Scheme = str  # "one_stage" | "two_stage"
 
@@ -150,101 +155,108 @@ def _check_info(info: int) -> None:
         raise np.linalg.LinAlgError(f"tridiagonal solve failed (info = {info})")
 
 
+def _stage_tables(kin: KineticsSpec, times: np.ndarray, weight: float, identity: float):
+    """One stage's reaction coefficients at each of ``times`` with the
+    stage's scalars folded in: lin = identity I + weight phi A, shape
+    (k, m, m), and num = weight phi c0, a list of k floats, for the times
+    before the first one the kinetics reject, and the error of that time
+    (None if there is none); see :func:`rdcert.profiles.coefficient_table`."""
+    coeffs, error = coefficient_table(partial(reaction_coefficients, kin), times)
+    c0, phi = coeffs.T
+    scale = weight * phi
+    lin = scale[:, None, None] * kin.linear
+    if identity:
+        lin += identity * np.eye(kin.n_components)
+    return lin, (scale * c0).tolist(), error
+
+
 class _StepPlan:
     """Everything the IMEX steps of one run share, built once.
 
-    Step k goes from ``starts[k]`` to ``starts[k] + dt``.  The plan holds the
-    diffusion values at the step midpoints and c0, phi at both stage times as
-    tables.  All components are solved as one block-diagonal tridiagonal
-    system, row-scaled to the symmetric W M and factored as L D L^T once per
+    Step k goes from ``starts[k]`` to ``starts[k] + dt``.  The plan holds
+    per-step tables: the diagonal 1 + 2 delta/h^2 of M and the weight delta
+    = (dt/2) D at the step midpoint, and each stage's reaction coefficients
+    with the stage's scalars folded in (see :func:`_stage_tables`), so that
+    one :func:`rdcert.profiles.reaction_kernel` call gives a stage's explicit
+    part.  With v the state, phi, c0 at the step start and phi', c0' at its
+    end, stage 1 solves M x = rhs1 for
+
+        rhs1 = (2I + dt phi A) v - v (dt phi c0) / (1 + |v|**(1-p)) + dt f(t)
+
+    and x1 = x - v; stage 2 solves M x = rhs2 for
+
+        rhs2 = (dt/2) phi' A x1 - x1 ((dt/2) phi' c0') / (1 + |x1|**(1-p))
+               + rhs1 / 2 + v + (dt/2) f(t + dt)
+
+    and x2 = x - v, with f the forcing.  A stage-2 kernel whose
+    coefficients vanish at every step (no reaction) is not called.  All
+    components are solved as one block-diagonal tridiagonal system,
+    row-scaled to the symmetric W M and factored as L D L^T once per
     distinct row of midpoint diffusion values.
 
     The plan also owns the run's workspace, so that no step allocates a
     state-sized array: the factor's two arrays, and one flat ``scratch``
-    array holding 2 v, f0, f1, the right-hand side and the reaction's
-    saturation row and product.  ``scratch`` is also large enough for the
-    norms of ``norm_states`` states (see :func:`rdcert.grid._norm_rows`),
-    which a caller may compute in it between steps.
+    array holding both right-hand sides, rhs1 / 2, the scaled forcing and
+    the reaction's saturation row and product.  ``scratch`` is also large
+    enough for the norms of ``norm_states`` states (see
+    :func:`rdcert.grid._norm_rows`), which a caller may compute in it
+    between steps.
     """
 
     def __init__(self, sys: SystemSpec, starts: np.ndarray, dt: float, scheme: Scheme,
                  norm_states: int):
         if scheme not in ("one_stage", "two_stage"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        self.sys = sys
+        kin = sys.kinetics
+        self.kinetics = kin
+        self.forcing = sys.forcing
         self.dt = dt
         self.two_stage = scheme == "two_stage"
         self.starts = starts.tolist()
         self.ends = (starts + dt).tolist()
         self.xs = sys.grid.x
-        d_mid, self.mid_error = coefficient_table(partial(_diffusion_table, sys),
-                                                  starts + 0.5 * dt)
-        # (dt/2) D(t + dt/2) per step and component: the Crank-Nicolson weight
-        self.delta = (0.5 * dt) * d_mid.T
-        # step k keeps the factor of step k - 1 when its weights are the same
-        same = np.zeros(len(self.delta), dtype=bool)
-        same[1:] = np.all(self.delta[1:] == self.delta[:-1], axis=1)
-        self.refactor = (~same).tolist()
-        react = partial(reaction_coefficients, sys.kinetics)
-        start_coeffs, self.start_error = coefficient_table(react, starts)
-        self.start_coeffs = start_coeffs.tolist()
-        if self.two_stage:
-            end_coeffs, self.end_error = coefficient_table(react, starts + dt)
-            self.end_coeffs = end_coeffs.tolist()
-        # one block of -W L per component, per unit weight: the row weights
-        # W, the off-diagonal, whose last entry is the zero coupling to the
-        # next block, and the diagonal value of -L
         h2 = sys.grid.h * sys.grid.h
+        # the tables take the step's silenced warnings: a weight or a
+        # coefficient past the double range reads inf, as in the step
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            d_mid, self.mid_error = coefficient_table(partial(_diffusion_table, sys),
+                                                      starts + 0.5 * dt)
+            # (dt/2) D(t + dt/2) per step and component: the Crank-Nicolson weight
+            delta = (0.5 * dt) * d_mid.T
+            # one (m, 1) column per step, to scale the rows of every block
+            self.delta = delta[:, :, None]
+            self.centre = (2.0 / h2 * delta + 1.0)[:, :, None]
+            self.lin0, self.num0, self.start_error = _stage_tables(kin, starts, dt, 2.0)
+            if self.two_stage:
+                self.lin1, self.num1, self.end_error = _stage_tables(kin, starts + dt,
+                                                                     0.5 * dt, 0.0)
+                self.react_end = kin.nonlinearity == "saturated_power" or self.lin1.any()
+        # step k keeps the factor of step k - 1 when its weights are the same
+        same = np.zeros(len(delta), dtype=bool)
+        same[1:] = np.all(delta[1:] == delta[:-1], axis=1)
+        self.refactor = (~same).tolist()
+        # one block of -W L per component, per unit weight: the row weights
+        # W and the off-diagonal, whose last entry is the zero coupling to
+        # the next block
         self.row_weights = quadrature_weights(sys.grid) / sys.grid.h
         self.unit_off = np.full(sys.grid.n, -1.0 / h2)
         self.unit_off[-1] = 0.0
-        self.unit_centre = 2.0 / h2
         self.neumann = sys.grid.bc == "neumann"
         shape = sys.initial.values.shape
         self.diag, self.off = np.empty(shape), np.empty(shape)
+        self.diag_flat, self.off_flat = self.diag.reshape(-1), self.off.reshape(-1)[:-1]
         step_shapes = (shape,) * 5 + ((1, shape[1]),)
         norm_shapes = _norm_shapes((norm_states,) + shape, sys.grid)
         self.scratch = np.empty(max(_scratch_len(step_shapes), _scratch_len(norm_shapes)))
-        (self.twice, self.f0, self.f1, self.rhs, self.prod,
+        (self.rhs, self.rhs2, self.half, self.work, self.prod,
          self.row) = _carve(self.scratch, step_shapes)
+        # pttrs solves in place in these flat views; under Neumann ends W
+        # halves the first and last column of every block (n >= 3)
+        self.rhs_flat, self.rhs2_flat = self.rhs.reshape(-1), self.rhs2.reshape(-1)
+        self.rhs_ends, self.rhs2_ends = self.rhs[:, ::shape[1] - 1], self.rhs2[:, ::shape[1] - 1]
         self.factor = None
         self.factorizations = 0
         self.reaction_evals = 0
-
-    def _factor(self, delta: np.ndarray) -> None:
-        """Factor W M = W (I - delta L), the block of component i weighted by
-        delta_i: diagonal w (1 + 2 delta/h^2), off-diagonal -delta/h^2.  It is
-        symmetric and strictly diagonally dominant for delta > 0."""
-        np.multiply((self.unit_centre * delta + 1.0)[:, None], self.row_weights,
-                    out=self.diag)
-        np.multiply(self.unit_off, delta[:, None], out=self.off)
-        *factor, info = _pttrf(self.diag.reshape(-1), self.off.reshape(-1)[:-1],
-                               True, True)
-        _check_info(info)
-        self.factor = factor
-        self.factorizations += 1
-
-    def _stage(self, values: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """M^-1 rhs - values into ``out``, with rhs = 2 values + dt f: the
-        Crank-Nicolson stage (I - delta L)^-1 ((I + delta L) values + dt f),
-        since I + delta L = 2I - M.  Solves W M x = W rhs in place in rhs;
-        ``out`` may be rhs itself."""
-        if self.neumann:
-            # W rhs: halve the first and last column of every block (n >= 3)
-            rhs[:, ::rhs.shape[1] - 1] *= 0.5
-        x, info = _pttrs(*self.factor, rhs.reshape(-1), overwrite_b=True)
-        _check_info(info)
-        return np.subtract(x.reshape(values.shape), values, out=out)
-
-    def _explicit(self, values: np.ndarray, t: float, coeffs: list,
-                  out: np.ndarray) -> np.ndarray:
-        sys = self.sys
-        c0, phi = coeffs
-        self.reaction_evals += 1
-        reaction_kernel(sys.kinetics, values, c0, phi, out, self.row, self.prod)
-        if sys.forcing is not None:
-            out += np.asarray(sys.forcing(self.xs, t), dtype=float)
-        return out
 
     def advance(self, values: np.ndarray, k: int, dest: np.ndarray) -> np.ndarray:
         """Write the state after step k from ``values`` into ``dest``, an
@@ -256,29 +268,54 @@ class _StepPlan:
         rejected time.  Call it with numpy's divide, overflow and invalid
         warnings silenced.
         """
-        if k >= len(self.delta):
+        if k >= len(self.centre):
             raise self.mid_error
-        if k >= len(self.start_coeffs):
+        if k >= len(self.num0):
             raise self.start_error
-        f0 = self._explicit(values, self.starts[k], self.start_coeffs[k], self.f0)
+        kin, forcing, rhs = self.kinetics, self.forcing, self.rhs
+        self.reaction_evals += 1
+        reaction_kernel(kin, self.lin0[k], values, self.num0[k], rhs, self.row, self.prod)
+        if forcing is not None:
+            rhs += np.multiply(self.dt, forcing(self.xs, self.starts[k]), out=self.work)
         if self.refactor[k]:
-            self._factor(self.delta[k])
-        twice = np.add(values, values, out=self.twice)
-        rhs = np.multiply(self.dt, f0, out=self.rhs)
-        rhs += twice
-        # a two-stage step keeps its first stage in the right-hand side
-        out = self._stage(values, rhs, rhs if self.two_stage else dest)
+            # W M: diagonal w (1 + 2 delta/h^2), off-diagonal -delta/h^2 in
+            # the block of a component with weight delta; symmetric and
+            # strictly diagonally dominant for delta > 0
+            np.multiply(self.centre[k], self.row_weights, out=self.diag)
+            np.multiply(self.unit_off, self.delta[k], out=self.off)
+            *self.factor, info = _pttrf(self.diag_flat, self.off_flat, True, True)
+            _check_info(info)
+            self.factorizations += 1
+        two_stage = self.two_stage
+        if two_stage:
+            half = np.multiply(rhs, 0.5, out=self.half)
+        if self.neumann:
+            self.rhs_ends *= 0.5
+        _check_info(_pttrs(*self.factor, self.rhs_flat, overwrite_b=True)[1])
+        # a two-stage step keeps its first stage x1 in rhs
+        out = np.subtract(rhs, values, out=rhs if two_stage else dest)
         if not _finite(out):
             raise BlowUpError(self.ends[k])
-        if self.two_stage:
-            if k >= len(self.end_coeffs):
-                raise self.end_error
-            f1 = self._explicit(out, self.ends[k], self.end_coeffs[k], self.f1)
-            f1 += f0
-            f1 *= 0.5 * self.dt
-            out = self._stage(values, np.add(twice, f1, out=rhs), dest)
-            if not _finite(out):
-                raise BlowUpError(self.ends[k])
+        if not two_stage:
+            return out
+        if k >= len(self.num1):
+            raise self.end_error
+        self.reaction_evals += 1
+        rhs2 = self.rhs2
+        if self.react_end:
+            reaction_kernel(kin, self.lin1[k], out, self.num1[k], rhs2, self.row, self.prod)
+            rhs2 += half
+            rhs2 += values
+        else:
+            np.add(half, values, out=rhs2)
+        if forcing is not None:
+            rhs2 += np.multiply(0.5 * self.dt, forcing(self.xs, self.ends[k]), out=self.work)
+        if self.neumann:
+            self.rhs2_ends *= 0.5
+        _check_info(_pttrs(*self.factor, self.rhs2_flat, overwrite_b=True)[1])
+        out = np.subtract(rhs2, values, out=dest)
+        if not _finite(out):
+            raise BlowUpError(self.ends[k])
         return out
 
 
@@ -442,8 +479,11 @@ def manufactured_system(grid: Grid1D, kinetics: KineticsSpec,
 
     The forcing computes F(u*) as :func:`rdcert.profiles.eval_reaction` does,
     input checks included, in arrays it keeps from call to call while the
-    shape of u* stays the same; each call returns one fresh array."""
+    shape of u* stays the same; each call returns one fresh array.  When the
+    reaction vanishes identically (A = 0, no nonlinearity) it checks u* and
+    leaves F(u*) out."""
     profiles = tuple(diffusion)
+    zero_reaction = kinetics.nonlinearity == "none" and not kinetics.linear.any()
     work = []  # F(u*), the saturation row and the product
 
     def forcing(xs, t):
@@ -453,6 +493,9 @@ def manufactured_system(grid: Grid1D, kinetics: KineticsSpec,
         dudt = np.atleast_2d(np.asarray(case.time_derivative(xs, t), dtype=float))
         f = d_vals[:, None] * lap
         np.subtract(dudt, f, out=f)
+        if zero_reaction:
+            _check_state(kinetics, exact)
+            return f
         if not work or work[0].shape != exact.shape:
             work[:] = (np.empty(exact.shape), np.empty((1,) + exact.shape[1:]),
                        np.empty(exact.shape))

@@ -201,6 +201,44 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()  # nor a run_meta.json in it
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("[diffusion]\nv0 = 2.0", "[modulation]\nexponent = 1.0\n[diffusion]\nv0 = 2.0",
+         "[modulation].exponent is not used by kind = constant"),
+        ("[diffusion]\nv0 = 2.0", "[modulation]\nkind = power_growth\nexponent = 1.0\n"
+                                  "rate = 0.5\n[diffusion]\nv0 = 2.0",
+         "[modulation].rate is not used by kind = power_growth"),
+        ("[diffusion]\nv0 = 2.0", "[diffusion]\nv0 = 2.0\nrate = 0.0",
+         "[diffusion].rate is not used by kind = constant"),
+        ("[diffusion]\nv0 = 2.0", "[diffusion]\nkind = exponential\nv0 = 2.0\nrate = 0.1\n"
+                                  "exponent = 1.0",
+         "[diffusion].exponent is not used by kind = exponential"),
+        ("c0_v0 = 0.05", "c0_v0 = 0.05\nc0_kind = exponential\nc0_rate = -0.1\nc0_exponent = 2.0",
+         "[kinetics].c0_exponent is not used by c0_kind = exponential"),
+        ("c0_v0 = 0.05", "c0_v0 = 0.05\nc0_rate = -0.1",
+         "[kinetics].c0_rate is not used by c0_kind = constant"),
+    ], ids=["modulation-exponent", "modulation-rate", "diffusion-rate", "diffusion-exponent",
+            "c0-exponent", "c0-rate"])
+    def test_profile_key_the_kind_does_not_use(self, tmp_path, capsys, old, new, message):
+        assert old in TH31_CFG
+        path = write_cfg(tmp_path, TH31_CFG.replace(old, new))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_profile_keys_the_kind_uses(self, tmp_path):
+        text = TH31_CFG.replace("c0_v0 = 0.05", "c0_v0 = 0.05\nc0_kind = exponential\n"
+                                                "c0_rate = -0.1\nc0_offset = 0.01")
+        text = text.replace("[diffusion]\nv0 = 2.0", "[modulation]\nkind = power_growth\n"
+                            "exponent = 0.5\n[diffusion]\nkind = power_decay\nv0 = 2.0\n"
+                            "exponent = 1.0\noffset = 0.5")
+        spec = build_system(parse_config(write_cfg(tmp_path, text)))
+        kin = spec.kinetics
+        assert (kin.c0.kind, kin.c0.rate, kin.c0.exponent, kin.c0.offset) == \
+            ("exponential", -0.1, 0.0, 0.01)
+        assert (kin.modulation.kind, kin.modulation.exponent, kin.modulation.rate) == \
+            ("power_growth", 0.5, 0.0)
+        assert [(d.kind, d.exponent, d.rate, d.offset) for d in spec.diffusion] == \
+            [("power_decay", 1.0, 0.0, 0.5)]
+
     def test_dispersion_modes_past_the_samples(self, tmp_path, capsys):
         path = write_cfg(tmp_path, DISPERSION_CFG + "\n[dispersion]\nk_max = 1e9\n")
         code = main(["analyze-dispersion", "--config", path, "--out", str(tmp_path / "out")])
@@ -662,7 +700,8 @@ class TestOneSigma:
              ("theorem32", "theorem33", "theorem34_L2", "theorem34_L4")}
     # a constant [modulation] is a linear rate that does not decay: 3.2 reads k = 0
     CASES["theorem32-constant-modulation"] = (
-        "theorem32", "[modulation]\nkind = power_decay", "[modulation]\nkind = constant")
+        "theorem32", "[modulation]\nkind = power_decay\nv0 = 1.0\nexponent = 1.0",
+        "[modulation]\nkind = constant\nv0 = 1.0")
 
     @pytest.mark.parametrize("label", CASES)
     def test_commands_agree(self, tmp_path, label):

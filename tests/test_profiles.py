@@ -142,7 +142,7 @@ class TestEvalReaction:
                 eval_reaction(kin, np.array([[1e308, 1e308, bad]]))
 
     def test_finite_state_whose_sum_overflows_accepted(self):
-        # the finiteness check sums first and warns of nothing
+        # the finiteness check sums squares first and warns of nothing
         kin = KineticsSpec(n_components=1, linear=np.array([[-1e-300]]))
         out = eval_reaction(kin, np.full((1, 4), 1e308))
         assert out.tolist() == [[-1e8] * 4]
@@ -173,6 +173,66 @@ class TestEvalReaction:
         f1 = eval_reaction(kin1, u, None, 0.8)
         f2 = eval_reaction(kin2, u, None, 0.8)
         assert np.array_equal(f2, 2.0 * f1)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_the_formula_bit_for_bit(self, m):
+        # phi (A u - u c0 / (1 + |u|^(1-p))), in the order of operations the
+        # reaction has always used: the kernel's (A, c0) output times phi
+        linear = np.array([[0.7]]) if m == 1 else np.array([[0.3, -1.1], [0.9, -0.2]])
+        kin = KineticsSpec(n_components=m, linear=linear, nonlinearity="saturated_power",
+                           c0=TimeProfile.power_decay(0.8, 0.5), p=2.5,
+                           modulation=TimeProfile.exponential(1.3, -0.4, offset=0.2))
+        rng = np.random.default_rng(5)
+        u = rng.normal(scale=3.0, size=(m, 41))
+        u[:, 7] = 0.0  # the saturation's exact-zero branch
+        for t in (0.0, 0.35, 2.9):
+            c0, phi = eval_profile(kin.c0, t), eval_profile(kin.modulation, t)
+            if m == 1:
+                row = u * u
+            else:
+                row = np.add.reduce(u * u, axis=0, keepdims=True)
+            with np.errstate(divide="ignore"):
+                row **= 0.5 * (1.0 - kin.p)
+            row += 1.0
+            expected = np.dot(linear, u)
+            expected -= u * (c0 / row)
+            expected *= phi
+            assert eval_reaction(kin, u, None, t).tobytes() == expected.tobytes(), t
+
+
+def per_time_sup_bound(kin, u_max, horizon, u_samples=2001, t_samples=65, safety=0.05):
+    """reaction_sup_bound of one component written out with one pass over
+    the samples per sample time."""
+    ts = np.linspace(0.0, horizon, t_samples)
+    points = np.linspace(-u_max, u_max, u_samples)[None, :]
+    linear = np.dot(kin.linear, points)
+    with np.errstate(divide="ignore"):
+        sat = 1.0 / ((points * points) ** (0.5 * (1.0 - kin.p)) + 1.0)
+    damped = points * sat
+    worst = 0.0
+    for c0, phi in zip(eval_profile(kin.c0, ts).tolist(),
+                       eval_profile(kin.modulation, ts).tolist()):
+        f = linear - c0 * damped
+        worst = max(worst, abs(phi) * math.sqrt(float(np.max(np.sum(f * f, axis=0)))))
+    return worst * (1.0 + safety)
+
+
+class TestReactionSupBound:
+    """The bound combines A u and the saturation term once per distinct c0
+    and equals the per-time loop bit for bit."""
+
+    @pytest.mark.parametrize("c0", [
+        TimeProfile.constant(0.3),
+        # repeated values: flat pieces and a value that comes back
+        TimeProfile.tabulated([0.0, 1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.9, 0.5, 0.5]),
+        TimeProfile.power_decay(0.8, 1.5),
+    ], ids=["constant", "tabulated", "power_decay"])
+    def test_matches_per_time_loop(self, c0):
+        kin = KineticsSpec(n_components=1, linear=np.array([[-0.6]]),
+                           nonlinearity="saturated_power", c0=c0, p=2.5,
+                           modulation=TimeProfile.power_decay(1.4, 0.7, offset=0.1))
+        got = reaction_sup_bound(kin, 3.0, 4.0)
+        assert got.hex() == per_time_sup_bound(kin, 3.0, 4.0).hex()
 
 
 class TestGamma:

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from rdcert.grid import (Grid1D, constant_field, discrete_norms, lp_integral, lp_integrals,
-                         mode_field, noise_field, norms_batch, zero_field)
-from rdcert.profiles import KineticsSpec, TimeProfile, eval_profile, eval_reaction
+from rdcert.grid import (Field, Grid1D, constant_field, discrete_norms, lp_integral,
+                         lp_integrals, mode_field, noise_field, norms_batch, quadrature_weights,
+                         zero_field)
+import rdcert.solver
+from rdcert.profiles import KineticsSpec, TimeProfile, eval_profile, eval_reaction, reaction_kernel
 from rdcert.solver import (_NORM_BLOCK_BYTES, BlowUpError, InconclusiveOrderError,
                            ManufacturedCase, SystemSpec, apply_laplacian, convergence_orders,
                            energy_inequality_residuals, manufactured_system, simulate,
@@ -377,6 +381,15 @@ class TestStepFormula:
                                   decaying_sine_case())
         self.assert_pinned(sys, 0.2, 0.004, "two_stage")
 
+    @pytest.mark.parametrize("scheme", ["one_stage", "two_stage"])
+    def test_manufactured_forcing_without_reaction(self, scheme):
+        # zero kinetics: the forcing leaves F(u*) out and the second stage
+        # calls no reaction kernel
+        sys = manufactured_system(Grid1D(1.0, 40), KineticsSpec(n_components=1),
+                                  (TimeProfile.power_decay(0.6, 1.0, positive=True),),
+                                  decaying_sine_case())
+        self.assert_pinned(sys, 0.2, 0.004, scheme)
+
 
 def block_len(sys):
     """States per norm block of a run of sys, as simulate sizes its blocks."""
@@ -483,6 +496,25 @@ class TestStepCounters:
     def test_one_stage_evaluates_once_per_step(self):
         meta = self.run("power_decay", "one_stage", m=1)
         assert (meta["steps"], meta["factorizations"], meta["reaction_evals"]) == (40, 40, 40)
+
+    @pytest.mark.parametrize("scheme", ["one_stage", "two_stage"])
+    def test_zero_reaction_skips_the_second_kernel(self, monkeypatch, scheme):
+        # the first stage's kernel gives 2 v, the second stage's would give 0:
+        # one call per step either way, against one per stage with a reaction
+        kernel_calls = []
+
+        def counting(*args):
+            kernel_calls.append(1)
+            return reaction_kernel(*args)
+        monkeypatch.setattr(rdcert.solver, "reaction_kernel", counting)
+        sys = dataclasses.replace(pinned_system("dirichlet", 2, "constant"),
+                                  kinetics=KineticsSpec(n_components=2))
+        meta = simulate(sys, 40 * 0.005, dt=0.005, scheme=scheme).metadata
+        assert len(kernel_calls) == 40
+        assert meta["reaction_evals"] == (80 if scheme == "two_stage" else 40)
+        kernel_calls.clear()
+        self.run("constant", scheme)
+        assert len(kernel_calls) == (80 if scheme == "two_stage" else 40)
 
     def test_one_changing_component_refactors(self):
         g = Grid1D(1.0, 16)
@@ -662,7 +694,7 @@ class TestManufacturedForcing:
         assert first.tobytes() == kept.tobytes() == second.tobytes()
 
     def test_finite_state_whose_sum_overflows_is_accepted(self):
-        # the finiteness check sums first; an overflowing sum of finite
+        # the finiteness check sums squares first; an overflowing sum of finite
         # entries must not pass for a non-finite state
         case = ManufacturedCase(solution=lambda x, t: np.full((2, len(x)), 1e306),
                                 time_derivative=lambda x, t: np.zeros((2, len(x))),
@@ -675,15 +707,30 @@ class TestManufacturedForcing:
         assert np.isfinite(got).all()
         assert got.tobytes() == self.expected(sys, case, xs, 0.5).tobytes()
 
-    def broken_system(self, corrupt):
+    def broken_system(self, corrupt, kinetics="saturated"):
         """The system of two_component_case whose solution passes through
-        ``corrupt`` after t = 0, so that the initial field is valid."""
+        ``corrupt`` after t = 0, so that the initial field is valid; with
+        ``kinetics = "zero"`` the reaction vanishes identically."""
         case = two_component_case()
 
         def solution(x, t):
             u = case.solution(x, t)
             return corrupt(u) if t > 0.0 else u
-        return self.system(dataclasses.replace(case, solution=solution))
+        sys = self.system(dataclasses.replace(case, solution=solution))
+        if kinetics == "zero":
+            sys = manufactured_system(sys.grid, KineticsSpec(n_components=2), self.DIFFUSION,
+                                      dataclasses.replace(case, solution=solution))
+        return sys
+
+    def test_zero_reaction_is_left_out(self):
+        # A = 0 and no nonlinearity: F(u*) = 0 is not computed, and the
+        # result equals the formula up to the sign of zero entries
+        case = two_component_case()
+        sys = manufactured_system(Grid1D(1.0, 101, "neumann"), KineticsSpec(n_components=2),
+                                  self.DIFFUSION, case)
+        xs = sys.grid.x
+        for t in (0.0, 0.4, 1.7):
+            assert np.array_equal(sys.forcing(xs, t), self.expected(sys, case, xs, t))
 
     def test_wrong_component_count_rejected(self):
         sys = self.broken_system(lambda u: u[:1])
@@ -698,3 +745,84 @@ class TestManufacturedForcing:
         sys = self.broken_system(corrupt)
         with pytest.raises(ValueError, match="^state must be finite$"):
             sys.forcing(sys.grid.x, 0.2)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_zero_reaction_keeps_the_state_checks(self, bad):
+        def corrupt(u):
+            u[1, 7] = bad
+            return u
+        sys = self.broken_system(corrupt, kinetics="zero")
+        with pytest.raises(ValueError, match="^state must be finite$"):
+            sys.forcing(sys.grid.x, 0.2)
+        sys = self.broken_system(lambda u: u[:1], kinetics="zero")
+        with pytest.raises(ValueError, match="^state must have 2 leading components$"):
+            sys.forcing(sys.grid.x, 0.2)
+
+
+class TestModeOracle:
+    """simulate against the closed form of a discrete sine (Dirichlet) or
+    cosine (Neumann) mode.  Such a mode is an eigenvector of the three-point
+    Laplacian with lambda_k = -(4/h^2) sin^2(k pi h / (2L)); with a diagonal
+    linear part a, no nonlinearity and delta = (dt/2) D(t + dt/2), one stage
+    multiplies its amplitude by r1 = (1 + delta lambda + dt a) / (1 - delta
+    lambda) and a two-stage step by (1 + delta lambda + (dt a/2)(1 + r1)) /
+    (1 - delta lambda)."""
+
+    @staticmethod
+    def mode(grid, k):
+        """Mode k at the nodes and its eigenvalue, from the node indices."""
+        j = np.arange(grid.n)
+        if grid.bc == "dirichlet":  # x_j = (j + 1) h, L = (n + 1) h
+            angle = k * math.pi / (grid.n + 1)
+            values = np.sin(angle * (j + 1))
+        else:  # x_j = j h, L = (n - 1) h
+            angle = k * math.pi / (grid.n - 1)
+            values = np.cos(angle * j)
+        return values, -4.0 / grid.h ** 2 * math.sin(0.5 * angle) ** 2
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(3, 64), bc=st.sampled_from(["dirichlet", "neumann"]),
+           m=st.sampled_from([1, 2]), decay=st.booleans(),
+           scheme=st.sampled_from(["one_stage", "two_stage"]),
+           dt=st.floats(1e-3, 0.1), steps=st.integers(1, 12))
+    def test_amplitudes_follow_the_mode_factors(self, data, n, bc, m, decay, scheme, dt, steps):
+        grid = Grid1D(data.draw(st.floats(0.5, 4.0), label="L"), n, bc)
+        first = 1 if bc == "dirichlet" else 0
+        k = data.draw(st.sampled_from([first, n - 1 + first]) | st.integers(first, n - 1 + first),
+                      label="k")
+        a = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m), label="a"))
+        # dt D(0) / h^2 from 1e-2 to 1e6, per component
+        ratios = data.draw(st.lists(st.floats(-2.0, 6.0), min_size=m, max_size=m), label="log10")
+        exponent = data.draw(st.floats(0.5, 2.0), label="exponent") if decay else 0.0
+        d0 = [10.0 ** r * grid.h ** 2 / dt for r in ratios]
+        diffusion = tuple(TimeProfile.power_decay(d, exponent, positive=True) if decay
+                          else TimeProfile.constant(d, positive=True) for d in d0)
+        amps = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m),
+                                  label="amps"))
+        shape, lam = self.mode(grid, k)
+        sys = SystemSpec(grid=grid, kinetics=KineticsSpec(n_components=m, linear=np.diag(a)),
+                         diffusion=diffusion, initial=Field(grid, amps[:, None] * shape))
+        traj = simulate(sys, steps * dt, dt=dt, record_every=1, scheme=scheme)
+
+        coeffs = [amps]
+        delta_max = 0.0
+        for i in range(len(traj.times) - 1):
+            mid = traj.times[i] + 0.5 * dt
+            delta = 0.5 * dt * np.array([eval_profile(p, mid) for p in diffusion])
+            delta_max = max(delta_max, float(delta.max()))
+            r1 = (1.0 + delta * lam + dt * a) / (1.0 - delta * lam)
+            if scheme == "two_stage":
+                r1 = (1.0 + delta * lam + 0.5 * dt * a * (1.0 + r1)) / (1.0 - delta * lam)
+            coeffs.append(coeffs[-1] * r1)
+        coeffs = np.array(coeffs)
+        # every stage solves with M = I - delta L, whose eigenvalues lie in
+        # [1, 1 + 4 delta / h^2]: each step adds an error of a few condition
+        # numbers times eps, relative to the largest amplitude (at most 6 in
+        # 1500 random draws of this test)
+        cond = 1.0 + 4.0 * delta_max / grid.h ** 2
+        tol = 32.0 * len(coeffs) * cond * np.finfo(float).eps * np.max(np.abs(coeffs))
+        exact = coeffs[:, :, None] * shape
+        assert np.max(np.abs(traj.states - exact)) <= tol
+        mode_norm = math.sqrt(float(np.sum(quadrature_weights(grid) * shape ** 2)))
+        g_exact = mode_norm * np.sqrt(np.sum(coeffs ** 2, axis=1))
+        assert np.max(np.abs(traj.g - g_exact)) <= 2.0 * math.sqrt(grid.L) * tol
