@@ -27,7 +27,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
-from .profiles import ProfileLike, TimeLike, TimeProfile, _blocks, as_time_function
+from .profiles import (ProfileLike, TimeLike, TimeProfile, _blocks, _check_times, _derivative,
+                       _finite, _grid_block, _values_at, as_time_function)
 
 __all__ = [
     "ScalarProblem", "Certificate", "CertificateReport", "ComparisonSolution",
@@ -62,13 +63,17 @@ class ScalarProblem:
         inner = as_time_function(self.alpha)
 
         def checked(t):
-            val = inner(t)
-            # scalar times, as the integrators pass them, skip the array reduction
-            negative = val < 0.0 if isinstance(val, float) else np.any(np.asarray(val) < 0.0)
-            if negative:
-                raise ValueError("alpha(t) must be nonnegative")
-            return val
+            return _nonnegative_alpha(inner(t))
         return checked
+
+
+def _nonnegative_alpha(val: TimeLike) -> TimeLike:
+    """val, the alpha of a :class:`ScalarProblem` at some times, checked >= 0."""
+    # scalar times, as the integrators pass them, skip the array reduction
+    negative = val < 0.0 if isinstance(val, float) else np.any(np.asarray(val) < 0.0)
+    if negative:
+        raise ValueError("alpha(t) must be nonnegative")
+    return val
 
 
 @dataclass(frozen=True)
@@ -135,17 +140,11 @@ class Certificate:
 
     def mu_log_derivative(self, t: TimeLike) -> TimeLike:
         """mu'(t)/mu(t), analytic for the parametric families."""
-        return self._log_derivative(t, None if self.family == "exponential" else self.mu(t))
-
-    def _log_derivative(self, t: TimeLike, mu: Optional[TimeLike]) -> TimeLike:
-        """mu'(t)/mu(t) given mu = self.mu(t), which the exponential family
-        does not need."""
         if self.family == "exponential":
             t_arr = np.asarray(t, dtype=float)
-            out = np.full(t_arr.shape, self.nu)
-            return float(out) if t_arr.ndim == 0 else out
+            return float(self.nu) if t_arr.ndim == 0 else np.full(t_arr.shape, self.nu)
         from .profiles import profile_derivative
-        return profile_derivative(self._profile(), t) / mu
+        return profile_derivative(self._profile(), t) / self.mu(t)
 
     @property
     def decays_to_zero_envelope(self) -> bool:
@@ -228,8 +227,8 @@ def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
     is amplified.  Values past the double range read inf.  Blow-up is a
     reported outcome, not an error.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and positive")
     sigma = problem.sigma_fn()
     alpha = problem.alpha_fn()
     q, g0 = problem.q, problem.g0
@@ -380,7 +379,8 @@ class CertificateReport:
 
     ``passed`` requires the growth-condition residual to stay >= -tol on the
     grid (after local refinement of the worst point) and the initial-value
-    slack 1 - mu(0) g(0) to be >= -tol.
+    slack 1 - mu(0) g(0) to be >= -tol.  ``residuals`` holds the residual at
+    each of the grid's :attr:`times`.
     """
 
     passed: bool
@@ -392,76 +392,92 @@ class CertificateReport:
     horizon: float
     failed_condition: Optional[str]       # "initial_condition" | "residual"
     first_violation_t: Optional[float]
-    times: np.ndarray
     residuals: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        """The grid, ``np.linspace(0, horizon, grid_points)``, formed on each read."""
+        return np.linspace(0.0, self.horizon, self.grid_points)
 
 
 def growth_residual(problem: ScalarProblem, cert: Certificate, t: TimeLike) -> np.ndarray:
     """r(t) = mu**(q-1) (sigma - mu'/mu) - alpha: the growth condition of the
     certificate holds at t iff r(t) >= 0.  For a large q the power may
     overflow to inf; that is the residual's value, so it is not warned about."""
-    t_arr = np.asarray(t, dtype=float)
-    return _residual(problem, cert, t_arr, np.asarray(cert.mu(t_arr), dtype=float))
+    return _residual(problem, cert, np.asarray(t, dtype=float))
 
 
 def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
-              mu: np.ndarray) -> np.ndarray:
-    """:func:`growth_residual` at t from mu = cert.mu(t); sigma, mu'/mu and
-    alpha are evaluated in that order."""
-    slack = (np.asarray(problem.sigma_fn()(t), dtype=float)
-             - np.asarray(cert._log_derivative(t, mu), dtype=float))
-    alpha = np.asarray(problem.alpha_fn()(t), dtype=float)
+              valid_mu: bool = False) -> np.ndarray:
+    """:func:`growth_residual` at the float array t, which is checked once:
+    mu, sigma, mu'/mu and alpha are evaluated in that order, all sharing one
+    memo of the powers of t (see :func:`rdcert.profiles._power`), so each
+    (1 + t)**e and exp(rate t) is computed once.  A profile that does not
+    vary stays one number.  With ``valid_mu``, a mu that is not positive and
+    finite raises :class:`InvalidCertificateError` before sigma is evaluated."""
+    _check_times(t)
+    memo = {}
+    profile = cert._profile()
+    mu = np.asarray(_values_at(profile, t, memo), dtype=float)
+    if valid_mu:
+        with np.errstate(over="ignore"):
+            finite = _finite(mu)
+        if not (finite and mu.min() > 0.0):
+            raise InvalidCertificateError("mu must be positive and finite on the horizon")
+    slack = (np.asarray(_values_at(problem.sigma, t, memo), dtype=float)
+             - np.asarray(cert.nu if cert.family == "exponential"
+                          else _derivative(profile, t, memo) / mu, dtype=float))
+    alpha = np.asarray(_nonnegative_alpha(_values_at(problem.alpha, t, memo)), dtype=float)
+    memo.clear()  # nothing reads the powers again: free them before mu**(q-1)
     with np.errstate(over="ignore"):
-        return mu ** (problem.q - 1.0) * slack - alpha
-
-
-def _valid_mu(cert: Certificate, t: np.ndarray) -> np.ndarray:
-    mu = np.asarray(cert.mu(t), dtype=float)
-    if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
-        raise InvalidCertificateError("mu must be positive and finite on the horizon")
-    return mu
+        r = mu ** (problem.q - 1.0)  # a new value, so the rest goes in place
+        r *= slack
+        r -= alpha
+    return r
 
 
 def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
                       grid_points: int = 10_000, tol: float = 0.0) -> CertificateReport:
     """Evaluate both certificate conditions on a dense time grid.
 
-    The residual is :func:`growth_residual`, evaluated block by block so that
-    each block's temporaries stay in cache: per block, mu is computed once
-    and serves the positivity check, mu**(q-1) and the denominator of
-    mu'/mu.  The residuals equal the whole-grid formula bit for bit, and the
-    errors keep its precedence: a mu that is not positive and finite
-    somewhere on the grid raises :class:`InvalidCertificateError` even when
-    sigma or alpha fails in an earlier block.  The grid minimum is sharpened
-    by bounded scalar minimization between its neighbours, and the first sign
-    change is located by bisection so failures carry a meaningful time.
+    The residual is :func:`growth_residual` on the grid
+    ``np.linspace(0, horizon, grid_points)``, whose points are formed and
+    evaluated block by block so that each block's temporaries stay in cache;
+    only the residuals are stored.  The residuals equal the whole-grid
+    formula bit for bit, and the errors keep its precedence: a mu that is
+    not positive and finite somewhere on the grid raises
+    :class:`InvalidCertificateError` even when sigma or alpha fails in an
+    earlier block.  The grid minimum is sharpened by bounded scalar
+    minimization between its neighbours, and the first sign change is
+    located by bisection so failures carry a meaningful time.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and positive")
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
-    ts = np.linspace(0.0, horizon, grid_points)
     residuals = np.empty(grid_points)
     for block in _blocks(grid_points):
-        t = ts[block]
         try:
-            residuals[block] = _residual(problem, cert, t, _valid_mu(cert, t))
+            residuals[block] = _residual(problem, cert,
+                                         _grid_block(horizon, grid_points, block), True)
         except Exception:
             # Earlier blocks raised nothing, so the whole-grid evaluation of
             # the rest raises what the whole grid would: mu's errors first.
-            rest = ts[block.start:]
-            _valid_mu(cert, rest)
-            growth_residual(problem, cert, rest)
+            _residual(problem, cert,
+                      _grid_block(horizon, grid_points, slice(block.start, grid_points)), True)
             raise
 
     def residual_at(t):
         return float(growth_residual(problem, cert, t))
 
+    def point(i):  # times[i], bit for bit
+        return _grid_block(horizon, grid_points, slice(i, i + 1))[0]
+
     i_min = int(np.argmin(residuals))
     worst_residual = float(residuals[i_min])
-    worst_t = float(ts[i_min])
-    lo = ts[max(i_min - 1, 0)]
-    hi = ts[min(i_min + 1, grid_points - 1)]
+    worst_t = float(point(i_min))
+    lo = point(max(i_min - 1, 0))
+    hi = point(min(i_min + 1, grid_points - 1))
     if hi > lo:
         refined = minimize_scalar(residual_at, bounds=(lo, hi),
                                   method="bounded", options={"xatol": 1e-12 * max(horizon, 1.0)})
@@ -480,14 +496,14 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
         first_violation_t = 0.0
     elif not residual_ok:
         failed_condition = "residual"
-        bad = np.nonzero(residuals < -tol)[0]
-        if bad.size:
-            j = int(bad[0])
+        bad = residuals < -tol
+        j = int(np.argmax(bad))  # the first violating point, if any
+        if bad[j]:
             if j > 0 and residuals[j - 1] >= -tol and residuals[j - 1] != residuals[j]:
                 first_violation_t = float(brentq(
-                    lambda s: residual_at(s) + tol, ts[j - 1], ts[j], xtol=1e-12))
+                    lambda s: residual_at(s) + tol, point(j - 1), point(j), xtol=1e-12))
             else:
-                first_violation_t = float(ts[j])
+                first_violation_t = float(point(j))
         else:  # only the refined minimum dips below tolerance
             first_violation_t = worst_t
 
@@ -496,7 +512,7 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
         worst_residual=worst_residual, worst_t=worst_t, c9_slack=c9_slack,
         tol=tol, grid_points=grid_points, horizon=horizon,
         failed_condition=failed_condition, first_violation_t=first_violation_t,
-        times=ts, residuals=residuals)
+        residuals=residuals)
 
 
 def verify_envelope(times, g, cert: Certificate, slack: float = 0.02) -> np.ndarray:

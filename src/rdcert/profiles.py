@@ -119,35 +119,64 @@ class TimeProfile:
     def __call__(self, t: TimeLike) -> TimeLike:
         return eval_profile(self, t)
 
-    def _values(self, t):
+    def _values(self, t, memo: Optional[dict] = None):
         """The value at a checked time t: Python float arithmetic for a float
-        t, else a new array (one float for a constant profile).  Skipping a
-        factor v0 = 1, and an offset 0 after v0 > 0 (no -0 to turn +0), is exact."""
+        t, else a new array (one float for a constant profile).  The power or
+        exponential is read from ``memo`` (see :func:`_power`) when one is
+        given; multiplying it by v0 gives the new value (x * 1 is x), and
+        skipping an offset 0 after v0 > 0 (no -0 to turn +0) is exact."""
         kind = self.kind
         if kind == "constant":
             val = self.v0 + self.offset
         elif kind == "tabulated":
-            if np.any(t > self.table[-1, 0]):
+            # a float t skips numpy's reduction, as the integrators pass them
+            if (t > self.table[-1, 0]) if isinstance(t, float) else np.any(t > self.table[-1, 0]):
                 raise ValueError(f"tabulated profile queried outside [0, {self.t_max:g}]")
             val = np.interp(t, self.table[:, 0], self.table[:, 1])
             val += self.offset
         else:
-            if kind == "exponential":  # a 0-d t gives a numpy scalar, not an array
-                val = self.rate * t
-                if not isinstance(t, np.ndarray):
-                    val = math.exp(val)
-                else:
-                    val = np.exp(val, out=val) if t.ndim else np.exp(val)
+            if kind == "exponential":
+                val = _exp(t, self.rate, memo)
             else:
-                val = 1.0 + t
-                val **= -self.exponent if kind == "power_decay" else self.exponent
-            if self.v0 != 1.0:
-                val *= self.v0
+                val = _power(t, -self.exponent if kind == "power_decay" else self.exponent, memo)
+            val = val * self.v0
             if not (self.offset == 0.0 and self.v0 > 0.0):
                 val += self.offset
         if self.positive and np.size(t) and np.any(val <= 0.0):
             raise ValueError("profile declared positive evaluated to a value <= 0")
         return val
+
+
+def _power(t, e: float, memo: Optional[dict]):
+    """(1 + t)**e, computed once per ``memo``: a dict that the profiles read
+    at one time t share, holding 1 + t, each (1 + t)**e and each exp(rate t)
+    (see :func:`_exp`).  Its values are shared, so nobody writes into them.
+    Without a memo the power is computed afresh."""
+    if memo is None:
+        return (1.0 + t) ** e
+    val = memo.get(e)
+    if val is None:
+        base = memo.get("1 + t")
+        if base is None:
+            base = memo["1 + t"] = 1.0 + t
+        val = memo[e] = base ** e
+    return val
+
+
+def _exp(t, rate: float, memo: Optional[dict]):
+    """exp(rate t), computed once per ``memo`` as in :func:`_power`; a 0-d
+    array t gives a numpy scalar, a float t a Python float."""
+    key = ("exp", rate)
+    val = None if memo is None else memo.get(key)
+    if val is None:
+        val = rate * t
+        if isinstance(val, np.ndarray):
+            val = np.exp(val, out=val)
+        else:
+            val = np.exp(val) if isinstance(t, np.ndarray) else math.exp(val)
+        if memo is not None:
+            memo[key] = val
+    return val
 
 
 # Points per block when a dense grid of times or wavenumbers is evaluated:
@@ -163,10 +192,10 @@ def _blocks(n: int):
 
 
 def _grid_block(horizon: float, n: int, block: slice) -> np.ndarray:
-    """``np.linspace(0.0, horizon, n)[block]`` bit for bit, for n >= 2,
-    horizon >= 0 and a block of :func:`_blocks` (n), without forming the
-    whole grid: point i is i * (horizon / (n - 1)), and the last point is
-    horizon itself."""
+    """``np.linspace(0.0, horizon, n)[block]`` bit for bit, for n >= 2, a
+    finite horizon >= 0 and a slice start:stop with start < n and no step
+    (a block of :func:`_blocks` (n), say), without forming the whole grid:
+    point i is i * (horizon / (n - 1)), and the last point is horizon itself."""
     stop = min(block.stop, n)
     t = np.arange(block.start, stop, dtype=float)
     step = horizon / (n - 1)
@@ -182,27 +211,42 @@ def _grid_block(horizon: float, n: int, block: slice) -> np.ndarray:
 
 def eval_profile(profile: TimeProfile, t: TimeLike) -> TimeLike:
     """Evaluate ``profile`` at a scalar or array time t >= 0."""
-    return _evaluate(profile._values, t)
+    return _evaluate(profile, t)
 
 
-def _evaluate(values, t: TimeLike) -> TimeLike:
-    """``values(t)`` at a checked time t >= 0: a float for a scalar t, else an
-    array of t's shape, where values past the double range read inf."""
+def _evaluate(profile: Union[TimeProfile, "ProfileSum"], t: TimeLike) -> TimeLike:
+    """``profile._values`` at a checked time t >= 0: a float for a scalar t,
+    else an array of t's shape, where values past the double range read inf."""
     if isinstance(t, (float, int)):  # fast scalar path (np.float64 subclasses float)
         if not (0.0 <= t < math.inf):
             raise ValueError("evaluation time must be finite" if not math.isfinite(t)
                              else "profiles are defined for t >= 0")
-        return float(values(t))
+        return float(profile._values(t))
     t = np.asarray(t, dtype=float)
-    # two reductions and no temporary array when the times are valid
-    if t.size and not (t.min() >= 0.0 and t.max() < math.inf):
-        raise ValueError("evaluation time must be finite" if not np.all(np.isfinite(t))
-                         else "profiles are defined for t >= 0")
-    with np.errstate(over="ignore"):
-        val = values(t)
+    _check_times(t)
+    val = _values_at(profile, t, {})
     if t.ndim == 0:
         return float(val)
     return np.full(t.shape, val) if np.ndim(val) == 0 else val
+
+
+def _check_times(t: np.ndarray) -> None:
+    """Raise unless every time of the float array t is finite and >= 0: two
+    reductions and no temporary array when they are."""
+    if t.size and not (t.min() >= 0.0 and t.max() < math.inf):
+        raise ValueError("evaluation time must be finite" if not np.all(np.isfinite(t))
+                         else "profiles are defined for t >= 0")
+
+
+def _values_at(profile: ProfileLike, t: np.ndarray, memo: dict) -> TimeLike:
+    """``profile`` at the checked array time t, reading and filling the
+    powers of t in ``memo`` (see :func:`_power`): a profile that does not
+    vary (a constant one, or a sum of them) gives one float, and values past
+    the double range read inf."""
+    if isinstance(profile, (TimeProfile, ProfileSum)):
+        with np.errstate(over="ignore"):
+            return profile._values(t, memo)
+    return as_time_function(profile)(t)
 
 
 @dataclass(frozen=True)
@@ -224,17 +268,18 @@ class ProfileSum:
         object.__setattr__(self, "terms", terms)
 
     def __call__(self, t: TimeLike) -> TimeLike:
-        return _evaluate(self._values, t)
+        return _evaluate(self, t)
 
-    def _values(self, t):
-        """The sum at a checked time t, as :meth:`TimeProfile._values`; products
-        and sums go in place into the arrays made here (x * w is w * x bit for bit)."""
+    def _values(self, t, memo: Optional[dict] = None):
+        """The sum at a checked time t, as :meth:`TimeProfile._values`, every
+        factor reading ``memo``; products and sums go in place into the new
+        arrays the factors return (x * w is w * x bit for bit)."""
         total = 0.0
         for i, (weight, factors) in enumerate(self.terms):
             val = weight
             for f in factors:
                 if isinstance(f, (TimeProfile, ProfileSum)):
-                    val = _in_place(operator.imul, val, f._values(t))
+                    val = _in_place(operator.imul, val, f._values(t, memo))
                 else:  # a plain callable's result is not ours to write into
                     val = val * as_time_function(f)(t)
             total = val if i == 0 else _in_place(operator.iadd, total, val)
@@ -246,29 +291,36 @@ def _in_place(op, a, b):
     return op(b, a) if isinstance(b, np.ndarray) and not isinstance(a, np.ndarray) else op(a, b)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # past the double range: inf, inf * 0: nan
 def profile_derivative(profile: TimeProfile, t: TimeLike) -> TimeLike:
     """d/dt of a profile; analytic for parametric kinds, refined differences for tables."""
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
+    val = _derivative(profile, t_arr, None)
+    if t_arr.ndim == 0:
+        return float(val)
+    return np.full(t_arr.shape, val) if np.ndim(val) == 0 else np.asarray(val, dtype=float)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # past the double range: inf, inf * 0: nan
+def _derivative(profile: TimeProfile, t: np.ndarray, memo: Optional[dict]) -> TimeLike:
+    """:func:`profile_derivative` at the array time t, reading ``memo`` as
+    :meth:`TimeProfile._values` does; 0.0 for a constant profile."""
     kind = profile.kind
     if kind == "constant":
-        val = np.zeros(t_arr.shape)
-    elif kind == "power_decay":
-        val = -profile.exponent * profile.v0 * (1.0 + t_arr) ** (-profile.exponent - 1.0)
-    elif kind == "power_growth":
-        val = profile.exponent * profile.v0 * (1.0 + t_arr) ** (profile.exponent - 1.0)
-    elif kind == "exponential":
-        val = profile.rate * profile.v0 * np.exp(profile.rate * t_arr)
-    else:
-        val = np.vectorize(lambda s: _table_derivative(profile, s))(t_arr)
-    return float(val) if scalar else np.asarray(val, dtype=float)
-
-
-def _table_derivative(profile: TimeProfile, t: float) -> float:
-    # Centered differences, halving the step until the estimate stabilizes.
-    t_top = profile.table[-1, 0]
+        return 0.0
+    if kind == "power_decay":
+        return -profile.exponent * profile.v0 * _power(t, -profile.exponent - 1.0, memo)
+    if kind == "power_growth":
+        return profile.exponent * profile.v0 * _power(t, profile.exponent - 1.0, memo)
+    if kind == "exponential":
+        return profile.rate * profile.v0 * _exp(t, profile.rate, memo)
     probe = replace(profile, positive=False)
+    return np.vectorize(lambda s: _table_derivative(probe, s))(t)
+
+
+def _table_derivative(probe: TimeProfile, t: float) -> float:
+    """Centered differences of the tabulated profile ``probe``, which is not
+    declared positive, halving the step until the estimate stabilizes."""
+    t_top = probe.table[-1, 0]
     h = max(t_top / 1024.0, 1e-8)
     prev = None
     est = 0.0

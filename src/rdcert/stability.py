@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -142,28 +143,57 @@ class ModeRate(NamedTuple):
 
 @dataclass(frozen=True)
 class DispersionReport:
-    """Per-wavenumber eigenvalue scan plus the instability band."""
+    """Per-wavenumber scan of M(k) plus the instability band.  The
+    eigenvalues ``lam1`` and ``lam2`` are derived from ``trace`` and ``det``
+    on first read."""
 
     k: np.ndarray
     det: np.ndarray
     trace: np.ndarray
-    lam1: np.ndarray
-    lam2: np.ndarray
     max_growth_rate: float
     band: Optional[tuple[float, float]]
     modes: tuple  # admissible modes n pi / L when a length was supplied
 
+    @cached_property
+    def _pair(self) -> tuple[np.ndarray, np.ndarray]:
+        return _eigenvalue_pair(self.trace, self.det)
+
+    @property
+    def lam1(self) -> np.ndarray:
+        """The eigenvalue with the larger real part, the +imag one of a pair."""
+        return self._pair[0]
+
+    @property
+    def lam2(self) -> np.ndarray:
+        return self._pair[1]
+
+
+def _eigenvalue_pair(tr: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both eigenvalues (tr +- sqrt(disc))/2, disc = tr^2 - 4 det, of finite
+    trace and det arrays, taken in real arithmetic: the real parts are
+    (tr +- sqrt(max(disc, 0)))/2 and the imaginary parts +-sqrt(max(-disc, 0))/2,
+    so lam1 always has the larger real part and, in a complex pair, the
+    positive imaginary part.  No imaginary part is -0.0."""
+    root = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    # 4 det - tr^2 rather than -disc: a zero discriminant gives +0, not -0
+    half_im = 0.5 * np.sqrt(np.maximum(4.0 * det - tr * tr, 0.0))
+    lam1, lam2 = np.empty(tr.shape, dtype=complex), np.empty(tr.shape, dtype=complex)
+    lam1.real = 0.5 * (tr + root)
+    lam1.imag = half_im
+    lam2.real = 0.5 * (tr - root)
+    lam2.imag = 0.0 - half_im
+    return lam1, lam2
+
 
 def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
                     samples: int = 400, L: Optional[float] = None) -> DispersionReport:
-    """Evaluate det, trace and eigenvalues of M(k) on a uniform grid of
-    wavenumbers in (0, k_max].
+    """Evaluate det and trace of M(k) on a uniform grid of wavenumbers in
+    (0, k_max], and the largest real part of its eigenvalues there.
 
-    The grid is filled in cache-sized blocks.  The eigenvalues are
-    (tr +- sqrt(disc))/2 with disc = tr^2 - 4 det, taken in real arithmetic:
-    the real parts are (tr +- sqrt(max(disc, 0)))/2 and the imaginary parts
-    +-sqrt(max(-disc, 0))/2, so lam1 always has the larger real part and, in
-    a complex pair, the positive imaginary part.  No imaginary part is -0.0.
+    The grid is filled in cache-sized blocks, and only k, det and trace are
+    stored: the report derives the eigenvalues from them on first read (see
+    :func:`_eigenvalue_pair`).  The largest growth rate is the maximum of
+    (tr + sqrt(max(disc, 0)))/2, disc = tr^2 - 4 det, the real part of lam1.
 
     Default k_max is twice the larger of the band's upper edge and 10 pi / L
     (or a kinetics-based scale when there is neither).  When ``L`` is given,
@@ -193,7 +223,7 @@ def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
                          f"more than the {samples} samples of the scan resolve")
     ks = np.linspace(k_max / samples, k_max, samples)
     det, tr = np.empty(samples), np.empty(samples)
-    lam1, lam2 = np.empty(samples, dtype=complex), np.empty(samples, dtype=complex)
+    max_growth_rate = -math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # disc is checked instead
         for block in _blocks(samples):
             k = ks[block]
@@ -203,16 +233,11 @@ def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
             if not _finite(disc):
                 raise ValueError(f"M(k) leaves the double range on the scan up to "
                                  f"k_max = {k_max:g}")
-            root = np.sqrt(np.maximum(disc, 0.0))
-            # 4 det - tr^2 rather than -disc: a zero discriminant gives +0, not -0
-            half_im = 0.5 * np.sqrt(np.maximum(4.0 * d - t * t, 0.0))
-            lam1.real[block] = 0.5 * (t + root)
-            lam1.imag[block] = half_im
-            lam2.real[block] = 0.5 * (t - root)
-            lam2.imag[block] = 0.0 - half_im
+            twice_re = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+            twice_re += t  # 2 Re lam1; max(0.5 x) is 0.5 max(x), halving being monotone
+            max_growth_rate = max(max_growth_rate, 0.5 * float(twice_re.max()))
     modes = () if L is None else _mode_rates(lin, k_max, L)
-    return DispersionReport(k=ks, det=det, trace=tr, lam1=lam1, lam2=lam2,
-                            max_growth_rate=float(np.max(lam1.real)),
+    return DispersionReport(k=ks, det=det, trace=tr, max_growth_rate=max_growth_rate,
                             band=band, modes=modes)
 
 

@@ -520,6 +520,30 @@ class TestCommandOutputs:
         header = (out / "dispersion.csv").read_text().splitlines()[0]
         assert header == "k,detM,trM,reL1,imL1,reL2,imL2"
 
+    def test_dispersion_csv_eigenvalues_are_the_complex_sqrt_pair(self, tmp_path):
+        from test_stability import complex_sqrt_pair
+        samples = 3 * 2 ** 15 + 7  # three full blocks and a ragged tail
+        path = write_cfg(tmp_path, DISPERSION_CFG + f"\n[dispersion]\nsamples = {samples}\n")
+        out = tmp_path / "out"
+        assert main(["analyze-dispersion", "--config", path, "--out", str(out)]) == 0
+        rows = (out / "dispersion.csv").read_text().splitlines()
+        assert rows[0] == "k,detM,trM,reL1,imL1,reL2,imL2" and len(rows) == samples + 1
+        k, det, tr, re1, im1, re2, im2 = np.array([[float(v) for v in row.split(",")]
+                                                   for row in rows[1:]]).T
+        lam1, lam2 = complex_sqrt_pair(tr, det)
+        for got, want in ((re1, lam1.real), (im1, lam1.imag), (re2, lam2.real), (im2, lam2.imag)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_certificate_residuals_are_on_the_linspace_grid(self, tmp_path):
+        points = 3 * 2 ** 15 + 7
+        path = write_cfg(tmp_path, CERT31_CFG + f"\n[theorem]\ngrid_points = {points}\n")
+        out = tmp_path / "out"
+        assert main(["check-certificate", "--config", path, "--out", str(out)]) == 0
+        rows = (out / "residuals.csv").read_text().splitlines()
+        assert rows[0] == "t,c8_residual" and len(rows) == points + 1
+        t = np.array([float(row.split(",")[0]) for row in rows[1:]])
+        assert t.tobytes() == np.linspace(0.0, 10.0, points).tobytes()
+
     def test_estimate_constants(self, tmp_path):
         path = write_cfg(tmp_path, TH31_CFG.replace("T = 10.0", "T = 1.0"))
         out = tmp_path / "out"

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from rdcert.inequality import (Certificate, InvalidCertificateError, ScalarProblem,
                                bernoulli_blowup_time, bernoulli_closed_form,
                                check_certificate, comparison_solve, growth_residual,
                                verify_envelope)
-from rdcert.profiles import _BLOCK, TimeProfile
+from rdcert.profiles import _BLOCK, ProfileSum, TimeProfile
 
 CONST = TimeProfile.constant
 
@@ -255,6 +257,16 @@ class TestCertificateFamilies:
             Certificate.bounded(1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
+def test_horizon_must_be_finite_and_positive(horizon):
+    # raised before any numpy or scipy RuntimeWarning, which fails the suite
+    prob = ScalarProblem(sigma=CONST(1.0), alpha=CONST(0.1), q=1.25, g0=0.5)
+    with pytest.raises(ValueError, match="horizon must be finite and positive"):
+        check_certificate(prob, Certificate.exponential(1.0, 0.5), horizon)
+    with pytest.raises(ValueError, match="horizon must be finite and positive"):
+        comparison_solve(prob, horizon)
+
+
 class TestCheckCertificate:
     def test_alpha_zero_sign_check_passes(self):
         prob = ScalarProblem(sigma=CONST(1.0), alpha=CONST(0.0), q=1.25, g0=1.0)
@@ -452,6 +464,81 @@ class TestBlockedCheck:
             with pytest.raises(ValueError, match="alpha") as caught:
                 check_certificate(problem, Certificate.power(1.0, 1.0), horizon, n)
         assert not isinstance(caught.value, InvalidCertificateError)
+
+    @staticmethod
+    def shared_powers_case(data, family):
+        """A problem whose sigma and alpha are ProfileSums of factors that
+        share exponents and rates with each other and with the certificate
+        of ``family``, so the check's blocks read each (1 + t)**e and
+        exp(rate t) several times: (problem, cert, horizon, tol)."""
+        draw = data.draw
+        horizon = draw(st.floats(1.0, 20.0))
+        e = draw(st.sampled_from([1.0, 2.0]) | st.floats(0.25, 2.5))
+        rate = draw(st.floats(-0.3, 0.3))
+        knots = np.linspace(0.0, horizon, draw(st.integers(2, 6)))
+        if family == "exponential":
+            cert = Certificate.exponential(draw(st.floats(0.5, 2.0)), rate)
+        elif family == "power":  # mu reads (1 + t)**e, mu' (1 + t)**(e - 1)
+            cert = Certificate.power(draw(st.floats(0.5, 2.0)), e)
+        elif family == "bounded":  # mu reads (1 + t)**-e, mu' (1 + t)**(-e - 1)
+            cert = Certificate.bounded(draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0)), e)
+        else:
+            cert = Certificate.from_table(knots, [draw(st.floats(0.5, 2.0)) for _ in knots])
+
+        def value():
+            return draw(st.floats(0.1, 2.0))
+        pool = [TimeProfile.power_decay(value(), 1.0), TimeProfile.power_decay(value(), 2.0),
+                TimeProfile.power_decay(value(), e), TimeProfile.power_decay(value(), e + 1.0),
+                TimeProfile.power_growth(value(), e), TimeProfile.power_growth(value(), e - 1.0),
+                TimeProfile.exponential(value(), rate), lambda t: 2.0 + np.cos(t),
+                TimeProfile.tabulated(knots, [value() for _ in knots])]
+
+        def terms(weights):
+            return tuple((draw(weights), tuple(pool[i] for i in draw(
+                st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=2))))
+                for _ in range(draw(st.integers(1, 3))))
+        # a constant term (no factors) lifts sigma, so that many residuals
+        # change sign inside the horizon rather than at t = 0
+        sigma = ProfileSum(terms(st.floats(-2.0, 2.0)) + ((draw(st.floats(0.0, 4.0)), ()),))
+        alpha = ProfileSum(terms(st.floats(0.0, 0.5)))
+        g0 = 0.5 / float(cert.mu(0.0))  # the initial condition holds
+        problem = ScalarProblem(sigma=sigma, alpha=alpha, q=draw(st.floats(1.1, 3.0)), g0=g0)
+        return problem, cert, horizon, draw(st.sampled_from([0.0, 1e-12]))
+
+    def assert_shared_powers_match(self, data, family, n):
+        problem, cert, horizon, tol = self.shared_powers_case(data, family)
+        rep = self.assert_matches(problem, cert, horizon, n, tol)
+        assert rep.times.tobytes() == np.linspace(0.0, horizon, n).tobytes()
+
+    @pytest.mark.parametrize("n", BLOCKED_SIZES, ids=["B-1", "B", "B+1", "3B+7"])
+    @pytest.mark.parametrize("family", ["exponential", "power", "bounded"])
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_shared_powers_match_whole_grid(self, family, n, data):
+        self.assert_shared_powers_match(data, family, n)
+
+    # one example each: a table weight's mu'/mu takes refined differences
+    # point by point, about 25 us a point
+    @pytest.mark.parametrize("n", BLOCKED_SIZES, ids=["B-1", "B", "B+1", "3B+7"])
+    @settings(max_examples=1, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_shared_powers_match_whole_grid_custom(self, n, data):
+        self.assert_shared_powers_match(data, "custom", n)
+
+    def test_stores_only_the_residuals(self):
+        # 8 bytes a point for the residuals, plus cache-sized block temporaries:
+        # the grid's times are formed block by block and never stored
+        n = 1_000_000
+        problem = ScalarProblem(sigma=CONST(1.0), alpha=TimeProfile.power_decay(0.1, 1.0),
+                                q=1.25, g0=1.0)
+        tracemalloc.start()
+        try:
+            rep = check_certificate(problem, Certificate.power(1.0, 0.5), 10.0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak / n < 13.0
 
 
 class TestVerifyEnvelope:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +231,22 @@ class TestDispersionKernel:
                                  5.0)
         assert np.all(disc == 0.0)
         assert np.all(report.lam1 == report.lam2)
+
+    def test_scan_stores_only_k_det_and_trace(self):
+        # 24 bytes a sample and cache-sized block temporaries; the eigenvalues
+        # (32 bytes a sample) are formed on first read
+        n = 200_000
+        tracemalloc.start()
+        try:
+            report = dispersion_scan(TURING, k_max=5.0, samples=n)
+            scan_peak = tracemalloc.get_traced_memory()[1]
+            lam1 = report.lam1
+        finally:
+            tracemalloc.stop()
+        assert scan_peak / n < 40.0
+        assert lam1.tobytes() == complex_sqrt_pair(report.trace, report.det)[0].tobytes()
+        assert report.lam1 is lam1  # derived once
+        assert report.max_growth_rate == float(np.max(lam1.real))
 
     def test_regime_change_inside_a_block(self):
         _, disc = self.scan(TURING, 0.65)
