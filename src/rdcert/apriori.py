@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .grid import Field
-from .profiles import KineticsSpec, TimeProfile, eval_profile, eval_reaction
+from .profiles import KineticsSpec, TimeProfile, eval_profile, reaction_coefficients
 from .solver import Trajectory
 
 __all__ = [
@@ -31,6 +31,10 @@ __all__ = [
 _DIMENSION = 1
 
 _LOG_MAX = math.log(np.finfo(float).max)
+
+# A constant barrier's sign condition is checked at this many evenly spaced
+# times over the horizon.
+_SIGN_TIMES = 33
 
 
 @dataclass(frozen=True)
@@ -108,47 +112,59 @@ def build_paraboloid(m1: float, diffusion: Sequence[TimeProfile], L: float,
     return UpperSolution(kind="paraboloid", a_us=a, b_us=b, note=note)
 
 
-def constant_upper_solution(kin: KineticsSpec, levels, u_max: float, horizon: float,
-                            samples: int = 4096, seed: int = 0) -> UpperSolution:
-    """Constant barrier levels for a Neumann problem, verified by sampling.
-
-    Checks F_i(u) <= 0 whenever u_i >= level_i (and the mirrored condition
-    below -level_i) over random states with |u_j| <= u_max and sampled times.
-    Raises when a sampled state violates the sign condition.
+def constant_upper_solution(kin: KineticsSpec, levels, u_max: float,
+                            horizon: float) -> UpperSolution:
+    """Constant barrier levels for a Neumann problem whose sign condition
+    holds: F_i(u) <= 0 whenever u_i >= level_i and |u_j| <= u_max for the
+    other components, at 33 evenly spaced times on [0, horizon] (below -level_i
+    the condition is the same, as F is odd).  Decided in closed form, see
+    :func:`_check_sign_condition`; raises when it fails.
     """
     levels_arr = np.atleast_1d(np.asarray(levels, dtype=float))
     if levels_arr.shape[0] != kin.n_components:
         raise ValueError("one level per component is required")
     if np.any(levels_arr <= 0.0):
         raise ValueError("levels must be positive")
-    ok, detail = _check_sign_condition(kin, levels_arr, u_max, horizon, samples, seed)
-    if not ok:
-        raise ValueError(f"sign condition fails: {detail}")
+    _check_sign_condition(kin, levels_arr, u_max, horizon)
     return UpperSolution(kind="constant", levels=levels_arr,
-                         note=f"sign condition sampled with {samples} states on "
-                              f"[0, {horizon:g}], |u| <= {u_max:g}")
+                         note=f"sign condition decided in closed form at {_SIGN_TIMES} "
+                              f"times on [0, {horizon:g}], |u| <= {u_max:g}")
 
 
-def _check_sign_condition(kin, levels, u_max, horizon, samples, seed):
-    rng = np.random.default_rng(seed)
-    ts = np.linspace(0.0, horizon, 33)
-    n = kin.n_components
-    for i in range(n):
-        above = rng.uniform(-u_max, u_max, size=(n, samples))
-        above[i] = rng.uniform(levels[i], max(u_max, levels[i] * 1.0001), size=samples)
-        below = -above
-        for t in ts:
-            f_hi = eval_reaction(kin, above, None, float(t))
-            if np.any(f_hi[i] > 0.0):
-                j = int(np.argmax(f_hi[i]))
-                return False, (f"F_{i}(u) = {f_hi[i][j]:.3g} > 0 at u = "
-                               f"{above[:, j].tolist()}, t = {t:g}")
-            f_lo = eval_reaction(kin, below, None, float(t))
-            if np.any(f_lo[i] < 0.0):
-                j = int(np.argmin(f_lo[i]))
-                return False, (f"F_{i}(u) = {f_lo[i][j]:.3g} < 0 at u = "
-                               f"{below[:, j].tolist()}, t = {t:g}")
-    return True, ""
+def _check_sign_condition(kin: KineticsSpec, levels: np.ndarray, u_max: float,
+                          horizon: float) -> None:
+    """Raise unless, at each of the checked times and for each component i,
+
+        l_i (A_ii - c0 s(l_i)) + u_max sum_{j != i} |A_ij| <= 0,
+
+    with s(r) = r^(p-1) / (1 + r^(p-1)) (s = 0 without the nonlinearity).
+
+    F_i(u) = phi (u_i (A_ii - c0 s(|u|)) + sum_{j != i} A_ij u_j) with
+    phi > 0, c0 >= 0 and s increasing.  For u_i >= l_i, |u| >= l_i, so when
+    A_ii - c0 s(l_i) <= 0 (else the condition fails) the first term is at
+    most l_i (A_ii - c0 s(l_i)), and the sum is at most u_max sum |A_ij|:
+    the condition implies the sign condition.  With one component the sum
+    is empty and u (A - c0 s(u)) <= 0 for every u >= l exactly when it
+    holds at l, so the condition is exact; with two it is sufficient."""
+    ts = np.linspace(0.0, horizon, _SIGN_TIMES)
+    c0, phi = reaction_coefficients(kin, ts).T
+    if np.any(phi <= 0.0):
+        raise ValueError("modulation must be positive")
+    a = kin.linear
+    diag = np.diag(a)
+    coupling = u_max * np.abs(a - np.diag(diag)).sum(axis=1)
+    if kin.nonlinearity == "saturated_power":
+        with np.errstate(over="ignore"):
+            sat = 1.0 / (1.0 + levels ** (1.0 - kin.p))
+    else:
+        sat = np.zeros(len(levels))
+    bound = levels[:, None] * (diag[:, None] - c0 * sat[:, None]) + coupling[:, None]
+    failing = ~(bound <= 0.0)
+    if failing.any():
+        i, k = np.argwhere(failing)[0]
+        raise ValueError(f"sign condition fails: F_{i} can be positive for "
+                         f"u_{i} >= {levels[i]:g} at t = {ts[k]:g} "
+                         f"(bound {bound[i, k]:.3g} > 0)")
 
 
 def find_constant_upper(kin: KineticsSpec, u_max: float, horizon: float,

@@ -25,7 +25,7 @@ from .apriori import (agmon_aggregate, build_paraboloid, find_constant_upper,
                       verify_pointwise_bound)
 from .config import (ConfigError, RunConfig, build_diffusion, build_kinetics,
                      build_system, parse_config, parse_value)
-from .grid import poincare_constant
+from .grid import discrete_norms, poincare_constant
 from .inequality import (Certificate, ScalarProblem, check_certificate, growth_residual,
                          verify_envelope)
 from .profiles import (ProfileSum, effective_c0, eval_profile, reaction_sup_bound,
@@ -128,12 +128,19 @@ def _run_params(cfg: RunConfig, args):
     return T, dt, cfg.get("run", "record_every"), cfg.get("run", "scheme"), seed
 
 
-def _simulated(cfg: RunConfig, args):
-    """(system, trajectory) of the configured run; a blow-up propagates to main."""
+def _configured(cfg: RunConfig, args):
+    """(system, run) of the configured run: ``run()`` simulates it; a
+    blow-up propagates to main."""
     T, dt, record_every, scheme, seed = _run_params(cfg, args)
     sys_spec = build_system(cfg, seed=seed)
-    return sys_spec, simulate(sys_spec, T, dt=dt, record_every=record_every,
-                              scheme=scheme, seed=seed)
+    return sys_spec, functools.partial(simulate, sys_spec, T, dt=dt,
+                                       record_every=record_every, scheme=scheme, seed=seed)
+
+
+def _simulated(cfg: RunConfig, args):
+    """(system, trajectory) of the configured run; a blow-up propagates to main."""
+    sys_spec, run = _configured(cfg, args)
+    return sys_spec, run()
 
 
 def _write_trajectory_csv(path, traj):
@@ -265,7 +272,6 @@ def _certificate_from_config(cfg: RunConfig, g0: float) -> Certificate:
 def _cmd_check_certificate(cfg: RunConfig, out: Path, args) -> int:
     T, _dt, _re, _sch, seed = _run_params(cfg, args)
     sys_spec = build_system(cfg, seed=seed)
-    from .grid import discrete_norms
     g0 = discrete_norms(sys_spec.initial).l2
     kin = sys_spec.kinetics
     factor = _alpha_factor_from_config(cfg, kin)
@@ -401,13 +407,15 @@ def _pointwise_bounds(sys_spec, traj, horizon: float) -> dict:
 
 def _cmd_run_theorem(cfg: RunConfig, out: Path, args) -> int:
     which = args.which
-    sys_spec, traj = _simulated(cfg, args)
-    g0 = float(traj.g[0])
+    sys_spec, run = _configured(cfg, args)
+    # the first row of the run's series, known before a step is taken
+    g0 = discrete_norms(sys_spec.initial).l2
     if g0 == 0.0:
         write_report(out / "report.json", {
             "theorem": which, "status": "not_applicable",
             "reason": "zero initial data: the scenarios assume g(0) > 0"})
         return EXIT_HYPOTHESES
+    traj = run()
 
     factor = cfg.get("certificate", "alpha_factor")
     constants = {"source": "config" if factor is not None else "estimated"}

@@ -499,17 +499,21 @@ def _saturation(kin: KineticsSpec, u: np.ndarray, c0, row: np.ndarray,
 def reaction_kernel(kin: KineticsSpec, lin: np.ndarray, u: np.ndarray, num: float,
                     out: np.ndarray, row: np.ndarray, prod: np.ndarray) -> np.ndarray:
     """lin @ u - u num / (1 + |u|**(1-p)) from a finite float state, written
-    into ``out``; no input checks.  The second term is taken only with the
-    saturated nonlinearity.  With (lin, num) = (A, c0(t)) this is
-    F(u, t) / phi(t); the solver passes each stage's coefficients with its
-    scalars folded in (see :class:`rdcert.solver._StepPlan`).
+    into ``out``; no input checks.  ``lin`` is an (m, m) matrix or a float
+    that scales u.  The second term is taken only with the saturated
+    nonlinearity.  With (lin, num) = (A, c0(t)) this is F(u, t) / phi(t);
+    the solver passes each stage's coefficients with its scalars folded in
+    (see :class:`rdcert.solver._StepPlan`).
 
     The caller supplies every array the kernel writes: ``out`` and ``prod``
     of u's shape (C order) and the saturation ``row`` of shape
     (1,) + u.shape[1:], none sharing memory with u.  Returns ``out``.  Callers silence numpy's
     division-by-zero and overflow warnings, which u = 0 and states near it
     raise on the way to an exact 0."""
-    np.dot(lin, u, out=out)
+    if isinstance(lin, float):
+        np.multiply(u, lin, out=out)
+    else:
+        np.dot(lin, u, out=out)
     if kin.nonlinearity == "saturated_power":
         out -= np.multiply(u, _saturation(kin, u, num, row, prod), out=prod)
     return out

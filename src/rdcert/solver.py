@@ -11,18 +11,23 @@ reaction's c0 and phi at both stage times are evaluated as vectorised tables.
 With M = I - delta L, delta = (dt/2) D(t + dt/2) and L the three-point
 Laplacian, I + delta L = 2I - M, so a stage is M^-1 (2 v + dt f) - v and no
 explicit Laplacian is applied.  The plan folds each stage's scalars (the 2
-of 2 v, dt or dt/2, phi) into per-step tables of the reaction's linear
-matrix and saturation numerator, so that one reaction-kernel call gives a
-stage's right-hand side less the forcing; the second stage reuses half the
-first one's.  All components form one block-diagonal tridiagonal M.
-Scaling its rows by the trapezoid weights W = diag(1/2, 1, ..., 1, 1/2) per
-block under Neumann ends (W = I under Dirichlet ends) makes W M symmetric
-and strictly diagonally dominant, so it is factored as L D L^T by LAPACK
-``pttrf`` once per distinct row of midpoint diffusion values (once per run
-for constant diffusion), and a stage solves W M x = W rhs by one
-``pttrs``.  ``Trajectory.metadata`` counts the steps, the factorizations and
-the reaction evaluations of the run (one per stage, a skipped kernel
-included).  ``simulate`` computes the norms of a
+of 2 v, dt or dt/2, phi) into per-step tables of the reaction's linear part
+and saturation numerator, so that one reaction-kernel call gives a stage's
+right-hand side less the forcing; the second stage reuses half the first
+one's.  The plan decides once per run which stage work is live.  With A = 0
+the linear part is a scalar that scales the state, not a matrix product.
+Without a reaction (A = 0 and no nonlinearity) the second stage reads only
+half the first stage's right-hand side, so a two-stage step skips the first
+solve and the second kernel and makes one solve, as a one-stage step does;
+with a reaction it makes two.  All components form one block-diagonal
+tridiagonal M.  Scaling its rows by the trapezoid weights
+W = diag(1/2, 1, ..., 1, 1/2) per block under Neumann ends (W = I under
+Dirichlet ends) makes W M symmetric and strictly diagonally dominant, so it
+is factored as L D L^T by LAPACK ``pttrf`` once per distinct row of midpoint
+diffusion values (once per run for constant diffusion), and a solve of
+W M x = W rhs is one ``pttrs``.  ``Trajectory.metadata`` counts the steps,
+the solves, the factorizations and the reaction evaluations of the run (one
+per stage, a skipped kernel included).  ``simulate`` computes the norms of a
 block of buffered states at a time, squaring each state once, and still
 raises errors in step order.
 
@@ -31,8 +36,9 @@ caller-supplied workspace: the plan's workspace serves every step and every
 norm flush, and ``simulate`` writes each state straight into one of two
 alternating blocks of states.  The operations and their order are those of a
 step with fresh arrays, so the numbers are the same bit for bit.  The forcing
-of :func:`manufactured_system` keeps its reaction workspace in the same way
-and allocates one state-sized array per call, the one it returns.
+of :func:`manufactured_system` keeps its reaction workspace in the same way,
+keeps its latest value to answer a repeated call with a copy, and returns a
+fresh array from every call.
 """
 
 from __future__ import annotations
@@ -157,16 +163,22 @@ def _check_info(info: int) -> None:
 
 def _stage_tables(kin: KineticsSpec, times: np.ndarray, weight: float, identity: float):
     """One stage's reaction coefficients at each of ``times`` with the
-    stage's scalars folded in: lin = identity I + weight phi A, shape
-    (k, m, m), and num = weight phi c0, a list of k floats, for the times
-    before the first one the kinetics reject, and the error of that time
-    (None if there is none); see :func:`rdcert.profiles.coefficient_table`."""
+    stage's scalars folded in: lin = identity I + weight phi A and num =
+    weight phi c0, a list of k floats, for the times before the first one
+    the kinetics reject, and the error of that time (None if there is none);
+    see :func:`rdcert.profiles.coefficient_table`.  lin has shape (k, m, m),
+    or, when A = 0, is a list of k floats, identity + weight phi 0, each the
+    value of every diagonal entry of the matrix (nan where weight phi is
+    not finite, as there)."""
     coeffs, error = coefficient_table(partial(reaction_coefficients, kin), times)
     c0, phi = coeffs.T
     scale = weight * phi
-    lin = scale[:, None, None] * kin.linear
-    if identity:
-        lin += identity * np.eye(kin.n_components)
+    if kin.linear.any():
+        lin = scale[:, None, None] * kin.linear
+        if identity:
+            lin += identity * np.eye(kin.n_components)
+    else:
+        lin = (scale * 0.0 + identity).tolist()
     return lin, (scale * c0).tolist(), error
 
 
@@ -188,11 +200,21 @@ class _StepPlan:
         rhs2 = (dt/2) phi' A x1 - x1 ((dt/2) phi' c0') / (1 + |x1|**(1-p))
                + rhs1 / 2 + v + (dt/2) f(t + dt)
 
-    and x2 = x - v, with f the forcing.  A stage-2 kernel whose
-    coefficients vanish at every step (no reaction) is not called.  All
-    components are solved as one block-diagonal tridiagonal system,
-    row-scaled to the symmetric W M and factored as L D L^T once per
-    distinct row of midpoint diffusion values.
+    and x2 = x - v, with f the forcing.  Which stage work runs is decided
+    once per run:
+
+    - one stage: the kernel, the forcing at t and one solve, for x1;
+    - two stages with a reaction (A != 0 or the nonlinearity): both
+      kernels, the forcing at t and t + dt, and two solves;
+    - two stages without a reaction: the stage-2 kernel's coefficients
+      vanish at every step, so it is not called and nothing reads x1.  The
+      step skips the first solve: it forms rhs1, checks it is finite (before
+      the forcing is called at t + dt) and solves once, for x2.
+
+    With A = 0 the linear coefficient is a scalar, 2 for stage 1 and 0 for
+    stage 2, which scales the state.  All components are solved as one
+    block-diagonal tridiagonal system, row-scaled to the symmetric W M and
+    factored as L D L^T once per distinct row of midpoint diffusion values.
 
     The plan also owns the run's workspace, so that no step allocates a
     state-sized array: the factor's two arrays, and one flat ``scratch``
@@ -230,7 +252,8 @@ class _StepPlan:
             if self.two_stage:
                 self.lin1, self.num1, self.end_error = _stage_tables(kin, starts + dt,
                                                                      0.5 * dt, 0.0)
-                self.react_end = kin.nonlinearity == "saturated_power" or self.lin1.any()
+                self.react_end = bool(kin.nonlinearity == "saturated_power"
+                                      or np.any(self.lin1))
         # step k keeps the factor of step k - 1 when its weights are the same
         same = np.zeros(len(delta), dtype=bool)
         same[1:] = np.all(delta[1:] == delta[:-1], axis=1)
@@ -250,13 +273,28 @@ class _StepPlan:
         self.scratch = np.empty(max(_scratch_len(step_shapes), _scratch_len(norm_shapes)))
         (self.rhs, self.rhs2, self.half, self.work, self.prod,
          self.row) = _carve(self.scratch, step_shapes)
-        # pttrs solves in place in these flat views; under Neumann ends W
-        # halves the first and last column of every block (n >= 3)
-        self.rhs_flat, self.rhs2_flat = self.rhs.reshape(-1), self.rhs2.reshape(-1)
-        self.rhs_ends, self.rhs2_ends = self.rhs[:, ::shape[1] - 1], self.rhs2[:, ::shape[1] - 1]
+        # each right-hand side with the flat view pttrs solves in place and
+        # its end columns, which W halves under Neumann ends (n >= 3)
+        self.stage1, self.stage2 = ((rhs, rhs.reshape(-1), rhs[:, ::shape[1] - 1])
+                                    for rhs in (self.rhs, self.rhs2))
         self.factor = None
         self.factorizations = 0
+        self.solves = 0
         self.reaction_evals = 0
+
+    def _solve(self, stage, values: np.ndarray, k: int, dest: np.ndarray) -> np.ndarray:
+        """x - v written into ``dest`` for W M x = W rhs, with ``stage`` the
+        right-hand side rhs and its two views; rhs is overwritten.  Raises
+        :class:`BlowUpError` when x - v is not finite."""
+        rhs, flat, ends = stage
+        if self.neumann:
+            ends *= 0.5
+        _check_info(_pttrs(*self.factor, flat, overwrite_b=True)[1])
+        self.solves += 1
+        out = np.subtract(rhs, values, out=dest)
+        if not _finite(out):
+            raise BlowUpError(self.ends[k])
+        return out
 
     def advance(self, values: np.ndarray, k: int, dest: np.ndarray) -> np.ndarray:
         """Write the state after step k from ``values`` into ``dest``, an
@@ -286,37 +324,29 @@ class _StepPlan:
             *self.factor, info = _pttrf(self.diag_flat, self.off_flat, True, True)
             _check_info(info)
             self.factorizations += 1
-        two_stage = self.two_stage
-        if two_stage:
+        if not self.two_stage:
+            return self._solve(self.stage1, values, k, dest)
+        rhs2, react_end = self.rhs2, self.react_end
+        if react_end:
             half = np.multiply(rhs, 0.5, out=self.half)
-        if self.neumann:
-            self.rhs_ends *= 0.5
-        _check_info(_pttrs(*self.factor, self.rhs_flat, overwrite_b=True)[1])
-        # a two-stage step keeps its first stage x1 in rhs
-        out = np.subtract(rhs, values, out=rhs if two_stage else dest)
-        if not _finite(out):
-            raise BlowUpError(self.ends[k])
-        if not two_stage:
-            return out
+            # the first stage x1, kept in rhs
+            x1 = self._solve(self.stage1, values, k, rhs)
+        else:
+            # only rhs1 / 2 goes on; a non-finite rhs1 fails the step before
+            # the forcing is called at its end, as a non-finite x1 would
+            np.multiply(rhs, 0.5, out=rhs2)
+            if not _finite(rhs):
+                raise BlowUpError(self.ends[k])
         if k >= len(self.num1):
             raise self.end_error
         self.reaction_evals += 1
-        rhs2 = self.rhs2
-        if self.react_end:
-            reaction_kernel(kin, self.lin1[k], out, self.num1[k], rhs2, self.row, self.prod)
+        if react_end:
+            reaction_kernel(kin, self.lin1[k], x1, self.num1[k], rhs2, self.row, self.prod)
             rhs2 += half
-            rhs2 += values
-        else:
-            np.add(half, values, out=rhs2)
+        rhs2 += values
         if forcing is not None:
             rhs2 += np.multiply(0.5 * self.dt, forcing(self.xs, self.ends[k]), out=self.work)
-        if self.neumann:
-            self.rhs2_ends *= 0.5
-        _check_info(_pttrs(*self.factor, self.rhs2_flat, overwrite_b=True)[1])
-        out = np.subtract(rhs2, values, out=dest)
-        if not _finite(out):
-            raise BlowUpError(self.ends[k])
-        return out
+        return self._solve(self.stage2, values, k, dest)
 
 
 def step_imex(state: Field, t: float, dt: float, sys: SystemSpec,
@@ -426,7 +456,7 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
 
     metadata = {"dt": dt, "scheme": scheme, "seed": seed,
                 "record_every": record_every, "T": float(times[-1]), "steps": n_steps,
-                "factorizations": plan.factorizations,
+                "solves": plan.solves, "factorizations": plan.factorizations,
                 "reaction_evals": plan.reaction_evals}
     l2, sup, h1, h2, lp1 = series
     return Trajectory(times=times, l2=l2, sup=sup, h1_semi=h1, h2=h2, lp1=lp1,
@@ -479,14 +509,22 @@ def manufactured_system(grid: Grid1D, kinetics: KineticsSpec,
 
     The forcing computes F(u*) as :func:`rdcert.profiles.eval_reaction` does,
     input checks included, in arrays it keeps from call to call while the
-    shape of u* stays the same; each call returns one fresh array.  When the
-    reaction vanishes identically (A = 0, no nonlinearity) it checks u* and
-    leaves F(u*) out."""
+    shape of u* stays the same.  When the reaction vanishes identically
+    (A = 0, no nonlinearity) it checks u* and leaves F(u*) out.  It keeps
+    its latest value: a call with the same nodes array (the object, not
+    its values) and the same double t returns a copy of it without calling
+    the case's callables; :func:`simulate` asks for the end of one step and
+    the start of the next, which are often the same double.  Every call
+    returns a fresh array."""
     profiles = tuple(diffusion)
     zero_reaction = kinetics.nonlinearity == "none" and not kinetics.linear.any()
     work = []  # F(u*), the saturation row and the product
+    latest = []  # the nodes, the time and the value of the latest call
 
     def forcing(xs, t):
+        if (latest and xs is latest[0] and t == latest[1]
+                and math.copysign(1.0, t) == math.copysign(1.0, latest[1])):
+            return latest[2].copy()
         exact = np.atleast_2d(np.asarray(case.solution(xs, t), dtype=float))
         d_vals = np.array([eval_profile(p, t) for p in profiles])
         lap = np.atleast_2d(np.asarray(case.laplacian(xs, t), dtype=float))
@@ -495,12 +533,13 @@ def manufactured_system(grid: Grid1D, kinetics: KineticsSpec,
         np.subtract(dudt, f, out=f)
         if zero_reaction:
             _check_state(kinetics, exact)
-            return f
-        if not work or work[0].shape != exact.shape:
-            work[:] = (np.empty(exact.shape), np.empty((1,) + exact.shape[1:]),
-                       np.empty(exact.shape))
-        f -= _reaction_into(kinetics, exact, t, *work)
-        return f
+        else:
+            if not work or work[0].shape != exact.shape:
+                work[:] = (np.empty(exact.shape), np.empty((1,) + exact.shape[1:]),
+                           np.empty(exact.shape))
+            f -= _reaction_into(kinetics, exact, t, *work)
+        latest[:] = (xs, t, f)
+        return f.copy()
 
     initial = Field(grid, np.atleast_2d(np.asarray(case.solution(grid.x, 0.0), dtype=float)))
     return SystemSpec(grid=grid, kinetics=kinetics, diffusion=profiles,

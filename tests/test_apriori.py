@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdcert.apriori import (agmon_aggregate, build_paraboloid, constant_upper_solution,
                             estimate_agmon_constant, find_constant_upper, h2_monitor,
                             verify_pointwise_bound)
 from rdcert.grid import Grid1D, field_from_function, mode_field, zero_field
-from rdcert.profiles import KineticsSpec, TimeProfile
+from rdcert.profiles import KineticsSpec, TimeProfile, eval_reaction
 from rdcert.solver import SystemSpec, simulate
 
 CONST_D = TimeProfile.constant(1.0, positive=True)
@@ -223,3 +225,67 @@ class TestConstantUpper:
         traj = make_traj(sys, T=5.0, dt=1e-3)
         us = constant_upper_solution(kin, [1.5], u_max=50.0, horizon=5.0)
         assert verify_pointwise_bound(traj, us) == []
+
+    def test_threshold_is_decided_exactly(self):
+        # F(u) = phi u (0.1 - 0.2 u/(1+u)) is positive on [l, 1) for l < 1,
+        # a band that 4096 random states on [l, 50] at 33 times all miss for
+        # l = 1 - 1e-5; the closed form rejects every level below 1
+        kin = self.saturated_kinetics()
+        assert constant_upper_solution(kin, [1.0], u_max=50.0, horizon=20.0).levels[0] == 1.0
+        level = 1.0 - 1e-5
+        assert eval_reaction(kin, np.array([level]), t=0.0)[0] > 0.0
+        with pytest.raises(ValueError, match=r"^sign condition fails: F_0 can be positive for "
+                                             r"u_0 >= 0\.99999 at t = 0 \(bound .* > 0\)$"):
+            constant_upper_solution(kin, [level], u_max=50.0, horizon=20.0)
+
+    def test_note_names_the_closed_form(self):
+        us = constant_upper_solution(self.saturated_kinetics(), [2.0], u_max=50.0, horizon=20.0)
+        assert us.note == ("sign condition decided in closed form at 33 times on [0, 20], "
+                           "|u| <= 50")
+
+    def test_modulation_must_be_positive(self):
+        kin = KineticsSpec(n_components=1, linear=np.array([[-1.0]]),
+                           modulation=TimeProfile.constant(-1.0))
+        with pytest.raises(ValueError, match="^modulation must be positive$"):
+            constant_upper_solution(kin, [1.0], u_max=5.0, horizon=1.0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), m=st.sampled_from([1, 2]), saturated=st.booleans(),
+           p=st.floats(1.2, 4.0), c0=st.floats(0.0, 3.0), u_max=st.floats(0.1, 10.0))
+    def test_accepted_levels_hold_and_one_component_is_exact(self, data, m, saturated, p, c0,
+                                                             u_max):
+        # every accepted level keeps F_i <= 0 on a grid of states with
+        # u_i >= l_i and |u_j| <= u_max; with one component, a rejected
+        # level has F > 0 at u = l at some checked time
+        a = np.array(data.draw(st.lists(st.floats(-3.0, 1.0), min_size=m * m,
+                                        max_size=m * m), label="a")).reshape(m, m)
+        levels = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=m, max_size=m),
+                                    label="levels"))
+        kin = KineticsSpec(n_components=m, linear=a,
+                           nonlinearity="saturated_power" if saturated else "none",
+                           c0=TimeProfile.power_decay(c0, 0.5), p=p,
+                           modulation=TimeProfile.power_decay(1.0, 1.0, positive=True))
+        horizon = 4.0
+        times = np.linspace(0.0, horizon, 33)
+        try:
+            constant_upper_solution(kin, levels, u_max, horizon)
+            accepted = True
+        except ValueError:
+            accepted = False
+        scale = 1e-12 * (1.0 + np.abs(a).sum() + c0) * (max(u_max, levels.max()) + 1.0)
+        if accepted:
+            for i in range(m):
+                own = np.linspace(levels[i], max(u_max, levels[i]) * 1.5, 41)
+                other = np.linspace(-u_max, u_max, 21)
+                u = np.empty((m, own.size * (other.size if m == 2 else 1)))
+                if m == 2:
+                    u[i] = np.repeat(own, other.size)
+                    u[1 - i] = np.tile(other, own.size)
+                else:
+                    u[0] = own
+                for t in times[::8]:
+                    assert np.all(eval_reaction(kin, u, t=float(t))[i] <= scale)
+                    assert np.all(eval_reaction(kin, -u, t=float(t))[i] >= -scale)
+        elif m == 1:
+            worst = max(eval_reaction(kin, levels, t=float(t))[0] for t in times)
+            assert worst >= -scale

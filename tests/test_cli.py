@@ -359,6 +359,38 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "config error: [theorem].grid_points: need at least 2 grid points\n"
 
+    def test_zero_initial_data_decided_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran on zero initial data")
+
+        monkeypatch.setattr(rdcert.cli, "simulate", refuse)
+        text = TH31_CFG.replace("ic = mode(1, 0.0797884560802865)", "ic = mode(0, 0.1)")
+        assert text != TH31_CFG
+        out = tmp_path / "out"
+        code = main(["run-theorem", "3.1", "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)])
+        assert code == 2
+        assert read_report(out) == {"theorem": "3.1", "status": "not_applicable",
+                                    "reason": "zero initial data: the scenarios assume g(0) > 0"}
+
+    @pytest.mark.parametrize("ic, code", [("mode(1, 0.0797884560802865)", 1),
+                                          ("mode(0, 0.1)", 2)], ids=["data", "zero-data"])
+    def test_zero_data_comes_before_a_mid_run_profile_failure(self, tmp_path, capsys, ic, code):
+        # the diffusion 2/(1 + t) - 1 turns non-positive at t = 1, mid-run
+        text = TH31_CFG.replace("ic = mode(1, 0.0797884560802865)", f"ic = {ic}").replace(
+            "[diffusion]\nv0 = 2.0", "[diffusion]\nkind = power_decay\nv0 = 2.0\n"
+            "exponent = 1.0\noffset = -1.0")
+        assert "offset = -1.0" in text
+        out = tmp_path / "out"
+        assert main(["run-theorem", "3.1", "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err == ("config error: profile declared positive evaluated to a "
+                           "value <= 0\n")
+        else:
+            assert read_report(out)["status"] == "not_applicable"
+
     @pytest.mark.parametrize("cfg_text, which, old, new, code", [
         # a ConfigError raised after the simulation, inside the command
         (TH34_CFG, "3.4", "mu_split = 0.5", "mu_split = 1.5", 1),
@@ -474,6 +506,8 @@ class TestCommandOutputs:
         assert series[0] == "t,g,sup,h1_semi,h2"
         assert len(series) == 252  # header + 251 steps
         assert (out / "plots_norms.svg").exists()
+        meta = read_report(out)["metadata"]
+        assert (meta["steps"], meta["solves"]) == (250, 500)  # two solves a step with a reaction
         # the snapshots are one .npy array and one column of times
         cfg = parse_config(path)
         traj = simulate(build_system(cfg), cfg.require("run", "T"), dt=cfg.get("run", "dt"),

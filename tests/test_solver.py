@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 from rdcert.grid import (Field, Grid1D, constant_field, discrete_norms, lp_integral,
                          lp_integrals, mode_field, noise_field, norms_batch, quadrature_weights,
@@ -516,6 +516,18 @@ class TestStepCounters:
         self.run("constant", scheme)
         assert len(kernel_calls) == (80 if scheme == "two_stage" else 40)
 
+    @pytest.mark.parametrize("scheme,reaction,per_step", [
+        ("two_stage", True, 2), ("two_stage", False, 1), ("one_stage", True, 1),
+        ("one_stage", False, 1)])
+    def test_solves_per_step(self, scheme, reaction, per_step):
+        # a reaction-free two-stage step skips the first solve, which only
+        # the stage-2 kernel would read
+        sys = pinned_system("neumann", 2, "power_decay")
+        if not reaction:
+            sys = dataclasses.replace(sys, kinetics=KineticsSpec(n_components=2))
+        meta = simulate(sys, 40 * 0.005, dt=0.005, scheme=scheme).metadata
+        assert (meta["steps"], meta["solves"]) == (40, 40 * per_step)
+
     def test_one_changing_component_refactors(self):
         g = Grid1D(1.0, 16)
         sys = SystemSpec(grid=g, kinetics=KineticsSpec(n_components=2),
@@ -525,6 +537,138 @@ class TestStepCounters:
         # midpoints 0.01, 0.03, ..., 0.19: the table is flat before t = 0.1
         meta = simulate(sys, 0.2, dt=0.02, scheme="one_stage").metadata
         assert (meta["steps"], meta["factorizations"], meta["reaction_evals"]) == (10, 6, 10)
+
+
+_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0),))
+
+
+def two_solve_states(sys, n_steps, dt):
+    """Every state of a reaction-free two-stage run taken the long way, with
+    both solves: stage 1 solves for x1 and checks it, and stage 2 solves
+    for rhs1 / 2 + v + (dt/2) f(t + dt).  The linear part is the matrix 2I,
+    the tables and the factor are formed as the plan forms them."""
+    g = sys.grid
+    h2 = g.h * g.h
+    times = dt * np.arange(n_steps + 1)
+    starts, ends = times[:-1].tolist(), (times[:-1] + dt).tolist()
+    delta = (0.5 * dt) * np.array([eval_profile(p, times[:-1] + 0.5 * dt)
+                                   for p in sys.diffusion]).T
+    centre = 2.0 / h2 * delta + 1.0
+    row_weights = quadrature_weights(g) / g.h
+    unit_off = np.full(g.n, -1.0 / h2)
+    unit_off[-1] = 0.0
+    two = 2.0 * np.eye(sys.kinetics.n_components)
+    states = [sys.initial.values]
+    for k in range(n_steps):
+        v = states[-1]
+        diag = centre[k][:, None] * row_weights
+        off = unit_off * delta[k][:, None]
+        d, e, info = _pttrf(diag.reshape(-1), off.reshape(-1)[:-1])
+        assert info == 0
+
+        def solve(rhs):
+            if g.bc == "neumann":
+                rhs[:, ::g.n - 1] *= 0.5
+            x, info = _pttrs(d, e, rhs.reshape(-1))
+            assert info == 0
+            return x.reshape(v.shape) - v
+        rhs = np.dot(two, v)
+        if sys.forcing is not None:
+            rhs += dt * sys.forcing(g.x, starts[k])
+        half = rhs * 0.5
+        assert np.isfinite(solve(rhs)).all()
+        rhs2 = half + v
+        if sys.forcing is not None:
+            rhs2 += 0.5 * dt * sys.forcing(g.x, ends[k])
+        states.append(solve(rhs2))
+    return np.array(states)
+
+
+def sine_case(m):
+    """u* = (1 + t) sin(3 x + i) for component i: a manufactured solution."""
+    def solution(x, t):
+        return (1.0 + t) * np.array([np.sin(3.0 * x + i) for i in range(m)])
+
+    def time_derivative(x, t):
+        return np.array([np.sin(3.0 * x + i) for i in range(m)])
+
+    def laplacian(x, t):
+        return -9.0 * solution(x, t)
+    return ManufacturedCase(solution, time_derivative, laplacian)
+
+
+class TestReactionFreeStep:
+    """A two-stage step without a reaction skips its first solve: only
+    rhs1 / 2 reaches the second stage.  Its states equal, bit for bit, the
+    step that solves twice (up to the sign of exact zeros with two
+    components, where 2I v was a matrix product), and its failures keep
+    their time and stage order."""
+
+    @staticmethod
+    def systems(bc, m, n, decay, forcing):
+        """The system, and the same system for the reference, whose forcing
+        keeps no value from call to call."""
+        g = Grid1D(1.0, n, bc)
+        kin = KineticsSpec(n_components=m)
+        diffusion = tuple(TimeProfile.power_decay(0.4 + 0.3 * i, 1.0, positive=True) if decay
+                          else TimeProfile.constant(0.4 + 0.3 * i, positive=True)
+                          for i in range(m))
+        if forcing == "manufactured":
+            sys = manufactured_system(g, kin, diffusion, sine_case(m))
+            return sys, dataclasses.replace(sys, forcing=lambda xs, t: manufactured_system(
+                g, kin, diffusion, sine_case(m)).forcing(xs, t))
+        plain = (lambda xs, t: (1.0 + t) * np.cos(2.0 * xs)) if forcing == "plain" else None
+        sys = SystemSpec(grid=g, kinetics=kin, diffusion=diffusion,
+                         initial=noise_field(g, m, 0.8, seed=n + m), forcing=plain)
+        return sys, sys
+
+    @staticmethod
+    def assert_matches_two_solves(systems, n_steps, dt):
+        sys, ref_sys = systems
+        traj = simulate(sys, n_steps * dt, dt=dt, record_every=1)
+        assert traj.metadata["solves"] == n_steps
+        got, ref = traj.states, two_solve_states(ref_sys, n_steps, dt)
+        if sys.kinetics.n_components == 2:
+            # 0 v_j in 2I v carries the sign of v_j into an exact zero
+            got, ref = got + 0.0, ref + 0.0
+        assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(3, 64), bc=st.sampled_from(["dirichlet", "neumann"]),
+           m=st.sampled_from([1, 2]), decay=st.booleans(),
+           forcing=st.sampled_from([None, "plain", "manufactured"]),
+           dt=st.floats(1e-3, 0.1), steps=st.integers(1, 12))
+    def test_matches_the_two_solve_step(self, n, bc, m, decay, forcing, dt, steps):
+        self.assert_matches_two_solves(self.systems(bc, m, n, decay, forcing), steps, dt)
+
+    def test_matches_the_two_solve_step_on_a_fine_grid(self):
+        self.assert_matches_two_solves(self.systems("neumann", 2, 20_001, True, "manufactured"),
+                                       3, 1e-3)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_infinite_forcing_keeps_time_and_stage_order(self, stage):
+        # the forcing is infinite at one call only, stage 1 or stage 2 of
+        # step 2B, after a block swap; a non-finite rhs1 fails the step
+        # before the forcing is called at its end, as a non-finite x1 did
+        dt = TestWorkspace.DT
+        sys = self.systems("dirichlet", 1, 128, True, None)[0]
+        B = block_len(sys)
+        bad_call = 2 * (2 * B - 1) + stage - 1  # two calls a step before it
+        stages = StageTimes()
+
+        def forcing(xs, t):
+            stages(xs, t)
+            return np.full(len(xs), np.inf if len(stages.times) - 1 == bad_call else 0.0)
+        sys = dataclasses.replace(sys, forcing=forcing)
+        T = (2 * B + 3) * dt
+        with pytest.raises(BlowUpError) as got:
+            simulate(sys, T, dt=dt)
+        got_stages, stages.times = stages.times, []
+        ref = stepwise_run(sys, T, dt)
+        assert isinstance(ref, BlowUpError)
+        assert got.value.time == ref.time == 2 * B * dt
+        assert got_stages == stages.times
+        assert len(got_stages) == bad_call + 1
 
 
 class TestEnergyInequality:
@@ -692,6 +836,44 @@ class TestManufacturedForcing:
         second = sys.forcing(sys.grid.x, 0.3)
         assert not np.shares_memory(first, second)
         assert first.tobytes() == kept.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("kinetics", ["saturated", "zero"])
+    def test_a_repeated_call_reuses_its_value(self, kinetics):
+        # the same nodes array at the same double t calls the case once and
+        # returns equal arrays that share no memory; another array of the
+        # same nodes, another t or the other zero calls it again
+        case = two_component_case()
+        calls = []
+
+        def counted(fn):
+            def wrapped(x, t):
+                calls.append(t)
+                return fn(x, t)
+            return wrapped
+        counting = ManufacturedCase(counted(case.solution), counted(case.time_derivative),
+                                    counted(case.laplacian))
+        kin = (self.system(case).kinetics if kinetics == "saturated"
+               else KineticsSpec(n_components=2))
+        sys = manufactured_system(Grid1D(1.0, 101, "neumann"), kin, self.DIFFUSION, counting)
+        xs = sys.grid.x
+        calls.clear()
+        first = sys.forcing(xs, 0.3)
+        second = sys.forcing(xs, 0.3)
+        assert calls == [0.3] * 3
+        assert first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
+        first[:] = 0.0  # the caller owns what it gets
+        assert sys.forcing(xs, 0.3).tobytes() == second.tobytes()
+        assert len(calls) == 3
+        assert sys.forcing(xs.copy(), 0.3).tobytes() == second.tobytes()
+        assert len(calls) == 6
+        later = math.nextafter(0.3, 1.0)
+        fresh = manufactured_system(sys.grid, kin, self.DIFFUSION, case).forcing(xs, later)
+        assert sys.forcing(xs, later).tobytes() == fresh.tobytes()
+        assert calls[6:] == [later] * 3
+        sys.forcing(xs, 0.0)
+        sys.forcing(xs, -0.0)
+        assert len(calls) == 15
 
     def test_finite_state_whose_sum_overflows_is_accepted(self):
         # the finiteness check sums squares first; an overflowing sum of finite
