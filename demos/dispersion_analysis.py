@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from rdcert import (Linearization2, critical_d1, det_m, dispersion_scan, eig2,
-                    numerical_abscissa, turing_conditions)
+                    symmetric_part_max, turing_conditions)
 from rdcert.reporting import svg_line_plot
 
 lin = Linearization2(a=1.0, b=2.0, c=-2.0, d=-2.0, d1=0.5, d2=10.0)
@@ -36,7 +36,7 @@ print(f"critical d1 at k=1: {star.d1_star:.6f} (det M(1) = {det_m(lin, 1.0):+.1f
 # the classic defective counterexample
 shear = np.array([[-1.0, 3.0], [0.0, -1.0]])
 print("shear matrix eigenvalues:", eig2(shear), " numerical abscissa:",
-      numerical_abscissa(shear))
+      symmetric_part_max(shear))
 
 plot = Path("out") / "dispersion.svg"
 plot.parent.mkdir(exist_ok=True)

@@ -5,9 +5,8 @@ from .apriori import (AgmonAggregate, PointwiseViolation, UpperSolution, agmon_a
                       build_paraboloid, constant_upper_solution, estimate_agmon_constant,
                       find_constant_upper, h2_monitor, verify_pointwise_bound)
 from .grid import (Field, Grid1D, NormSet, constant_field, discrete_norms,
-                   discrete_poincare_constant, field_from_function, lp_integral,
-                   mode_field, noise_field, norms_from_values, poincare_constant,
-                   quadrature_weights, zero_field)
+                   discrete_poincare_constant, lp_integrals, mode_field, noise_field,
+                   norms_from_values, poincare_constant, quadrature_weights, zero_field)
 from .inequality import (Certificate, CertificateReport, ComparisonSolution,
                          InvalidCertificateError, ScalarProblem, bernoulli_blowup_time,
                          bernoulli_closed_form, check_certificate, comparison_solve,
@@ -21,13 +20,10 @@ from .scenarios import (HypothesisReport, Scenario, ScenarioInputs, ScenarioNotA
                         exponential_decay_scenario, modulated_scenario,
                         power_decay_scenario)
 from .solver import (BlowUpError, ConvergenceReport, InconclusiveOrderError,
-                     ManufacturedCase, SystemSpec, Trajectory, apply_laplacian,
-                     convergence_orders, energy_inequality_residuals,
-                     manufactured_system, simulate, step_imex)
-from .stability import (CriticalDiffusion, DispersionReport, GrowthRateResult,
-                        Linearization2, ModeRate, TuringConditions, critical_d1,
-                        det_m, dispersion_scan, eig2, growth_rate_experiment,
-                        instability_band, m_of_k, numerical_abscissa, trace_m,
-                        turing_conditions)
+                     ManufacturedCase, SystemSpec, Trajectory, convergence_orders,
+                     energy_inequality_residuals, manufactured_system, simulate)
+from .stability import (CriticalDiffusion, DispersionReport, Linearization2, ModeRate,
+                        TuringConditions, critical_d1, det_m, dispersion_scan, eig2,
+                        instability_band, m_of_k, trace_m, turing_conditions)
 
 __version__ = "0.1.0"

@@ -146,6 +146,21 @@ def _check_sign_condition(kin: KineticsSpec, levels: np.ndarray, u_max: float,
     the condition implies the sign condition.  With one component the sum
     is empty and u (A - c0 s(u)) <= 0 for every u >= l exactly when it
     holds at l, so the condition is exact; with two it is sufficient."""
+    ts, bound = _sign_bounds(kin, levels, u_max, horizon)
+    failing = ~(bound <= 0.0)
+    if failing.any():
+        i, k = np.argwhere(failing)[0]
+        raise ValueError(f"sign condition fails: F_{i} can be positive for "
+                         f"u_{i} >= {levels[i]:g} at t = {ts[k]:g} "
+                         f"(bound {bound[i, k]:.3g} > 0)")
+
+
+def _sign_bounds(kin: KineticsSpec, levels: np.ndarray, u_max: float,
+                 horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The checked times and the left side of :func:`_check_sign_condition`
+    at each, one row per level (component i's level, or, with one
+    component, each candidate level) and one column per time.  Raises when
+    phi is not positive at a checked time or a profile rejects one."""
     ts = np.linspace(0.0, horizon, _SIGN_TIMES)
     c0, phi = reaction_coefficients(kin, ts).T
     if np.any(phi <= 0.0):
@@ -158,20 +173,16 @@ def _check_sign_condition(kin: KineticsSpec, levels: np.ndarray, u_max: float,
             sat = 1.0 / (1.0 + levels ** (1.0 - kin.p))
     else:
         sat = np.zeros(len(levels))
-    bound = levels[:, None] * (diag[:, None] - c0 * sat[:, None]) + coupling[:, None]
-    failing = ~(bound <= 0.0)
-    if failing.any():
-        i, k = np.argwhere(failing)[0]
-        raise ValueError(f"sign condition fails: F_{i} can be positive for "
-                         f"u_{i} >= {levels[i]:g} at t = {ts[k]:g} "
-                         f"(bound {bound[i, k]:.3g} > 0)")
+    return ts, levels[:, None] * (diag[:, None] - c0 * sat[:, None]) + coupling[:, None]
 
 
 def find_constant_upper(kin: KineticsSpec, u_max: float, horizon: float,
                         min_level: float = 0.0,
                         candidates: int = 64) -> Optional[UpperSolution]:
-    """Scan candidate levels (single equation only) for the smallest constant
-    barrier; None when no level up to u_max works.
+    """The smallest of ``candidates`` geometric levels up to u_max whose
+    constant barrier passes the sign condition (single equation only), or
+    None when none does, phi is not positive at a checked time or a profile
+    rejects one.  Every level's bound is formed in one array.
 
     ``min_level`` lets callers force the barrier above the initial data,
     which the comparison argument needs in addition to the sign condition.
@@ -181,12 +192,15 @@ def find_constant_upper(kin: KineticsSpec, u_max: float, horizon: float,
     lo = max(u_max / candidates, min_level, 1e-12)
     if lo > u_max:
         return None
-    for level in np.geomspace(lo, u_max, candidates):
-        try:
-            return constant_upper_solution(kin, [level], u_max, horizon)
-        except ValueError:
-            continue
-    return None
+    levels = np.geomspace(lo, u_max, candidates)
+    try:
+        bound = _sign_bounds(kin, levels, u_max, horizon)[1]
+    except ValueError:
+        return None
+    passing = np.flatnonzero((bound <= 0.0).all(axis=1))
+    if not passing.size:
+        return None
+    return constant_upper_solution(kin, [levels[passing[0]]], u_max, horizon)
 
 
 def verify_pointwise_bound(traj: Trajectory, us: UpperSolution,

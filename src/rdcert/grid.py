@@ -94,11 +94,6 @@ def constant_field(grid: Grid1D, levels: Union[float, Sequence[float]]) -> Field
     return Field(grid, np.repeat(levels_arr[:, None], grid.n, axis=1))
 
 
-def field_from_function(grid: Grid1D, fn) -> Field:
-    """Sample ``fn(x)`` on the nodes; fn may return (n,) or (n_components, n)."""
-    return Field(grid, np.asarray(fn(grid.x), dtype=float))
-
-
 def mode_field(grid: Grid1D, mode: int, amplitudes: Union[float, Sequence[float]]) -> Field:
     """Eigenmode initial data: amp * sin(mode pi x / L) under Dirichlet,
     amp * cos(mode pi x / L) under Neumann (mode 0 gives a constant)."""
@@ -268,11 +263,6 @@ def lp_integrals(values: np.ndarray, grid: Grid1D, exponent: float,
     k, _, n = values.shape
     sq = _squares(values, np.empty((k, n)), np.empty(values.shape))
     return _lp_from_squares(sq, exponent, weights, sq)
-
-
-def lp_integral(field: Field, exponent: float) -> float:
-    """Integral of |u(x)|**exponent with |.| the pointwise euclidean norm."""
-    return float(lp_integrals(field.values[None], field.grid, exponent)[0])
 
 
 def poincare_constant(grid: Grid1D) -> float:

@@ -138,14 +138,6 @@ class Certificate:
         from .profiles import eval_profile
         return eval_profile(self._profile(), t)
 
-    def mu_log_derivative(self, t: TimeLike) -> TimeLike:
-        """mu'(t)/mu(t), analytic for the parametric families."""
-        if self.family == "exponential":
-            t_arr = np.asarray(t, dtype=float)
-            return float(self.nu) if t_arr.ndim == 0 else np.full(t_arr.shape, self.nu)
-        from .profiles import profile_derivative
-        return profile_derivative(self._profile(), t) / self.mu(t)
-
     @property
     def decays_to_zero_envelope(self) -> bool:
         """Whether 1/mu(t) -> 0, i.e. the certificate claims decay and not

@@ -129,9 +129,7 @@ class TimeProfile:
         if kind == "constant":
             val = self.v0 + self.offset
         elif kind == "tabulated":
-            # a float t skips numpy's reduction, as the integrators pass them
-            if (t > self.table[-1, 0]) if isinstance(t, float) else np.any(t > self.table[-1, 0]):
-                raise ValueError(f"tabulated profile queried outside [0, {self.t_max:g}]")
+            self._check_table_range(t)
             val = np.interp(t, self.table[:, 0], self.table[:, 1])
             val += self.offset
         else:
@@ -145,6 +143,12 @@ class TimeProfile:
         if self.positive and np.size(t) and np.any(val <= 0.0):
             raise ValueError("profile declared positive evaluated to a value <= 0")
         return val
+
+    def _check_table_range(self, t) -> None:
+        """Raise unless the checked time t (a float or an array) is at most
+        t_max; a float t skips numpy's reduction, as the integrators pass them."""
+        if (t > self.table[-1, 0]) if isinstance(t, float) else np.any(t > self.table[-1, 0]):
+            raise ValueError(f"tabulated profile queried outside [0, {self.t_max:g}]")
 
 
 def _power(t, e: float, memo: Optional[dict]):
@@ -292,7 +296,8 @@ def _in_place(op, a, b):
 
 
 def profile_derivative(profile: TimeProfile, t: TimeLike) -> TimeLike:
-    """d/dt of a profile; analytic for parametric kinds, refined differences for tables."""
+    """d/dt of a profile: analytic for parametric kinds, the exact slope of
+    the linear interpolant for tables (see :func:`_table_slope`)."""
     t_arr = np.asarray(t, dtype=float)
     val = _derivative(profile, t_arr, None)
     if t_arr.ndim == 0:
@@ -313,30 +318,21 @@ def _derivative(profile: TimeProfile, t: np.ndarray, memo: Optional[dict]) -> Ti
         return profile.exponent * profile.v0 * _power(t, profile.exponent - 1.0, memo)
     if kind == "exponential":
         return profile.rate * profile.v0 * _exp(t, profile.rate, memo)
-    probe = replace(profile, positive=False)
-    return np.vectorize(lambda s: _table_derivative(probe, s))(t)
+    return _table_slope(profile, t)
 
 
-def _table_derivative(probe: TimeProfile, t: float) -> float:
-    """Centered differences of the tabulated profile ``probe``, which is not
-    declared positive, halving the step until the estimate stabilizes."""
-    t_top = probe.table[-1, 0]
-    h = max(t_top / 1024.0, 1e-8)
-    prev = None
-    est = 0.0
-    for _ in range(48):
-        lo = max(t - h, 0.0)
-        hi = min(t + h, t_top)
-        if hi <= lo:
-            break
-        est = (eval_profile(probe, hi) - eval_profile(probe, lo)) / (hi - lo)
-        if prev is not None and abs(est - prev) <= 1e-9 * max(1.0, abs(est)):
-            break
-        prev = est
-        h *= 0.5
-        if h < 1e-13 * max(t_top, 1.0):
-            break
-    return float(est)
+def _table_slope(profile: TimeProfile, t: np.ndarray) -> np.ndarray:
+    """The exact derivative of the tabulated profile's linear interpolant at
+    the array time t: the slope of the segment that holds t, the mean of the
+    two one-sided slopes at an interior knot, and the one-sided slope at 0
+    and at t_max.  Outside [0, t_max] it raises what the value raises."""
+    _check_times(t)
+    profile._check_table_range(t)
+    times, values = profile.table.T
+    slopes = np.diff(values) / np.diff(times)
+    seg = np.minimum(np.searchsorted(times, t, side="right") - 1, len(slopes) - 1)
+    knot = (times[seg] == t) & (t > 0.0)  # a knot at 0 has one side
+    return np.where(knot, 0.5 * slopes[seg - 1] + 0.5 * slopes[seg], slopes[seg])
 
 
 def as_time_function(profile: ProfileLike) -> Callable[[TimeLike], TimeLike]:

@@ -5,12 +5,12 @@ step midpoint); the reaction and any manufactured forcing are explicit, with an
 optional predictor-corrector stage for second order in time.  A simulation
 records the norm time series that the decay certificates are checked against.
 
-Every step, in :func:`simulate` and :func:`step_imex` alike, runs from a step
-plan built once per run: the diffusion values at the step midpoints and the
-reaction's c0 and phi at both stage times are evaluated as vectorised tables.
-With M = I - delta L, delta = (dt/2) D(t + dt/2) and L the three-point
-Laplacian, I + delta L = 2I - M, so a stage is M^-1 (2 v + dt f) - v and no
-explicit Laplacian is applied.  The plan folds each stage's scalars (the 2
+Every step of :func:`simulate` runs from a step plan built once per run: the
+diffusion values at the step midpoints and the reaction's c0 and phi at both
+stage times are evaluated as vectorised tables.  With M = I - delta L,
+delta = (dt/2) D(t + dt/2) and L the three-point Laplacian,
+I + delta L = 2I - M, so a stage is M^-1 (2 v + dt f) - v and no explicit
+Laplacian is applied.  The plan folds each stage's scalars (the 2
 of 2 v, dt or dt/2, phi) into per-step tables of the reaction's linear part
 and saturation numerator, so that one reaction-kernel call gives a stage's
 right-hand side less the forcing; the second stage reuses half the first
@@ -129,21 +129,6 @@ class Trajectory:
     def norms(self, i: int) -> NormSet:
         return NormSet(l2=float(self.l2[i]), sup=float(self.sup[i]),
                        h1_semi=float(self.h1_semi[i]), h2=float(self.h2[i]))
-
-
-def apply_laplacian(values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Three-point Laplacian; Dirichlet uses the implicit zero boundary values,
-    Neumann the symmetric reflected stencil 2(u_1 - u_0)/h^2 at the ends."""
-    h2 = grid.h * grid.h
-    out = np.empty_like(values)
-    out[:, 1:-1] = (values[:, :-2] - 2.0 * values[:, 1:-1] + values[:, 2:]) / h2
-    if grid.bc == "dirichlet":
-        out[:, 0] = (-2.0 * values[:, 0] + values[:, 1]) / h2
-        out[:, -1] = (values[:, -2] - 2.0 * values[:, -1]) / h2
-    else:
-        out[:, 0] = 2.0 * (values[:, 1] - values[:, 0]) / h2
-        out[:, -1] = 2.0 * (values[:, -2] - values[:, -1]) / h2
-    return out
 
 
 def _diffusion_table(sys: SystemSpec, times: np.ndarray) -> np.ndarray:
@@ -349,19 +334,6 @@ class _StepPlan:
         return self._solve(self.stage2, values, k, dest)
 
 
-def step_imex(state: Field, t: float, dt: float, sys: SystemSpec,
-              scheme: Scheme = "two_stage") -> Field:
-    """One IMEX step from time t; returns a new field, the input is untouched."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if state.grid != sys.grid:
-        raise ValueError("state lives on a different grid")
-    plan = _StepPlan(sys, np.array([float(t)]), dt, scheme, norm_states=0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return Field._trusted(sys.grid, plan.advance(state.values, 0,
-                                                     np.empty(state.values.shape)))
-
-
 # States wait, at most this many bytes of them and at least one, before their
 # norms are computed together.
 _NORM_BLOCK_BYTES = 64 * 1024
@@ -464,24 +436,19 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
                       metadata=metadata)
 
 
-def dissipation_rates(sys: SystemSpec, times: np.ndarray):
-    """min_i d_i(t) and gamma(t) (see :func:`rdcert.profiles.gamma_of_t`) at
-    each of ``times``: the rates of the system's energy estimate."""
-    return (_diffusion_table(sys, times).min(axis=0),
-            gamma_of_t(sys.kinetics, times))
-
-
 def energy_inequality_residuals(traj: Trajectory, sys: SystemSpec) -> np.ndarray:
     """Residuals of the discrete energy inequality between consecutive steps.
 
     Checks (g_{i+1}^2 - g_i^2) / (2 dt) <= -d(t) ||grad u||^2 - gamma(t) g^2
-    + c0(t) * integral |u|^{p+1}, with the right side averaged over the two
-    endpoints.  Positive entries measure violation; along a consistent
+    + c0(t) * integral |u|^{p+1}, with d(t) = min_i d_i(t), gamma(t) from
+    :func:`rdcert.profiles.gamma_of_t` and the right side averaged over the
+    two endpoints.  Positive entries measure violation; along a consistent
     trajectory they stay within O(dt + h^2) of zero.
     """
     times = traj.times
     dt = float(times[1] - times[0])
-    d_min, gammas = dissipation_rates(sys, times)
+    d_min = _diffusion_table(sys, times).min(axis=0)
+    gammas = gamma_of_t(sys.kinetics, times)
     c0_eff = np.asarray(effective_c0(sys.kinetics)(times), dtype=float)
 
     rhs = (-d_min * traj.h1_semi ** 2 - gammas * traj.l2 ** 2 + c0_eff * traj.lp1)

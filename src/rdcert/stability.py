@@ -7,8 +7,9 @@ stability to the eigenvalues of the 2x2 matrix
     M(k) = [[a - d1 k^2, b], [c, d - d2 k^2]].
 
 This module evaluates M(k), its eigenvalues and determinant/trace closed
-forms, locates the instability band in k, and measures mode growth rates on
-actual simulations for cross-validation.
+forms, and locates the instability band in k.  Everything here is closed
+form: nothing is simulated.  The numerical abscissa of a matrix, the largest
+eigenvalue of its symmetric part, is :func:`rdcert.profiles.symmetric_part_max`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grid import Field, Grid1D
-from .profiles import KineticsSpec, TimeProfile, _blocks, _finite, symmetric_part_max
-from .solver import SystemSpec, simulate
+from .profiles import _blocks, _finite
 
 
 @dataclass(frozen=True)
@@ -76,9 +75,6 @@ def eig2(m) -> tuple[complex, complex]:
         return complex(hi), complex(lo)
     half_im = 0.5 * math.sqrt(-disc)
     return complex(0.5 * tr, half_im), complex(0.5 * tr, -half_im)
-
-
-numerical_abscissa = symmetric_part_max
 
 
 def det_m(lin: Linearization2, k) -> np.ndarray:
@@ -320,73 +316,3 @@ def critical_d1(a: float, b: float, c: float, d: float, d2: float, k: float) -> 
         raise ValueError("degenerate direction: det M(k) does not depend on d1")
     d1_star = (a * d2 * k * k - (a * d - b * c)) / denom
     return CriticalDiffusion(d1_star=float(d1_star), det_slope=float(denom))
-
-
-@dataclass(frozen=True)
-class GrowthRateResult:
-    measured: Optional[float]
-    predicted: float
-    mode: int
-    k: float
-    window: tuple[float, float]
-    degenerate: bool
-    oscillatory: bool  # leading eigenvalue is complex; the fit is unreliable
-
-    @property
-    def relative_gap(self) -> float:
-        if self.measured is None:
-            return math.inf
-        scale = max(abs(self.predicted), 1e-12)
-        return abs(self.measured - self.predicted) / scale
-
-
-def _leading_eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
-    rows = [np.array([m[0, 0] - lam.real, m[0, 1]]),
-            np.array([m[1, 0], m[1, 1] - lam.real])]
-    # (M - lam I) p = 0: build p from the numerically larger row
-    cand1 = np.array([-rows[0][1], rows[0][0]])
-    cand2 = np.array([-rows[1][1], rows[1][0]])
-    p = cand1 if np.linalg.norm(rows[0]) >= np.linalg.norm(rows[1]) else cand2
-    norm = np.linalg.norm(p)
-    if norm == 0.0:  # defective or diagonal: fall back to a coordinate direction
-        p = np.array([1.0, 0.0])
-        norm = 1.0
-    return p / norm
-
-
-def growth_rate_experiment(lin: Linearization2, L: float, mode: int,
-                           n_nodes: int = 400, dt: float = 1e-3,
-                           horizon: float = 5.0, amplitude: float = 1e-3,
-                           fit_window: tuple[float, float] = (0.5, 1.0),
-                           scheme: str = "two_stage") -> GrowthRateResult:
-    """Simulate the linearized pair seeded with one sin(k_n x) eigenmode and
-    fit the log-norm slope against the predicted Re lambda_1(k_n).
-
-    A zero seed gives a zero trajectory and is reported as degenerate instead
-    of a rate.
-    """
-    if mode < 1:
-        raise ValueError("mode number must be >= 1")
-    k = mode * math.pi / L
-    m_k = m_of_k(lin, k)
-    lam1 = eig2(m_k)[0]
-    oscillatory = abs(lam1.imag) > 1e-12
-    grid = Grid1D(L, n_nodes, "dirichlet")
-    direction = _leading_eigenvector(m_k, lam1)
-    values = amplitude * direction[:, None] * np.sin(k * grid.x)[None, :]
-    kin = KineticsSpec(n_components=2, linear=lin.matrix)
-    sys = SystemSpec(grid=grid, kinetics=kin,
-                     diffusion=(TimeProfile.constant(lin.d1, positive=True),
-                                TimeProfile.constant(lin.d2, positive=True)),
-                     initial=Field(grid, values))
-    traj = simulate(sys, horizon, dt=dt, scheme=scheme)
-    lo = fit_window[0] * traj.times[-1]
-    hi = fit_window[1] * traj.times[-1]
-    sel = (traj.times >= lo) & (traj.times <= hi)
-    window = (float(lo), float(hi))
-    if amplitude == 0.0 or np.any(traj.g[sel] <= 0.0) or sel.sum() < 2:
-        return GrowthRateResult(measured=None, predicted=lam1.real, mode=mode, k=k,
-                                window=window, degenerate=True, oscillatory=oscillatory)
-    slope = float(np.polyfit(traj.times[sel], np.log(traj.g[sel]), 1)[0])
-    return GrowthRateResult(measured=slope, predicted=lam1.real, mode=mode, k=k,
-                            window=window, degenerate=False, oscillatory=oscillatory)

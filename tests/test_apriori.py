@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rdcert.apriori import (agmon_aggregate, build_paraboloid, constant_upper_solution,
                             estimate_agmon_constant, find_constant_upper, h2_monitor,
                             verify_pointwise_bound)
-from rdcert.grid import Grid1D, field_from_function, mode_field, zero_field
+from rdcert.grid import Field, Grid1D, mode_field, zero_field
 from rdcert.profiles import KineticsSpec, TimeProfile, eval_reaction
 from rdcert.solver import SystemSpec, simulate
 
@@ -39,7 +39,7 @@ class TestBuildParaboloid:
 
     def test_initial_peak_raises_level(self):
         g = Grid1D(1.0, 101)
-        peak = field_from_function(g, lambda x: 5.0 * np.exp(-200.0 * (x - 0.5) ** 2))
+        peak = Field(g, 5.0 * np.exp(-200.0 * (g.x - 0.5) ** 2))
         us = build_paraboloid(2.0, (CONST_D,), 1.0, peak, horizon=5.0)
         assert us.b_us >= 5.0 + us.a_us * 0.25 - 1e-9
         bound = us.bound_at(g.x, 1)
@@ -92,7 +92,7 @@ class TestVerifyPointwise:
         g = Grid1D(1.0, 32, "neumann")
         sys = SystemSpec(grid=g, kinetics=KineticsSpec(n_components=1),
                          diffusion=(CONST_D,),
-                         initial=field_from_function(g, lambda x: -np.ones_like(x)))
+                         initial=Field(g, -np.ones_like(g.x)))
         traj = make_traj(sys, T=0.05)
         tight = UpperSolution(kind="constant", levels=[0.5])
         violations = verify_pointwise_bound(traj, tight)
@@ -187,6 +187,20 @@ class TestMonitors:
         assert np.all(traj.lp1 <= cap * (1.0 + 1e-12))
 
 
+def scanned_constant_upper(kin, u_max, horizon, min_level=0.0, candidates=64):
+    """The level search as a scan: the first geometric candidate level that
+    constant_upper_solution accepts, each one checked on its own."""
+    lo = max(u_max / candidates, min_level, 1e-12)
+    if lo > u_max:
+        return None
+    for level in np.geomspace(lo, u_max, candidates):
+        try:
+            return constant_upper_solution(kin, [level], u_max, horizon)
+        except ValueError:
+            continue
+    return None
+
+
 class TestConstantUpper:
     def saturated_kinetics(self, gamma0=0.1, c0=0.2, k=2.0):
         return KineticsSpec(n_components=1, linear=np.array([[gamma0]]),
@@ -216,12 +230,49 @@ class TestConstantUpper:
         kin = KineticsSpec(n_components=1, linear=np.array([[0.5]]))
         assert find_constant_upper(kin, u_max=10.0, horizon=5.0) is None
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), saturated=st.booleans(),
+           c0_kind=st.sampled_from(["constant", "power_decay", "power_growth", "exponential",
+                                    "tabulated"]),
+           modulation=st.sampled_from(["decaying", "negative", "short_table"]),
+           a=st.floats(-3.0, 1.0), p=st.floats(1.2, 4.0), c0=st.floats(-0.5, 3.0),
+           u_max=st.floats(0.1, 10.0), min_level=st.floats(0.0, 12.0),
+           horizon=st.floats(0.5, 6.0))
+    def test_search_matches_a_scan_of_the_levels(self, data, saturated, c0_kind, modulation,
+                                                 a, p, c0, u_max, min_level, horizon):
+        # the same level and note as checking each candidate in turn, or None
+        # for both: no level passes, min_level is above u_max, c0 < 0 or
+        # phi <= 0 at a checked time, or a table ends before the horizon
+        if c0_kind == "constant":
+            c0_profile = TimeProfile.constant(c0)
+        elif c0_kind == "tabulated":
+            t_max = data.draw(st.floats(0.25, 8.0), label="t_max")
+            c0_profile = TimeProfile.tabulated([0.0, t_max], [c0, 2.0 * c0 + 0.1])
+        else:
+            rate = data.draw(st.floats(-1.0, 1.0), label="rate")
+            c0_profile = (TimeProfile.exponential(c0, rate) if c0_kind == "exponential"
+                          else getattr(TimeProfile, c0_kind)(c0, abs(rate)))
+        phi = {"decaying": TimeProfile.power_decay(1.0, 1.0),
+               "negative": TimeProfile.power_decay(2.0, 1.0, offset=-1.0),
+               "short_table": TimeProfile.tabulated([0.0, 3.0], [1.0, 0.5])}[modulation]
+        kin = KineticsSpec(n_components=1, linear=np.array([[a]]),
+                           nonlinearity="saturated_power" if saturated else "none",
+                           c0=c0_profile, p=p, modulation=phi)
+        got = find_constant_upper(kin, u_max, horizon, min_level)
+        expected = scanned_constant_upper(kin, u_max, horizon, min_level)
+        if expected is None:
+            assert got is None
+        else:
+            assert got.kind == expected.kind == "constant"
+            assert got.levels.tobytes() == expected.levels.tobytes()
+            assert got.note == expected.note
+
     def test_barrier_holds_along_neumann_run(self):
         kin = self.saturated_kinetics()
         g = Grid1D(1.0, 64, "neumann")
         sys = SystemSpec(grid=g, kinetics=kin,
                          diffusion=(CONST_D,),
-                         initial=field_from_function(g, lambda x: 0.5 + 0.1 * np.cos(np.pi * x)))
+                         initial=Field(g, 0.5 + 0.1 * np.cos(np.pi * g.x)))
         traj = make_traj(sys, T=5.0, dt=1e-3)
         us = constant_upper_solution(kin, [1.5], u_max=50.0, horizon=5.0)
         assert verify_pointwise_bound(traj, us) == []

@@ -19,7 +19,8 @@ import rdcert.cli
 from rdcert.cli import main
 from rdcert.config import ConfigError, build_initial, build_system, parse_config, parse_matrix
 from rdcert.grid import poincare_constant
-from rdcert.solver import dissipation_rates, simulate
+from rdcert.profiles import eval_profile, gamma_of_t
+from rdcert.solver import simulate
 
 TH31_CFG = """
 [domain]
@@ -341,7 +342,7 @@ class TestExitCodes:
                 .replace("alpha_factor = 0.15", "alpha_factor = 1.0"))
         path = write_cfg(tmp_path, text)
         assert main(["run-theorem", "3.1", "--config", path, "--out", str(tmp_path / "rt")]) == 0
-        assert read_report(tmp_path / "rt")["hypotheses"]["nonlinearity_small_enough"]
+        assert read_report(tmp_path / "rt")["hypotheses"]["comparison_inequality"]
         assert main(["check-certificate", "--config", path, "--out", str(tmp_path / "cc")]) == 0
 
     @pytest.mark.parametrize("grid_points, argv", [("1", []), ("10000", ["--grid-points", "1"])],
@@ -783,7 +784,8 @@ class TestOneSigma:
         sys_spec = build_system(parse_config(str(DEMO_CONFIGS / "theorem34_L4.cfg")))
         assert len(sys_spec.diffusion) == 2
         times = np.linspace(0.0, 50.0, 10_001)
-        d_min, gamma = dissipation_rates(sys_spec, times)
+        d_min = np.array([eval_profile(p, times) for p in sys_spec.diffusion]).min(axis=0)
+        gamma = gamma_of_t(sys_spec.kinetics, times)
         expected = poincare_constant(sys_spec.grid) * d_min + gamma
         sigma = rdcert.cli._system_sigma(sys_spec)
         assert sigma(times).tobytes() == expected.tobytes()

@@ -88,6 +88,33 @@ class TestProfileDerivative:
         assert profile_derivative(prof, 0.4) == pytest.approx(2.0, rel=1e-6)
         assert profile_derivative(prof, 1.6) == pytest.approx(-1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("offset", [0.0, 7.0])
+    def test_tabulated_derivative_is_the_exact_slope(self, offset):
+        # segment slopes 2, -0.5 and 0.5; an offset moves no slope
+        table = np.array([[0.0, 1.0], [1.0, 3.0], [3.0, 2.0], [4.0, 2.5]])
+        prof = TimeProfile("tabulated", table=table, offset=offset)
+        cases = {0.5: 2.0, 2.0: -0.5, 3.75: 0.5,  # inside a segment: its slope
+                 1.0: 0.75, 3.0: 0.0,             # interior knots: the mean of both sides
+                 0.0: 2.0, 4.0: 0.5}              # the ends: the one-sided slope
+        for t, slope in cases.items():
+            assert profile_derivative(prof, t) == slope
+        times = np.array(list(cases))
+        assert profile_derivative(prof, times).tolist() == list(cases.values())
+        for past in (4.0 + 1e-12, np.array([1.0, 4.5])):
+            with pytest.raises(ValueError) as value_error:
+                eval_profile(prof, past)
+            with pytest.raises(ValueError, match=r"^tabulated profile queried outside \[0, 4\]$"):
+                profile_derivative(prof, past)
+            assert str(value_error.value) == "tabulated profile queried outside [0, 4]"
+        with pytest.raises(ValueError, match="^profiles are defined for t >= 0$"):
+            profile_derivative(prof, -0.5)
+
+    def test_tabulated_derivative_at_zero_is_one_sided_when_zero_is_a_knot(self):
+        # a table may start before t = 0; its knot at 0 still has one side
+        prof = TimeProfile.tabulated([-1.0, 0.0, 2.0], [0.0, 1.0, 5.0])
+        assert profile_derivative(prof, 0.0) == 2.0
+        assert profile_derivative(prof, 1.0) == 2.0
+
 
 class TestKineticsSpec:
     def test_linear_part_is_a_constant_matrix(self):

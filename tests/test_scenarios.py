@@ -119,12 +119,12 @@ class TestExponentialDecay:
         inp_ok = ScenarioInputs(L=math.pi, bc="dirichlet", a0=1.0, d0=2.0, g0=1.0,
                                 c0=TimeProfile.constant(0.25), alpha_factor=1.0)
         sc_ok = exponential_decay_scenario(inp_ok, horizon=10.0)
-        assert sc_ok.hypotheses.conditions["nonlinearity_small_enough"]
+        assert sc_ok.hypotheses.conditions["comparison_inequality"]
         assert sc_ok.ready
         inp_bad = ScenarioInputs(L=math.pi, bc="dirichlet", a0=1.0, d0=2.0, g0=1.0,
                                  c0=TimeProfile.constant(1.0), alpha_factor=1.0)
         sc_bad = exponential_decay_scenario(inp_bad, horizon=10.0)
-        assert not sc_bad.hypotheses.conditions["nonlinearity_small_enough"]
+        assert not sc_bad.hypotheses.conditions["comparison_inequality"]
         assert sc_bad.hypotheses.first_failure_t == 0.0
         assert not sc_bad.ready
 
@@ -146,7 +146,7 @@ class TestExponentialDecay:
                                  c0=TimeProfile.constant(share * cap0),
                                  alpha_factor=1.0)
             sc = exponential_decay_scenario(inp, horizon=15.0)
-            small = sc.hypotheses.conditions["nonlinearity_small_enough"]
+            small = sc.hypotheses.conditions["comparison_inequality"]
             assert small == sc.certificate_check.passed == (share < 1.0)
             assert sc.hypotheses.first_failure_t == (None if small else 0.0)
 

@@ -7,22 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs, solve_banded
 
-from rdcert.grid import (Field, Grid1D, constant_field, discrete_norms, lp_integral,
-                         lp_integrals, mode_field, noise_field, norms_batch, quadrature_weights,
-                         zero_field)
+from rdcert.grid import (Field, Grid1D, constant_field, discrete_norms, lp_integrals, mode_field,
+                         noise_field, norms_batch, quadrature_weights, zero_field)
 import rdcert.solver
 from rdcert.profiles import KineticsSpec, TimeProfile, eval_profile, eval_reaction, reaction_kernel
 from rdcert.solver import (_NORM_BLOCK_BYTES, BlowUpError, InconclusiveOrderError,
-                           ManufacturedCase, SystemSpec, apply_laplacian, convergence_orders,
-                           energy_inequality_residuals, manufactured_system, simulate,
-                           step_imex)
+                           ManufacturedCase, SystemSpec, convergence_orders,
+                           energy_inequality_residuals, manufactured_system, simulate)
+
+from oracles import apply_laplacian, step_imex
 
 CONST_D = TimeProfile.constant(1.0, positive=True)
 
 
 def stepwise_run(sys, T, dt, scheme="two_stage"):
     """simulate's norm series and final state rebuilt one step at a time from
-    step_imex, discrete_norms and lp_integral.  A failure is returned, not
+    step_imex, discrete_norms and lp_integrals.  A failure is returned, not
     raised: the first error of a step, or BlowUpError at t_i when the norms
     of the finite state at step i overflow."""
     n_steps = int(round(T / dt))
@@ -35,7 +35,8 @@ def stepwise_run(sys, T, dt, scheme="two_stage"):
             return exc
         with np.errstate(over="ignore", invalid="ignore"):
             ns = discrete_norms(state)
-            row = (ns.l2, ns.sup, ns.h1_semi, ns.h2, lp_integral(state, sys.kinetics.p + 1.0))
+            lp = lp_integrals(state.values[None], state.grid, sys.kinetics.p + 1.0)[0]
+            row = (ns.l2, ns.sup, ns.h1_semi, ns.h2, lp)
         if not np.all(np.isfinite(row)):
             return BlowUpError(dt * i)
         rows.append(row)
