@@ -1,4 +1,12 @@
-"""One-dimensional grids, discrete fields, norms and the Poincare constant."""
+"""One-dimensional grids, discrete fields, norms and the Poincare constant.
+
+The norms of a batch of states are computed together (:func:`norms_batch`,
+and the per-block norm flush of :func:`rdcert.solver.simulate`), with every
+sum over the nodes of a state taken as one BLAS dot, ``np.vecdot``: each
+row of a batch equals, byte for byte, the norms of its state alone.  A
+state's pointwise squared magnitudes, its edge differences and their
+differences, the second differences, are each formed in one pass over it.
+"""
 
 from __future__ import annotations
 
@@ -140,46 +148,25 @@ def _carve(scratch: np.ndarray, shapes) -> list:
 
 def _norm_shapes(shape, grid: Grid1D) -> tuple:
     """The arrays :func:`_norm_rows` works in for states of shape (k, m, n):
-    the pointwise products, the edge differences, the squared magnitudes
-    and one row of samples per state."""
+    the edge differences, the pointwise products (whose memory then holds
+    the second differences), the squared magnitudes and one row of samples
+    per state."""
     k, m, n = shape
     edges = n + 1 if grid.bc == "dirichlet" else n - 1
-    return (k, m, n), (k, m, edges), (k, n), (k, n)
+    return (k, m, edges), (k, m, n), (k, n), (k, n)
 
 
-def _second_differences(values: np.ndarray, grid: Grid1D, out: np.ndarray) -> np.ndarray:
-    h2 = grid.h * grid.h
-    # (v[j-1] - 2 v[j] + v[j+1]) / h^2, formed in place
-    inner = np.multiply(values[..., 1:-1], 2.0, out=out[..., 1:-1])
-    np.subtract(values[..., :-2], inner, out=inner)
-    inner += values[..., 2:]
-    inner /= h2
-    if grid.bc == "dirichlet":
-        # implicit zero boundary values close the stencil
-        out[..., 0] = (-2.0 * values[..., 0] + values[..., 1]) / h2
-        out[..., -1] = (values[..., -2] - 2.0 * values[..., -1]) / h2
-    elif grid.n >= 4:
-        out[..., 0] = (2.0 * values[..., 0] - 5.0 * values[..., 1]
-                       + 4.0 * values[..., 2] - values[..., 3]) / h2
-        out[..., -1] = (2.0 * values[..., -1] - 5.0 * values[..., -2]
-                        + 4.0 * values[..., -3] - values[..., -4]) / h2
-    else:
-        out[..., 0] = out[..., 1]
-        out[..., -1] = out[..., -2]
-    return out
-
-
-def _integrate(samples: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # a reduction along the last axis sums each row in the same order whatever
-    # the number of rows, so a batch of states gets the norms of each one
-    # alone; out (samples' shape) may be samples itself
-    return np.sum(np.multiply(samples, weights, out=out), axis=-1)
+def _dots(rows: np.ndarray) -> np.ndarray:
+    """The sum of squares of each state's entries, for a C-order array
+    (k, ...): one BLAS dot per state, so a state's sum does not depend on
+    the other states of the batch."""
+    flat = rows.reshape(len(rows), -1)
+    return np.vecdot(flat, flat)
 
 
 def _squares(values: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.ndarray:
     """The pointwise squared magnitudes |u(x)|^2 of states (k, m, n) into
-    ``out`` (k, n), with ``prod`` (k, m, n) for the products when m > 1.
-    ``values`` may be a view of ``out`` or of ``prod``."""
+    ``out`` (k, n), with ``prod`` (k, m, n) for the products when m > 1."""
     if values.shape[1] == 1:
         return np.multiply(values[:, 0], values[:, 0], out=out)
     return np.sum(np.multiply(values, values, out=prod), axis=1, out=out)
@@ -188,24 +175,47 @@ def _squares(values: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.ndarra
 def _lp_from_squares(sq: np.ndarray, exponent: float, weights: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
     # sq holds the pointwise squared magnitudes |u(x)|^2, shape (k, n); out
-    # has its shape and may be sq itself.  |u|^p = (|u|^2)^(p/2) in one pass
-    np.power(sq, 0.5 * exponent, out=out)
-    return _integrate(out, weights, out)
+    # has its shape and is another array.  |u|^e = (|u|^2)^(e/2), and for
+    # e = 3 (p + 1 at the default p = 2) |u|^2 sqrt(|u|^2), which costs a
+    # fraction of the power
+    if exponent == 3.0:
+        np.multiply(np.sqrt(sq, out=out), sq, out=out)
+    else:
+        np.power(sq, 0.5 * exponent, out=out)
+    return np.vecdot(out, weights)
+
+
+def _neumann_end_squares(values: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Under Neumann ends, the squared h^2-scaled second differences at both
+    end nodes, summed over the components of each state: the one-sided
+    2 v[0] - 5 v[1] + 4 v[2] - v[3] (and its mirror), or, for n = 3, the
+    inner node's value from ``inner``."""
+    if values.shape[-1] >= 4:
+        first = (2.0 * values[..., 0] - 5.0 * values[..., 1] + 4.0 * values[..., 2]
+                 - values[..., 3])
+        last = (2.0 * values[..., -1] - 5.0 * values[..., -2] + 4.0 * values[..., -3]
+                - values[..., -4])
+    else:
+        first = last = inner[..., 0]
+    return np.sum(first * first + last * last, axis=-1)
 
 
 def _norm_rows(values: np.ndarray, grid: Grid1D, weights: np.ndarray,
                exponent: Optional[float], scratch: np.ndarray) -> np.ndarray:
     """The columns of :func:`norms_batch`, followed, when ``exponent`` is
     given, by the column of :func:`lp_integrals`: both read the pointwise
-    squared magnitudes, which are formed once.
+    squared magnitudes, which are formed once.  ``weights`` are the grid's
+    quadrature weights.  Each sum over a state's nodes is one dot (see the
+    module docstring); the sum of the squared second differences is scaled
+    by h / h^4 once.
 
     Every state-sized intermediate lives in ``scratch``, a flat float array
     of at least ``_scratch_len(_norm_shapes(values.shape, grid))`` elements
     that the caller supplies; only arrays of k or k * m values are new.
     """
-    prod, edges, sq, row = _carve(scratch, _norm_shapes(values.shape, grid))
+    k, m, _ = values.shape
+    edges, prod, sq, row = _carve(scratch, _norm_shapes(values.shape, grid))
     _squares(values, sq, prod)
-    l2sq = _integrate(sq, weights, row)
     if grid.bc == "dirichlet":
         # the implicit zero boundary values close the first and last edge
         edges[..., 0] = values[..., 0]
@@ -213,38 +223,42 @@ def _norm_rows(values: np.ndarray, grid: Grid1D, weights: np.ndarray,
         np.negative(values[..., -1], out=edges[..., -1])
     else:
         np.subtract(values[..., 1:], values[..., :-1], out=edges)
-    edges *= edges
-    h1sq = np.sum(edges, axis=(1, 2)) / grid.h
-    # one component: the second differences go straight into row and are
-    # squared in place there
-    d2 = _second_differences(values, grid, row[:, None] if values.shape[1] == 1 else prod)
-    h2sq = l2sq + h1sq + _integrate(_squares(d2, row, prod), weights, row)
+    # h^2 times the second differences v[j-1] - 2 v[j] + v[j+1], the edges'
+    # differences: at every node under Dirichlet ends, whose edges hold the
+    # zero boundary values, and at the inner nodes under Neumann ends
+    inner_len = edges.shape[-1] - 1
+    inner = prod.reshape(-1)[:k * m * inner_len].reshape(k, m, inner_len)
+    np.subtract(edges[..., 1:], edges[..., :-1], out=inner)
+    d2sq = _dots(inner)
+    if grid.bc == "neumann":
+        d2sq += 0.5 * _neumann_end_squares(values, inner)
+    h, h2 = grid.h, grid.h * grid.h
+    l2sq = np.vecdot(sq, weights)
+    h1sq = _dots(edges) / h
+    h2sq = l2sq + h1sq + d2sq * (h / (h2 * h2))
     norms = np.sqrt(np.column_stack([l2sq, np.max(sq, axis=-1), h1sq, h2sq]))
     if exponent is None:
         return norms
     return np.column_stack([norms, _lp_from_squares(sq, exponent, weights, row)])
 
 
-def norms_batch(values: np.ndarray, grid: Grid1D,
-                weights: Optional[np.ndarray] = None) -> np.ndarray:
+def norms_batch(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Discrete norms of k states at once.
 
     ``values`` has shape (k, n_components, n); the result has shape (k, 4)
     with columns l2, sup, h1_semi and h2, the fields of :class:`NormSet`.
     The l2 and sup columns come from the pointwise squared magnitudes
-    |u(x)|^2, which a simulation shares with :func:`lp_integrals`.
+    |u(x)|^2, which a simulation shares with :func:`lp_integrals`.  Each row
+    equals, byte for byte, the norms of its state alone.
     """
-    if weights is None:
-        weights = quadrature_weights(grid)
     scratch = np.empty(_scratch_len(_norm_shapes(values.shape, grid)))
-    return _norm_rows(values, grid, weights, None, scratch)
+    return _norm_rows(values, grid, quadrature_weights(grid), None, scratch)
 
 
-def norms_from_values(values: np.ndarray, grid: Grid1D,
-                      weights: Optional[np.ndarray] = None) -> NormSet:
+def norms_from_values(values: np.ndarray, grid: Grid1D) -> NormSet:
     """Norms of one state of shape (n_components, n): the k = 1 case of
     :func:`norms_batch`."""
-    return NormSet(*(float(v) for v in norms_batch(values[None], grid, weights)[0]))
+    return NormSet(*(float(v) for v in norms_batch(values[None], grid)[0]))
 
 
 def discrete_norms(field: Field) -> NormSet:
@@ -252,17 +266,14 @@ def discrete_norms(field: Field) -> NormSet:
     return norms_from_values(field.values, field.grid)
 
 
-def lp_integrals(values: np.ndarray, grid: Grid1D, exponent: float,
-                 weights: Optional[np.ndarray] = None) -> np.ndarray:
+def lp_integrals(values: np.ndarray, grid: Grid1D, exponent: float) -> np.ndarray:
     """Integral of |u(x)|**exponent for each of k states of shape
     (k, n_components, n), with |.| the pointwise euclidean norm, taken from
     the same squared magnitudes as the l2 and sup columns of
     :func:`norms_batch`."""
-    if weights is None:
-        weights = quadrature_weights(grid)
     k, _, n = values.shape
     sq = _squares(values, np.empty((k, n)), np.empty(values.shape))
-    return _lp_from_squares(sq, exponent, weights, sq)
+    return _lp_from_squares(sq, exponent, quadrature_weights(grid), np.empty((k, n)))
 
 
 def poincare_constant(grid: Grid1D) -> float:

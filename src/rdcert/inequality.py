@@ -51,6 +51,10 @@ class ScalarProblem:
     g0: float
 
     def __post_init__(self):
+        for name in ("sigma", "alpha"):
+            if not callable(getattr(self, name)):  # profiles are callables of t
+                raise TypeError(f"{name} must be a profile or a callable of t, "
+                                f"not {getattr(self, name)!r}")
         if not (self.q > 1.0 and math.isfinite(self.q)):
             raise ValueError("exponent q must be finite and > 1")
         if not (math.isfinite(self.g0) and self.g0 >= 0.0):

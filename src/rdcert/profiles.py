@@ -140,7 +140,9 @@ class TimeProfile:
             val = val * self.v0
             if not (self.offset == 0.0 and self.v0 > 0.0):
                 val += self.offset
-        if self.positive and np.size(t) and np.any(val <= 0.0):
+        # a float t gives a float value: one comparison, no array reduction
+        if self.positive and ((val <= 0.0) if isinstance(t, float)
+                              else np.size(t) and np.any(val <= 0.0)):
             raise ValueError("profile declared positive evaluated to a value <= 0")
         return val
 

@@ -7,19 +7,24 @@ records the norm time series that the decay certificates are checked against.
 
 Every step of :func:`simulate` runs from a step plan built once per run: the
 diffusion values at the step midpoints and the reaction's c0 and phi at both
-stage times are evaluated as vectorised tables.  With M = I - delta L,
+stage times are evaluated as vectorised tables.  A step runs between two
+times of the run's grid ``times = dt * arange(steps + 1)``: its end is the
+next step's start, the same double, and every stage time and every
+:class:`BlowUpError` time is a time of that grid.  With M = I - delta L,
 delta = (dt/2) D(t + dt/2) and L the three-point Laplacian,
 I + delta L = 2I - M, so a stage is M^-1 (2 v + dt f) - v and no explicit
 Laplacian is applied.  The plan folds each stage's scalars (the 2
 of 2 v, dt or dt/2, phi) into per-step tables of the reaction's linear part
 and saturation numerator, so that one reaction-kernel call gives a stage's
 right-hand side less the forcing; the second stage reuses half the first
-one's.  The plan decides once per run which stage work is live.  With A = 0
-the linear part is a scalar that scales the state, not a matrix product.
-Without a reaction (A = 0 and no nonlinearity) the second stage reads only
-half the first stage's right-hand side, so a two-stage step skips the first
-solve and the second kernel and makes one solve, as a one-stage step does;
-with a reaction it makes two.  All components form one block-diagonal
+one's.  The plan keeps (dt/2) f of the latest time, so the forcing is
+called once per time of the run, not once per stage.  The plan decides once
+per run which stage work is live.  With A = 0 the linear part is a scalar
+that scales the state, not a matrix product.  Without a reaction (A = 0 and
+no nonlinearity) the second stage reads only half the first stage's
+right-hand side, v + (dt/2) f, so a two-stage step calls no kernel, skips
+the first solve and makes one solve, as a one-stage step does; with a
+reaction it makes two.  All components form one block-diagonal
 tridiagonal M.  Scaling its rows by the trapezoid weights
 W = diag(1/2, 1, ..., 1, 1/2) per block under Neumann ends (W = I under
 Dirichlet ends) makes W M symmetric and strictly diagonally dominant, so it
@@ -28,17 +33,17 @@ diffusion values (once per run for constant diffusion), and a solve of
 W M x = W rhs is one ``pttrs``.  ``Trajectory.metadata`` counts the steps,
 the solves, the factorizations and the reaction evaluations of the run (one
 per stage, a skipped kernel included).  ``simulate`` computes the norms of a
-block of buffered states at a time, squaring each state once, and still
-raises errors in step order.
+block of buffered states at a time (see :mod:`rdcert.grid`: one BLAS dot
+per sum over a state's nodes), squaring each state once, and still raises
+errors in step order.
 
 A run allocates its state-sized arrays once, as LAPACK routines take
 caller-supplied workspace: the plan's workspace serves every step and every
 norm flush, and ``simulate`` writes each state straight into one of two
 alternating blocks of states.  The operations and their order are those of a
 step with fresh arrays, so the numbers are the same bit for bit.  The forcing
-of :func:`manufactured_system` keeps its reaction workspace in the same way,
-keeps its latest value to answer a repeated call with a copy, and returns a
-fresh array from every call.
+of :func:`manufactured_system` keeps its reaction workspace in the same way
+and returns a fresh array from every call.
 """
 
 from __future__ import annotations
@@ -170,57 +175,64 @@ def _stage_tables(kin: KineticsSpec, times: np.ndarray, weight: float, identity:
 class _StepPlan:
     """Everything the IMEX steps of one run share, built once.
 
-    Step k goes from ``starts[k]`` to ``starts[k] + dt``.  The plan holds
+    Step k goes from ``times[k]`` to ``times[k + 1]``, two times of the run's
+    grid, and advances the state by the run's ``dt``.  The plan holds
     per-step tables: the diagonal 1 + 2 delta/h^2 of M and the weight delta
-    = (dt/2) D at the step midpoint, and each stage's reaction coefficients
-    with the stage's scalars folded in (see :func:`_stage_tables`), so that
-    one :func:`rdcert.profiles.reaction_kernel` call gives a stage's explicit
-    part.  With v the state, phi, c0 at the step start and phi', c0' at its
-    end, stage 1 solves M x = rhs1 for
+    = (dt/2) D at the step midpoint times[k] + dt/2, and each stage's
+    reaction coefficients at its time with the stage's scalars folded in
+    (see :func:`_stage_tables`), so that one
+    :func:`rdcert.profiles.reaction_kernel` call gives a stage's explicit
+    part.  With v the state, phi, c0 at the step start t and phi', c0' at
+    its end t', and g(t) = (dt/2) f(t) with f the forcing, stage 1 solves
+    M x = rhs1 for
 
-        rhs1 = (2I + dt phi A) v - v (dt phi c0) / (1 + |v|**(1-p)) + dt f(t)
+        rhs1 = (2I + dt phi A) v - v (dt phi c0) / (1 + |v|**(1-p)) + 2 g(t)
 
     and x1 = x - v; stage 2 solves M x = rhs2 for
 
         rhs2 = (dt/2) phi' A x1 - x1 ((dt/2) phi' c0') / (1 + |x1|**(1-p))
-               + rhs1 / 2 + v + (dt/2) f(t + dt)
+               + rhs1 / 2 + v + g(t')
 
-    and x2 = x - v, with f the forcing.  Which stage work runs is decided
-    once per run:
+    and x2 = x - v.  Which stage work runs is decided once per run:
 
-    - one stage: the kernel, the forcing at t and one solve, for x1;
+    - one stage: the kernel, g(t) and one solve, for x1;
     - two stages with a reaction (A != 0 or the nonlinearity): both
-      kernels, the forcing at t and t + dt, and two solves;
-    - two stages without a reaction: the stage-2 kernel's coefficients
-      vanish at every step, so it is not called and nothing reads x1.  The
-      step skips the first solve: it forms rhs1, checks it is finite (before
-      the forcing is called at t + dt) and solves once, for x2.
+      kernels, g(t) and g(t'), and two solves;
+    - two stages without a reaction (A = 0, no nonlinearity, phi finite at
+      every stage time): no kernel is called, as stage 1's kernel gives 2 v,
+      the stage-2 coefficients vanish at every step and nothing reads x1.  The step
+      forms rhs1 / 2 = v + g(t), which is 0.5 (2 v + dt f(t)) bit for bit as
+      the scalings are powers of two, checks it is finite (before the
+      forcing is called at t'), and solves once, for x2, with
+      rhs2 = ((v + g(t)) + v) + g(t').
 
-    With A = 0 the linear coefficient is a scalar, 2 for stage 1 and 0 for
-    stage 2, which scales the state.  All components are solved as one
+    The plan keeps g of the latest time it was asked for, so the forcing is
+    called once per time of the run: the end of one step is the start of
+    the next.  With A = 0 the linear coefficient is a scalar, 2 for stage 1
+    and 0 for stage 2, which scales the state.  All components are solved as one
     block-diagonal tridiagonal system, row-scaled to the symmetric W M and
     factored as L D L^T once per distinct row of midpoint diffusion values.
 
     The plan also owns the run's workspace, so that no step allocates a
-    state-sized array: the factor's two arrays, and one flat ``scratch``
-    array holding both right-hand sides, rhs1 / 2, the scaled forcing and
-    the reaction's saturation row and product.  ``scratch`` is also large
-    enough for the norms of ``norm_states`` states (see
+    state-sized array: the factor's two arrays, the buffer of g, and one
+    flat ``scratch`` array holding both right-hand sides, rhs1 / 2, 2 g(t)
+    and the reaction's saturation row and product.  ``scratch`` is also
+    large enough for the norms of ``norm_states`` states (see
     :func:`rdcert.grid._norm_rows`), which a caller may compute in it
     between steps.
     """
 
-    def __init__(self, sys: SystemSpec, starts: np.ndarray, dt: float, scheme: Scheme,
+    def __init__(self, sys: SystemSpec, times: np.ndarray, dt: float, scheme: Scheme,
                  norm_states: int):
         if scheme not in ("one_stage", "two_stage"):
             raise ValueError(f"unknown scheme {scheme!r}")
         kin = sys.kinetics
         self.kinetics = kin
         self.forcing = sys.forcing
-        self.dt = dt
+        self.half_dt = 0.5 * dt
         self.two_stage = scheme == "two_stage"
-        self.starts = starts.tolist()
-        self.ends = (starts + dt).tolist()
+        self.times = times.tolist()
+        starts, ends = times[:-1], times[1:]
         self.xs = sys.grid.x
         h2 = sys.grid.h * sys.grid.h
         # the tables take the step's silenced warnings: a weight or a
@@ -235,10 +247,15 @@ class _StepPlan:
             self.centre = (2.0 / h2 * delta + 1.0)[:, :, None]
             self.lin0, self.num0, self.start_error = _stage_tables(kin, starts, dt, 2.0)
             if self.two_stage:
-                self.lin1, self.num1, self.end_error = _stage_tables(kin, starts + dt,
-                                                                     0.5 * dt, 0.0)
-                self.react_end = bool(kin.nonlinearity == "saturated_power"
-                                      or np.any(self.lin1))
+                self.lin1, self.num1, self.end_error = _stage_tables(kin, ends, 0.5 * dt, 0.0)
+        # no kernel output is needed when the kinetics have no reaction
+        # and both tables hold the bare scalings, 2 and 0 (a phi past the
+        # double range makes them nan, which the kernels carry into the
+        # state); a phi that only vanishes at the step ends would still
+        # leave stage 1 its dt phi A v
+        self.reaction_free = (self.two_stage and kin.nonlinearity == "none"
+                              and not kin.linear.any() and np.isfinite(self.lin0).all()
+                              and not np.any(self.lin1))
         # step k keeps the factor of step k - 1 when its weights are the same
         same = np.zeros(len(delta), dtype=bool)
         same[1:] = np.all(delta[1:] == delta[:-1], axis=1)
@@ -253,6 +270,9 @@ class _StepPlan:
         shape = sys.initial.values.shape
         self.diag, self.off = np.empty(shape), np.empty(shape)
         self.diag_flat, self.off_flat = self.diag.reshape(-1), self.off.reshape(-1)[:-1]
+        # g lives from one step into the next, past the norm flushes that
+        # share `scratch`
+        self.forced, self.forced_at = np.empty(shape), -1
         step_shapes = (shape,) * 5 + ((1, shape[1]),)
         norm_shapes = _norm_shapes((norm_states,) + shape, sys.grid)
         self.scratch = np.empty(max(_scratch_len(step_shapes), _scratch_len(norm_shapes)))
@@ -267,6 +287,15 @@ class _StepPlan:
         self.solves = 0
         self.reaction_evals = 0
 
+    def _half_forcing(self, i: int) -> np.ndarray:
+        """g = (dt/2) f at the run's time ``times[i]``, in the plan's buffer:
+        the forcing is called only when the latest call was at another time,
+        and what it returns is read, never written."""
+        if i != self.forced_at:
+            np.multiply(self.half_dt, self.forcing(self.xs, self.times[i]), out=self.forced)
+            self.forced_at = i
+        return self.forced
+
     def _solve(self, stage, values: np.ndarray, k: int, dest: np.ndarray) -> np.ndarray:
         """x - v written into ``dest`` for W M x = W rhs, with ``stage`` the
         right-hand side rhs and its two views; rhs is overwritten.  Raises
@@ -278,7 +307,7 @@ class _StepPlan:
         self.solves += 1
         out = np.subtract(rhs, values, out=dest)
         if not _finite(out):
-            raise BlowUpError(self.ends[k])
+            raise BlowUpError(self.times[k + 1])
         return out
 
     def advance(self, values: np.ndarray, k: int, dest: np.ndarray) -> np.ndarray:
@@ -295,11 +324,24 @@ class _StepPlan:
             raise self.mid_error
         if k >= len(self.num0):
             raise self.start_error
-        kin, forcing, rhs = self.kinetics, self.forcing, self.rhs
+        kin, forced, rhs, rhs2 = self.kinetics, self.forcing is not None, self.rhs, self.rhs2
         self.reaction_evals += 1
-        reaction_kernel(kin, self.lin0[k], values, self.num0[k], rhs, self.row, self.prod)
-        if forcing is not None:
-            rhs += np.multiply(self.dt, forcing(self.xs, self.starts[k]), out=self.work)
+        if self.reaction_free:
+            # rhs1 / 2 + v = (v + g(t)) + v, kept in rhs2; a non-finite rhs1
+            # fails the step before the forcing is called at its end, as a
+            # non-finite x1 would
+            if forced:
+                np.add(values, self._half_forcing(k), out=rhs2)
+                if not _finite(rhs2):
+                    raise BlowUpError(self.times[k + 1])
+                rhs2 += values
+            else:
+                np.add(values, values, out=rhs2)
+        else:
+            reaction_kernel(kin, self.lin0[k], values, self.num0[k], rhs, self.row, self.prod)
+            if forced:
+                # dt f(t) = 2 g(t) exactly
+                rhs += np.multiply(self._half_forcing(k), 2.0, out=self.work)
         if self.refactor[k]:
             # W M: diagonal w (1 + 2 delta/h^2), off-diagonal -delta/h^2 in
             # the block of a component with weight delta; symmetric and
@@ -311,26 +353,19 @@ class _StepPlan:
             self.factorizations += 1
         if not self.two_stage:
             return self._solve(self.stage1, values, k, dest)
-        rhs2, react_end = self.rhs2, self.react_end
-        if react_end:
+        if not self.reaction_free:
             half = np.multiply(rhs, 0.5, out=self.half)
             # the first stage x1, kept in rhs
             x1 = self._solve(self.stage1, values, k, rhs)
-        else:
-            # only rhs1 / 2 goes on; a non-finite rhs1 fails the step before
-            # the forcing is called at its end, as a non-finite x1 would
-            np.multiply(rhs, 0.5, out=rhs2)
-            if not _finite(rhs):
-                raise BlowUpError(self.ends[k])
         if k >= len(self.num1):
             raise self.end_error
         self.reaction_evals += 1
-        if react_end:
+        if not self.reaction_free:
             reaction_kernel(kin, self.lin1[k], x1, self.num1[k], rhs2, self.row, self.prod)
             rhs2 += half
-        rhs2 += values
-        if forcing is not None:
-            rhs2 += np.multiply(0.5 * self.dt, forcing(self.xs, self.ends[k]), out=self.work)
+            rhs2 += values
+        if forced:
+            rhs2 += self._half_forcing(k + 1)
         return self._solve(self.stage2, values, k, dest)
 
 
@@ -376,7 +411,7 @@ def simulate(sys: SystemSpec, T: float, dt: Optional[float] = None,
     times = dt * np.arange(n_steps + 1)
     initial = sys.initial.values
     block_len = max(1, _NORM_BLOCK_BYTES // initial.nbytes)
-    plan = _StepPlan(sys, times[:-1], dt, scheme, block_len)
+    plan = _StepPlan(sys, times, dt, scheme, block_len)
     series = np.empty((5, n_steps + 1))  # l2, sup, h1_semi, h2, lp1
     kept = np.unique(np.append(np.arange(0, n_steps + 1, record_every), n_steps))
     states = np.empty((len(kept),) + initial.shape)
@@ -477,21 +512,14 @@ def manufactured_system(grid: Grid1D, kinetics: KineticsSpec,
     The forcing computes F(u*) as :func:`rdcert.profiles.eval_reaction` does,
     input checks included, in arrays it keeps from call to call while the
     shape of u* stays the same.  When the reaction vanishes identically
-    (A = 0, no nonlinearity) it checks u* and leaves F(u*) out.  It keeps
-    its latest value: a call with the same nodes array (the object, not
-    its values) and the same double t returns a copy of it without calling
-    the case's callables; :func:`simulate` asks for the end of one step and
-    the start of the next, which are often the same double.  Every call
-    returns a fresh array."""
+    (A = 0, no nonlinearity) it checks u* and leaves F(u*) out.  Every call
+    returns a fresh array; :func:`simulate` calls it once per time of the
+    run."""
     profiles = tuple(diffusion)
     zero_reaction = kinetics.nonlinearity == "none" and not kinetics.linear.any()
     work = []  # F(u*), the saturation row and the product
-    latest = []  # the nodes, the time and the value of the latest call
 
     def forcing(xs, t):
-        if (latest and xs is latest[0] and t == latest[1]
-                and math.copysign(1.0, t) == math.copysign(1.0, latest[1])):
-            return latest[2].copy()
         exact = np.atleast_2d(np.asarray(case.solution(xs, t), dtype=float))
         d_vals = np.array([eval_profile(p, t) for p in profiles])
         lap = np.atleast_2d(np.asarray(case.laplacian(xs, t), dtype=float))
@@ -505,8 +533,7 @@ def manufactured_system(grid: Grid1D, kinetics: KineticsSpec,
                 work[:] = (np.empty(exact.shape), np.empty((1,) + exact.shape[1:]),
                            np.empty(exact.shape))
             f -= _reaction_into(kinetics, exact, t, *work)
-        latest[:] = (xs, t, f)
-        return f.copy()
+        return f
 
     initial = Field(grid, np.atleast_2d(np.asarray(case.solution(grid.x, 0.0), dtype=float)))
     return SystemSpec(grid=grid, kinetics=kinetics, diffusion=profiles,

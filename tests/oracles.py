@@ -36,13 +36,16 @@ def apply_laplacian(values: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 
 def step_imex(state: Field, t: float, dt: float, sys: SystemSpec,
-              scheme: Scheme = "two_stage") -> Field:
-    """One IMEX step from time t; returns a new field, the input is untouched."""
+              scheme: Scheme = "two_stage", end: Optional[float] = None) -> Field:
+    """One IMEX step of size dt from time t to ``end``, t + dt by default (a
+    run takes both times from its grid dt * arange(steps + 1)); returns a
+    new field, the input is untouched."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if state.grid != sys.grid:
         raise ValueError("state lives on a different grid")
-    plan = _StepPlan(sys, np.array([float(t)]), dt, scheme, norm_states=0)
+    times = np.array([t, t + dt if end is None else end], dtype=float)
+    plan = _StepPlan(sys, times, dt, scheme, norm_states=0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return Field._trusted(sys.grid, plan.advance(state.values, 0,
                                                      np.empty(state.values.shape)))

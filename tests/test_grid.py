@@ -148,6 +148,37 @@ class TestNorms:
             assert lp[j] == pytest.approx(lp_expected, rel=1e-13, abs=0.0)
 
 
+    @pytest.mark.parametrize("n", [12_000, 24_001])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_large_batch_rows_are_the_single_state_norms(self, bc, m, n):
+        # sizes past 8192 nodes, where an einsum reduction sums the rows of
+        # a batch otherwise than a state alone
+        g = Grid1D(1.0, n, bc)
+        states = np.random.default_rng(n + m).normal(size=(2, m, n))
+        batch = norms_batch(states, g)
+        for exponent in (3.0, 2.5):
+            lp = lp_integrals(states, g, exponent)
+            for j in range(2):
+                alone = states[j:j + 1]
+                assert norms_batch(alone, g).tobytes() == batch[j:j + 1].tobytes()
+                assert lp_integrals(alone, g, exponent).tobytes() == lp[j:j + 1].tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_fine_grid_columns_match_the_written_out_norms(self, bc, m):
+        # rough states: the second differences of a smooth state cancel to
+        # a few digits in any operation order
+        g = Grid1D(1.0, 20_001, bc)
+        states = np.random.default_rng(m).normal(size=(2, m, g.n))
+        batch = norms_batch(states, g)
+        lp = lp_integrals(states, g, 3.0)
+        for j in range(2):
+            *expected, lp_expected = written_out_norms(states[j], g, 3.0)
+            assert batch[j] == pytest.approx(expected, rel=1e-13, abs=0.0)
+            assert lp[j] == pytest.approx(lp_expected, rel=1e-13, abs=0.0)
+
+
 def written_out_norms(u, g, exponent):
     """l2, sup, h1_semi, h2 and the integral of |u|**exponent of one state
     (m, n), written out node by node."""
@@ -179,32 +210,32 @@ def written_out_norms(u, g, exponent):
 
 def unfused_norm_columns(states, g):
     """The columns of norms_batch for states (k, m, n) from fresh arrays,
-    with the operations of the norms routine in their order: sums over the
-    components, then over the nodes, of products."""
+    with the operations of the norms routine in their order: pointwise sums
+    over the components of products, then one dot per state over the
+    nodes; the second differences as differences of the edge differences,
+    scaled by h / h^4 after their sum."""
+    n = g.n
     w = quadrature_weights(g)
     h2 = g.h * g.h
     sq = np.sum(states * states, axis=1)
-    l2sq = np.sum(sq * w, axis=-1)
+    l2sq = np.array([np.dot(row, w) for row in sq])
     if g.bc == "dirichlet":
         edges = np.concatenate([states[..., :1], states[..., 1:] - states[..., :-1],
                                 -states[..., -1:]], axis=-1)
     else:
         edges = states[..., 1:] - states[..., :-1]
-    h1sq = np.sum(edges * edges, axis=(1, 2)) / g.h
-    v = states
-    d2 = np.empty_like(v)
-    d2[..., 1:-1] = (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]) / h2
-    if g.bc == "dirichlet":
-        d2[..., 0] = (-2.0 * v[..., 0] + v[..., 1]) / h2
-        d2[..., -1] = (v[..., -2] - 2.0 * v[..., -1]) / h2
-    elif g.n >= 4:
-        d2[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h2
-        d2[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3]
-                       - v[..., -4]) / h2
-    else:
-        d2[..., 0] = d2[..., 1]
-        d2[..., -1] = d2[..., -2]
-    h2sq = l2sq + h1sq + np.sum(np.sum(d2 * d2, axis=1) * w, axis=-1)
+    h1sq = np.array([np.dot(e.ravel(), e.ravel()) for e in edges]) / g.h
+    inner = edges[..., 1:] - edges[..., :-1]
+    d2sq = np.array([np.dot(d.ravel(), d.ravel()) for d in inner])
+    if g.bc == "neumann":
+        v = states
+        if n >= 4:
+            first = 2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]
+            last = 2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]
+        else:
+            first = last = inner[..., 0]
+        d2sq = d2sq + 0.5 * np.sum(first * first + last * last, axis=-1)
+    h2sq = l2sq + h1sq + d2sq * (g.h / (h2 * h2))
     return np.sqrt(np.column_stack([l2sq, np.max(sq, axis=-1), h1sq, h2sq]))
 
 

@@ -271,6 +271,18 @@ class TestCertificateFamilies:
             Certificate.bounded(1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("field", ["sigma", "alpha"])
+@pytest.mark.parametrize("value", [1.0, None, "1.0"])
+def test_problem_rejects_a_coefficient_that_is_not_a_function_of_time(field, value):
+    # at construction, not at the first evaluation deep inside a solve
+    kwargs = dict(sigma=CONST(1.0), alpha=CONST(0.1), q=1.25, g0=0.5)
+    kwargs[field] = value
+    with pytest.raises(TypeError, match=f"^{field} must be a profile or a callable of t"):
+        ScalarProblem(**kwargs)
+    kwargs[field] = lambda t: 0.5 + 0.0 * t  # a plain callable is accepted
+    assert comparison_solve(ScalarProblem(**kwargs), 1.0).blowup_time is None
+
+
 @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
 def test_horizon_must_be_finite_and_positive(horizon):
     # raised before any numpy or scipy RuntimeWarning, which fails the suite

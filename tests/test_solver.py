@@ -24,13 +24,16 @@ def stepwise_run(sys, T, dt, scheme="two_stage"):
     """simulate's norm series and final state rebuilt one step at a time from
     step_imex, discrete_norms and lp_integrals.  A failure is returned, not
     raised: the first error of a step, or BlowUpError at t_i when the norms
-    of the finite state at step i overflow."""
+    of the finite state at step i overflow.  Each step runs between two
+    times of the run's grid t_i = dt i, and calls the forcing at both of
+    them (see one_call_per_time)."""
     n_steps = int(round(T / dt))
+    times = dt * np.arange(n_steps + 1)
     state, rows = sys.initial, []
     for i in range(n_steps + 1):
         try:
             if i:
-                state = step_imex(state, dt * (i - 1), dt, sys, scheme)
+                state = step_imex(state, times[i - 1], dt, sys, scheme, end=times[i])
         except (BlowUpError, ValueError) as exc:
             return exc
         with np.errstate(over="ignore", invalid="ignore"):
@@ -38,9 +41,16 @@ def stepwise_run(sys, T, dt, scheme="two_stage"):
             lp = lp_integrals(state.values[None], state.grid, sys.kinetics.p + 1.0)[0]
             row = (ns.l2, ns.sup, ns.h1_semi, ns.h2, lp)
         if not np.all(np.isfinite(row)):
-            return BlowUpError(dt * i)
+            return BlowUpError(times[i])
         rows.append(row)
     return np.array(rows).T, state.values
+
+
+def one_call_per_time(stages):
+    """The stage times of stepwise_run, each step alone, as a run that calls
+    the forcing once per time sees them: without the repeat of a step's end
+    as the next step's start."""
+    return [t for i, t in enumerate(stages) if i == 0 or t != stages[i - 1]]
 
 
 class StageTimes:
@@ -251,6 +261,7 @@ class TestStepAndSimulate:
         expected = BlowUpError if case == "blow_up_first" else ValueError
         assert type(ref) is expected and type(got) is expected
         assert str(got) == str(ref)
+        ref_stages = one_call_per_time(ref_stages)
         if expected is ValueError:
             assert got_stages == ref_stages  # raised at the same stage
         else:
@@ -433,7 +444,8 @@ class TestWorkspace:
         state = sys.initial
         for i in range(n_steps + 1):
             if i:
-                state = step_imex(state, self.DT * (i - 1), self.DT, sys, scheme)
+                state = step_imex(state, traj.times[i - 1], self.DT, sys, scheme,
+                                  end=traj.times[i])
             states = state.values[None]
             row = np.append(norms_batch(states, sys.grid)[0],
                             lp_integrals(states, sys.grid, sys.kinetics.p + 1.0))
@@ -471,7 +483,7 @@ class TestWorkspace:
         ref = stepwise_run(sys, T, self.DT, scheme)
         assert type(got.value) is type(ref)
         assert str(got.value) == str(ref)
-        assert got_stages == stages.times
+        assert got_stages == one_call_per_time(stages.times)
         if failure == "blow_up":
             assert got.value.time == ref.time == fail_step * self.DT
         else:
@@ -500,8 +512,10 @@ class TestStepCounters:
 
     @pytest.mark.parametrize("scheme", ["one_stage", "two_stage"])
     def test_zero_reaction_skips_the_second_kernel(self, monkeypatch, scheme):
-        # the first stage's kernel gives 2 v, the second stage's would give 0:
-        # one call per step either way, against one per stage with a reaction
+        # a one-stage step's kernel gives 2 v; a two-stage step forms
+        # rhs1 / 2 = v without it, and the second stage's would give 0: no
+        # call, against one per stage with a reaction.  The counter still
+        # counts a reaction evaluation per stage
         kernel_calls = []
 
         def counting(*args):
@@ -511,7 +525,7 @@ class TestStepCounters:
         sys = dataclasses.replace(pinned_system("dirichlet", 2, "constant"),
                                   kinetics=KineticsSpec(n_components=2))
         meta = simulate(sys, 40 * 0.005, dt=0.005, scheme=scheme).metadata
-        assert len(kernel_calls) == 40
+        assert len(kernel_calls) == (0 if scheme == "two_stage" else 40)
         assert meta["reaction_evals"] == (80 if scheme == "two_stage" else 40)
         kernel_calls.clear()
         self.run("constant", scheme)
@@ -543,15 +557,17 @@ class TestStepCounters:
 _pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0),))
 
 
-def two_solve_states(sys, n_steps, dt):
+def two_solve_states(sys, n_steps, dt, linear=None):
     """Every state of a reaction-free two-stage run taken the long way, with
     both solves: stage 1 solves for x1 and checks it, and stage 2 solves
-    for rhs1 / 2 + v + (dt/2) f(t + dt).  The linear part is the matrix 2I,
-    the tables and the factor are formed as the plan forms them."""
+    for rhs1 / 2 + v + (dt/2) f(t'), with t and t' = t_{k+1} the step's
+    times on the run's grid.  Stage 1's linear part is the matrix 2I, or
+    ``linear[k]`` at step k when given; the tables and the factor are formed
+    as the plan forms them."""
     g = sys.grid
     h2 = g.h * g.h
     times = dt * np.arange(n_steps + 1)
-    starts, ends = times[:-1].tolist(), (times[:-1] + dt).tolist()
+    starts, ends = times[:-1].tolist(), times[1:].tolist()
     delta = (0.5 * dt) * np.array([eval_profile(p, times[:-1] + 0.5 * dt)
                                    for p in sys.diffusion]).T
     centre = 2.0 / h2 * delta + 1.0
@@ -573,7 +589,7 @@ def two_solve_states(sys, n_steps, dt):
             x, info = _pttrs(d, e, rhs.reshape(-1))
             assert info == 0
             return x.reshape(v.shape) - v
-        rhs = np.dot(two, v)
+        rhs = np.dot(two if linear is None else linear[k], v)
         if sys.forcing is not None:
             rhs += dt * sys.forcing(g.x, starts[k])
         half = rhs * 0.5
@@ -599,36 +615,30 @@ def sine_case(m):
 
 
 class TestReactionFreeStep:
-    """A two-stage step without a reaction skips its first solve: only
-    rhs1 / 2 reaches the second stage.  Its states equal, bit for bit, the
-    step that solves twice (up to the sign of exact zeros with two
-    components, where 2I v was a matrix product), and its failures keep
-    their time and stage order."""
+    """A two-stage step without a reaction calls no kernel and skips its
+    first solve: only rhs1 / 2 = v + (dt/2) f reaches the second stage.
+    Its states equal, bit for bit, the step that solves twice (up to the
+    sign of exact zeros with two components, where 2I v was a matrix
+    product), and its failures keep their time and stage order."""
 
     @staticmethod
-    def systems(bc, m, n, decay, forcing):
-        """The system, and the same system for the reference, whose forcing
-        keeps no value from call to call."""
+    def system(bc, m, n, decay, forcing):
         g = Grid1D(1.0, n, bc)
         kin = KineticsSpec(n_components=m)
         diffusion = tuple(TimeProfile.power_decay(0.4 + 0.3 * i, 1.0, positive=True) if decay
                           else TimeProfile.constant(0.4 + 0.3 * i, positive=True)
                           for i in range(m))
         if forcing == "manufactured":
-            sys = manufactured_system(g, kin, diffusion, sine_case(m))
-            return sys, dataclasses.replace(sys, forcing=lambda xs, t: manufactured_system(
-                g, kin, diffusion, sine_case(m)).forcing(xs, t))
+            return manufactured_system(g, kin, diffusion, sine_case(m))
         plain = (lambda xs, t: (1.0 + t) * np.cos(2.0 * xs)) if forcing == "plain" else None
-        sys = SystemSpec(grid=g, kinetics=kin, diffusion=diffusion,
-                         initial=noise_field(g, m, 0.8, seed=n + m), forcing=plain)
-        return sys, sys
+        return SystemSpec(grid=g, kinetics=kin, diffusion=diffusion,
+                          initial=noise_field(g, m, 0.8, seed=n + m), forcing=plain)
 
     @staticmethod
-    def assert_matches_two_solves(systems, n_steps, dt):
-        sys, ref_sys = systems
+    def assert_matches_two_solves(sys, n_steps, dt):
         traj = simulate(sys, n_steps * dt, dt=dt, record_every=1)
         assert traj.metadata["solves"] == n_steps
-        got, ref = traj.states, two_solve_states(ref_sys, n_steps, dt)
+        got, ref = traj.states, two_solve_states(sys, n_steps, dt)
         if sys.kinetics.n_components == 2:
             # 0 v_j in 2I v carries the sign of v_j into an exact zero
             got, ref = got + 0.0, ref + 0.0
@@ -640,26 +650,27 @@ class TestReactionFreeStep:
            forcing=st.sampled_from([None, "plain", "manufactured"]),
            dt=st.floats(1e-3, 0.1), steps=st.integers(1, 12))
     def test_matches_the_two_solve_step(self, n, bc, m, decay, forcing, dt, steps):
-        self.assert_matches_two_solves(self.systems(bc, m, n, decay, forcing), steps, dt)
+        self.assert_matches_two_solves(self.system(bc, m, n, decay, forcing), steps, dt)
 
     def test_matches_the_two_solve_step_on_a_fine_grid(self):
-        self.assert_matches_two_solves(self.systems("neumann", 2, 20_001, True, "manufactured"),
+        self.assert_matches_two_solves(self.system("neumann", 2, 20_001, True, "manufactured"),
                                        3, 1e-3)
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_infinite_forcing_keeps_time_and_stage_order(self, stage):
-        # the forcing is infinite at one call only, stage 1 or stage 2 of
-        # step 2B, after a block swap; a non-finite rhs1 fails the step
-        # before the forcing is called at its end, as a non-finite x1 did
+        # the forcing is infinite at one time of the run: t_0, which stage 1
+        # of the first step reads, or t_2B, which stage 2 of step 2B reads
+        # first, after a block swap.  A non-finite rhs1 fails the step before
+        # the forcing is called at its end, as a non-finite x1 did
         dt = TestWorkspace.DT
-        sys = self.systems("dirichlet", 1, 128, True, None)[0]
+        sys = self.system("dirichlet", 1, 128, True, None)
         B = block_len(sys)
-        bad_call = 2 * (2 * B - 1) + stage - 1  # two calls a step before it
+        bad = 0 if stage == 1 else 2 * B
         stages = StageTimes()
 
         def forcing(xs, t):
             stages(xs, t)
-            return np.full(len(xs), np.inf if len(stages.times) - 1 == bad_call else 0.0)
+            return np.full(len(xs), np.inf if t == bad * dt else 0.0)
         sys = dataclasses.replace(sys, forcing=forcing)
         T = (2 * B + 3) * dt
         with pytest.raises(BlowUpError) as got:
@@ -667,9 +678,54 @@ class TestReactionFreeStep:
         got_stages, stages.times = stages.times, []
         ref = stepwise_run(sys, T, dt)
         assert isinstance(ref, BlowUpError)
-        assert got.value.time == ref.time == 2 * B * dt
-        assert got_stages == stages.times
-        assert len(got_stages) == bad_call + 1
+        assert got.value.time == ref.time == max(bad, 1) * dt
+        assert got_stages == one_call_per_time(stages.times)
+        # one call per time, up to the infinite one
+        assert got_stages == [i * dt for i in range(bad + 1)]
+
+    @pytest.mark.parametrize("modulation", [
+        TimeProfile.tabulated([0.0, 1e-3, 1.0], [0.75, 0.0, 0.0]),
+        TimeProfile.exponential(0.75, -1e6)])
+    def test_a_linear_part_read_only_at_the_start_is_kept(self, modulation):
+        # A != 0 with phi(0) = 0.75 and phi = 0 at every later time (a
+        # table that switches off, or exp(-r t) underflowing at r dt = 1000):
+        # the stage-2 coefficients vanish at every step, yet step 0's first
+        # stage reads (2I + dt phi(0) A) v, and so the run solves twice a step
+        dt, n_steps = 1e-3, 4
+        linear = np.array([[-1.5, 0.5], [0.25, -2.0]])
+        sys = self.system("neumann", 2, 32, False, None)
+        sys = dataclasses.replace(sys, kinetics=KineticsSpec(n_components=2, linear=linear,
+                                                             modulation=modulation))
+        traj = simulate(sys, n_steps * dt, dt=dt, record_every=1)
+        assert traj.metadata["solves"] == 2 * n_steps
+        two = 2.0 * np.eye(2)
+        ref = two_solve_states(sys, n_steps, dt, [two + dt * 0.75 * linear] + [two] * 3)
+        assert (traj.states + 0.0).tobytes() == (ref + 0.0).tobytes()
+        # the step without that term lands elsewhere
+        assert not np.allclose(traj.states[1], two_solve_states(sys, 1, dt)[1], rtol=1e-6)
+
+    @pytest.mark.parametrize("reaction", [False, True])
+    def test_forcing_is_called_once_per_time_and_only_read(self, reaction):
+        # the end of one step is the start of the next: a two-stage run of
+        # n steps calls the forcing at its n + 1 times, in order, and leaves
+        # every array the forcing returned as it was
+        sys = self.system("neumann", 2, 64, True, None)
+        if reaction:
+            sys = dataclasses.replace(sys, kinetics=pinned_system("neumann", 2, "constant",
+                                                                  n=64).kinetics)
+        times, returned, kept = [], [], []
+
+        def forcing(xs, t):
+            f = np.cos(2.0 * xs + t) * np.array([[1.0], [0.5]])
+            times.append(t)
+            returned.append(f)
+            kept.append(f.copy())
+            return f
+        n_steps, dt = 2 * block_len(sys) + 3, 1e-3
+        traj = simulate(dataclasses.replace(sys, forcing=forcing), n_steps * dt, dt=dt)
+        assert times == traj.times.tolist() and len(times) == n_steps + 1
+        assert all(f.tobytes() == g.tobytes() for f, g in zip(returned, kept))
+        assert traj.metadata["solves"] == (2 if reaction else 1) * n_steps
 
 
 class TestEnergyInequality:
@@ -839,10 +895,11 @@ class TestManufacturedForcing:
         assert first.tobytes() == kept.tobytes() == second.tobytes()
 
     @pytest.mark.parametrize("kinetics", ["saturated", "zero"])
-    def test_a_repeated_call_reuses_its_value(self, kinetics):
-        # the same nodes array at the same double t calls the case once and
-        # returns equal arrays that share no memory; another array of the
-        # same nodes, another t or the other zero calls it again
+    def test_a_run_evaluates_the_case_once_per_time(self, kinetics):
+        # the forcing keeps no value from call to call: a repeated call
+        # evaluates the case again.  The step plan keeps the latest value,
+        # so a two-stage run, with or without a reaction, evaluates it once
+        # at each time of its grid
         case = two_component_case()
         calls = []
 
@@ -860,21 +917,12 @@ class TestManufacturedForcing:
         calls.clear()
         first = sys.forcing(xs, 0.3)
         second = sys.forcing(xs, 0.3)
-        assert calls == [0.3] * 3
+        assert calls == [0.3] * 6
         assert first.tobytes() == second.tobytes()
         assert not np.shares_memory(first, second)
-        first[:] = 0.0  # the caller owns what it gets
-        assert sys.forcing(xs, 0.3).tobytes() == second.tobytes()
-        assert len(calls) == 3
-        assert sys.forcing(xs.copy(), 0.3).tobytes() == second.tobytes()
-        assert len(calls) == 6
-        later = math.nextafter(0.3, 1.0)
-        fresh = manufactured_system(sys.grid, kin, self.DIFFUSION, case).forcing(xs, later)
-        assert sys.forcing(xs, later).tobytes() == fresh.tobytes()
-        assert calls[6:] == [later] * 3
-        sys.forcing(xs, 0.0)
-        sys.forcing(xs, -0.0)
-        assert len(calls) == 15
+        calls.clear()
+        traj = simulate(sys, 12 * 0.01, dt=0.01)
+        assert calls == [t for t in traj.times.tolist() for _ in range(3)]
 
     def test_finite_state_whose_sum_overflows_is_accepted(self):
         # the finiteness check sums squares first; an overflowing sum of finite
