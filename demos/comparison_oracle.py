@@ -2,10 +2,12 @@
 
 g' = -sigma g + alpha g^q majorizes the PDE norm.  It is a Bernoulli equation:
 w = g^(1-q) obeys a linear equation, so with constant coefficients it is
-solvable in closed form.  comparison_solve integrates the same linearity for
-any coefficients: one adaptive solve of Sigma' = sigma and
-J' = (q-1) g0^(q-1) alpha exp(-(q-1) Sigma), read back as
-g = g0 exp(-Sigma - log1p(-J)/(q-1)), with finite blow-up at the event J = 1.
+solvable in closed form.  comparison_solve uses the same linearity for any
+coefficients: two quadratures, Sigma = int sigma and
+J = (q-1) g0^(q-1) int alpha exp(-(q-1) Sigma), taken by the cumulative
+Simpson rule on a grid doubled until their Richardson error estimate meets
+the tolerance, read back as g = g0 exp(-Sigma - log1p(-J)/(q-1)), with finite
+blow-up at the first crossing of J = 1.
 It must agree with the closed form to high accuracy, including the location
 of finite-time blow-up when the nonlinearity wins.
 

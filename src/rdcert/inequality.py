@@ -10,10 +10,12 @@ certificate is a positive weight mu(t); when
     alpha(t) <= mu(t)**(q-1) * (sigma(t) - mu'(t)/mu(t))   for all t,
     mu(0) * g(0) <= 1,
 
-the envelope g(t) <= 1/mu(t) holds.  This module integrates the comparison
-equation (with honest finite-time blow-up detection), evaluates the
-constant-coefficient closed form as an independent oracle, checks certificates
-on dense time grids, and verifies envelopes along computed trajectories.
+the envelope g(t) <= 1/mu(t) holds.  This module solves the comparison
+equation by its two quadratures (with finite-time blow-up detection),
+evaluates the constant-coefficient closed form as an independent oracle,
+checks certificates on dense time grids, taking each parametric family's
+mu**(q-1) and mu'/mu from its own formula, and verifies envelopes along
+computed trajectories.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
 from .profiles import (ProfileLike, TimeLike, TimeProfile, _blocks, _check_times, _derivative,
-                       _finite, _grid_block, _values_at, as_time_function)
+                       _finite, _grid_block, _power, _table_knots, _values_at,
+                       as_time_function)
 
 __all__ = [
     "ScalarProblem", "Certificate", "CertificateReport", "ComparisonSolution",
@@ -71,9 +73,22 @@ class ScalarProblem:
         return checked
 
 
+def _into(ufunc, x):
+    """ufunc(x), written into x when x is an array; a 0-d time gives numpy scalars."""
+    return ufunc(x, out=x) if isinstance(x, np.ndarray) else ufunc(x)
+
+
+def _require_valid(mu: np.ndarray) -> None:
+    """Raise :class:`InvalidCertificateError` unless every mu is positive and finite."""
+    with np.errstate(over="ignore"):
+        finite = _finite(mu)
+    if not (finite and mu.min() > 0.0):
+        raise InvalidCertificateError("mu must be positive and finite on the horizon")
+
+
 def _nonnegative_alpha(val: TimeLike) -> TimeLike:
     """val, the alpha of a :class:`ScalarProblem` at some times, checked >= 0."""
-    # scalar times, as the integrators pass them, skip the array reduction
+    # a coefficient that does not vary gives one float: no array reduction
     negative = val < 0.0 if isinstance(val, float) else np.any(np.asarray(val) < 0.0)
     if negative:
         raise ValueError("alpha(t) must be nonnegative")
@@ -142,6 +157,54 @@ class Certificate:
         from .profiles import eval_profile
         return eval_profile(self._profile(), t)
 
+    def _growth_terms(self, t: np.ndarray, c: float, memo: dict, valid_mu: bool):
+        """mu**c and mu'/mu at the checked float array t, each family's
+        from its own formula, reading the powers of t in ``memo`` (see
+        :func:`rdcert.profiles._power`):
+
+        ===========  =============================  ===================================
+        family       mu**c                          mu'/mu
+        ===========  =============================  ===================================
+        exponential  exp(c (log mu0 + nu t))        nu
+        power        exp(c (log mu0 + m log1p t))   m (1 + t)**-1
+        bounded      exp(c log mu)                  -nu mu1 (1 + t)**-nu (1 + t)**-1 / mu
+        custom       mu**c                          the table's slope / mu
+        ===========  =============================  ===================================
+
+        Both are new values (a numpy scalar for a 0-d t) or mu'/mu the
+        float nu.  Taken in logs,
+        one log and one exp are cheaper than numpy's power, and past the
+        double range it reads inf or 0 rather than inf * 0.  With
+        ``valid_mu``, a mu that is not positive and finite on the 1-d t
+        raises :class:`InvalidCertificateError` first.  A parametric family's
+        mu is monotone, so its two values at t's ends decide that; a table's
+        is checked at every point."""
+        profile = self._profile()
+        if self.family == "custom":
+            mu = np.asarray(_values_at(profile, t, memo), dtype=float)
+            if valid_mu:
+                _require_valid(mu)
+            return mu ** c, _derivative(profile, t, memo) / mu
+        if valid_mu and t.size:
+            _require_valid(np.asarray(_values_at(profile, t[[0, -1]], {}), dtype=float))
+        if self.family == "bounded":
+            mu = _values_at(profile, t, memo)  # a new array, reading (1 + t)**-nu
+            log_derivative = _power(t, -self.nu, memo) * (-self.nu * self.mu1)
+            log_derivative *= _power(t, -1.0, memo)
+            log_derivative /= mu
+            log_mu = _into(np.log, mu)
+        else:
+            if self.family == "exponential":
+                log_mu = self.nu * t
+                log_derivative = self.nu
+            else:
+                log_mu = np.log1p(t)
+                log_mu *= self.m
+                log_derivative = _power(t, -1.0, memo) * self.m
+            log_mu += math.log(self.mu0)
+        log_mu *= c
+        return _into(np.exp, log_mu), log_derivative
+
     @property
     def decays_to_zero_envelope(self) -> bool:
         """Whether 1/mu(t) -> 0, i.e. the certificate claims decay and not
@@ -164,15 +227,17 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Comparison equation: one integrating-factor solve with blow-up as an event
+# Comparison equation: two cumulative quadratures, blow-up where J = 1
 # ---------------------------------------------------------------------------
 
-# Cap on log J'.  J' only gets this large within ~exp(-200) time units of the
-# blow-up event, so the cap moves no reported time; it keeps J' finite, and
-# (J'/atol)**2 in the step-size control's norm too.
+# Cap on log J'.  It keeps J' and J finite on the grid's nodes past an
+# escape.  A J' this large before the escape puts it within about exp(-200)
+# time units, a time the cap does move.
 _LOG_RATE_CAP = 200.0
-# Smallest relative tolerance scipy's RK45 accepts without a warning.
-_RTOL_FLOOR = 100.0 * np.finfo(float).eps
+# Intervals of the first grid (at least 4 a segment), and the most the
+# doubling may reach.
+_FIRST_INTERVALS = 64
+_MAX_INTERVALS = 1 << 20
 
 
 @dataclass
@@ -206,27 +271,195 @@ class ComparisonSolution:
             return np.exp(log_g)
 
 
+@dataclass
+class _Quadrature:
+    """Sigma and J, with their integrands sigma and J', at the nodes t of
+    one level of the doubling in :func:`comparison_solve`."""
+
+    t: np.ndarray
+    sigma: np.ndarray       # Sigma' at the nodes
+    rate: np.ndarray        # J' at the nodes
+    big_sigma: np.ndarray
+    j: np.ndarray
+    escape: Optional[int]   # the first node with J >= 1
+
+    def __call__(self, ts: np.ndarray):
+        """(Sigma, J, 1 - J) at the times ts in [0, t[-1]], from the cubic
+        Hermite interpolants of the node values and their slopes."""
+        i = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.t) - 2)
+        h = self.t[i + 1] - self.t[i]
+        u = (ts - self.t[i]) / h
+        v = 1.0 - u
+        # the cubic Hermite basis, with the slopes' weights scaled by h
+        weights = ((1.0 + 2.0 * u) * v * v, h * u * v * v, u * u * (3.0 - 2.0 * u), -h * u * u * v)
+        big_sigma = _hermite(self.big_sigma, self.sigma, i, weights)
+        j = _hermite(self.j, self.rate, i, weights)
+        return big_sigma, j, 1.0 - j
+
+    def blowup_time(self) -> float:
+        """The root of the interpolant's J = 1 between the escape node and
+        the node before it."""
+        i = self.escape - 1
+        lo, hi = float(self.t[i]), float(self.t[i + 1])
+        h = hi - lo
+        j0, j1 = float(self.j[i]), float(self.j[i + 1])
+        d0, d1 = h * float(self.rate[i]), h * float(self.rate[i + 1])
+
+        def excess(u):  # J - 1 at lo + u h
+            v = 1.0 - u
+            return (j0 * (1.0 + 2.0 * u) + d0 * u) * v * v + (j1 * (3.0 - 2.0 * u) - d1 * v) * u * u - 1.0
+        return min(lo + brentq(excess, 0.0, 1.0, xtol=1e-15) * h, hi)
+
+
+def _hermite(values, slopes, i, weights):
+    w00, w10, w01, w11 = weights
+    return values[i] * w00 + slopes[i] * w10 + values[i + 1] * w01 + slopes[i + 1] * w11
+
+
+def _breaks(problem: ScalarProblem, end: float) -> np.ndarray:
+    """0, the knots of sigma's and alpha's tables inside (0, end), and end:
+    between two of them both coefficients are smooth, as far as can be seen."""
+    knots = np.concatenate([_table_knots(problem.sigma), _table_knots(problem.alpha)])
+    return np.unique(np.concatenate([[0.0], knots[(knots > 0.0) & (knots < end)], [end]]))
+
+
+def _nodes(breaks: np.ndarray, m: int, offsets: np.ndarray) -> np.ndarray:
+    """The times breaks[s] + k (breaks[s+1] - breaks[s]) / m of each segment
+    s and each k of ``offsets``."""
+    steps = np.diff(breaks) / m
+    return (breaks[:-1, None] + offsets[None, :] * steps[:, None]).ravel()
+
+
+def _cumulative_simpson(f: np.ndarray, steps: np.ndarray, m: int):
+    """The integral of f from 0 to each node of a grid of segments, each of
+    m intervals (m even and at least 4) of its own length in ``steps``, and
+    the Simpson panel integrals over each pair of intervals.  An even node
+    sums whole panels; an odd node adds the integral over its panel's first
+    interval of the cubic through the panel's three values and the node
+    before it (after it, in a segment's first panel), which keeps every
+    node's error at h**4."""
+    h = np.repeat(steps, m // 2)  # each panel's interval
+    left, mid, right = f[:-2:2], f[1::2], f[2::2]
+    panels = (left + 4.0 * mid + right) * (h / 3.0)
+    first = 13.0 * (left + mid) - right
+    first[1:] -= f[1:-2:2]
+    first[::m // 2] = 9.0 * f[:-1:m] + 19.0 * f[1::m] - 5.0 * f[2::m] + f[3::m]
+    out = np.empty_like(f)
+    out[0] = 0.0
+    np.cumsum(panels, out=out[2::2])
+    out[1::2] = out[:-2:2] + first * (h / 24.0)
+    return out, panels
+
+
+def _coefficient(name: str, fn, t: np.ndarray) -> np.ndarray:
+    """fn(t) as a float array, checked finite: the first node where it is
+    not raises a ValueError that names the coefficient and that time."""
+    val = np.asarray(fn(t), dtype=float)
+    finite = np.isfinite(val)
+    if not finite.all():
+        raise ValueError(f"{name}(t) is not finite at t = {float(t[np.argmin(finite)])!r}")
+    return val
+
+
+def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The node values of a grid whose old nodes gained the new midpoints."""
+    out = np.empty(len(old) + len(new))
+    out[::2] = old
+    out[1::2] = new
+    return out
+
+
+def _quadrature(problem: ScalarProblem, c: float, log_rate0: float, end: float,
+                tol: float) -> _Quadrature:
+    """Sigma and J on [0, end], the grid doubled until the Richardson
+    estimate of g's relative error is at most tol (see :func:`_estimate`).
+    The grid's segments end at the knots of the coefficients' tables, where
+    a slope may jump.  Each doubling evaluates sigma and alpha at the new
+    midpoints only."""
+    sigma, alpha = problem.sigma_fn(), problem.alpha_fn()
+    breaks = _breaks(problem, end)
+    # intervals a segment: about _FIRST_INTERVALS in all, even, at least 4
+    m = max(4, 2 * -(-_FIRST_INTERVALS // (2 * (len(breaks) - 1))))
+    t = np.append(_nodes(breaks, m, np.arange(m)), end)
+    s = _coefficient("sigma", sigma, t)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: J' = 0 where alpha = 0
+        log_alpha = np.log(_coefficient("alpha", alpha, t))
+    previous = None
+    while True:
+        steps = np.diff(breaks) / m
+        big_sigma, sigma_panels = _cumulative_simpson(s, steps, m)
+        # J' = (q-1) g0**(q-1) alpha exp(-(q-1) Sigma), taken in logs
+        rate = big_sigma * -c
+        rate += log_alpha
+        rate += log_rate0
+        np.exp(np.minimum(rate, _LOG_RATE_CAP, out=rate), out=rate)
+        j, rate_panels = _cumulative_simpson(rate, steps, m)
+        escape = int(np.argmax(j >= 1.0))
+        level = _Quadrature(t, s, rate, big_sigma, j, escape if j[escape] >= 1.0 else None)
+        if previous is not None and _estimate(previous, sigma_panels, rate_panels,
+                                              level, c) <= tol:
+            return level
+        if len(j) > _MAX_INTERVALS:
+            raise RuntimeError(f"comparison quadrature did not reach the relative "
+                               f"accuracy {tol:g} with {len(j) - 1} intervals")
+        previous = sigma_panels, rate_panels
+        mid = _nodes(breaks, 2 * m, np.arange(1, 2 * m, 2))
+        m *= 2
+        t = _interleave(t, mid)
+        s = _interleave(s, _coefficient("sigma", sigma, mid))
+        with np.errstate(divide="ignore"):
+            log_alpha = _interleave(log_alpha, np.log(_coefficient("alpha", alpha, mid)))
+
+
+def _estimate(previous, sigma_panels: np.ndarray, rate_panels: np.ndarray,
+              level: _Quadrature, c: float) -> float:
+    """Richardson estimate of g's relative error, |dSigma| + |dJ| / ((q-1)(1-J)),
+    from the panels of this level and of the one before it.
+
+    Each coarse panel's error is its two halves' sum minus itself, over 15
+    (Simpson's h**4); the sum of their sizes bounds each node's error.  Both
+    sums grow and 1 - J shrinks with t, so the largest estimate is the one
+    at the last node it covers.  It leaves out the coarse panel that holds
+    the escape, where 1 / (1 - J) grows without bound."""
+    coarse_sigma, coarse_rate = previous
+    kept = len(coarse_sigma)
+    if level.escape is not None:
+        kept = min(kept, (level.escape - 1) // 4)
+        if kept == 0:
+            return 0.0
+    d_sigma = np.abs(sigma_panels[:2 * kept:2] + sigma_panels[1:2 * kept:2]
+                     - coarse_sigma[:kept]).sum()
+    d_j = np.abs(rate_panels[:2 * kept:2] + rate_panels[1:2 * kept:2]
+                 - coarse_rate[:kept]).sum()
+    return float(d_sigma + d_j / (c * (1.0 - level.j[4 * kept]))) / 15.0
+
+
 def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
                      samples: int = 2001) -> ComparisonSolution:
     """Integrate g' = -sigma(t) g + alpha(t) g**q from g(0) = g0.
 
     The equation is Bernoulli: w = g**(1-q) obeys a linear equation, which an
-    integrating factor solves.  One adaptive Runge-Kutta solve runs on
+    integrating factor solves.  Its solution is two quadratures,
 
-        Sigma' = sigma(t),   J' = (q-1) g0**(q-1) alpha(t) exp(-(q-1) Sigma),
+        Sigma = int_0^t sigma,   J = (q-1) g0**(q-1) int_0^t alpha exp(-(q-1) Sigma),
 
-    from Sigma = J = 0, and g = g0 exp(-Sigma - log1p(-J)/(q-1)).  Both
-    components are smooth for every g > 0, the log1p form stays well
-    conditioned as q -> 1, and finite blow-up is exactly the terminal event
-    J = 1, located to event accuracy.  The step-size control asks for g's
-    relative accuracy tol, tightening only as 1 - J shrinks, where J's error
-    is amplified.  Values past the double range read inf.  Blow-up is a
-    reported outcome, not an error.
+    and g = g0 exp(-Sigma - log1p(-J)/(q-1)), which stays well conditioned
+    as q -> 1.  Both are taken by the cumulative Simpson rule at every node of
+    a grid, uniform between the knots of the coefficients' tables, whose
+    intervals are doubled until the Richardson estimate of g's relative
+    error, |dSigma| + |dJ| / ((q-1)(1-J)), is at most tol.
+    Finite blow-up is the first crossing of J = 1, the root of J's cubic
+    Hermite interpolant (J' is the integrand) between the two nodes around
+    it; the same interpolants give g between the nodes.  An escape in the
+    first half of the grid is solved again on [0, node past the crossing],
+    so the grid resolves the time before it.  Values past the double range
+    read inf.  Blow-up is a reported outcome, not an error; a sigma or alpha
+    that is not finite at a node is a ValueError naming that time.  The grid
+    cannot see the kinks of a plain callable, where the rule converges only
+    as h**2; a grid past 2**20 intervals is a RuntimeError.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be finite and positive")
-    sigma = problem.sigma_fn()
-    alpha = problem.alpha_fn()
     q, g0 = problem.q, problem.g0
     if g0 == 0.0:
         ts = np.linspace(0.0, horizon, samples)
@@ -234,35 +467,18 @@ def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
 
     c = q - 1.0
     log_rate0 = math.log(c) + c * math.log(g0)  # log of (q-1) g0**(q-1)
-
-    def rhs(t, y):
-        s, a = sigma(t), alpha(t)
-        if a == 0.0:  # no exp: it may overflow where the rate is exactly 0
-            return [s, 0.0, 0.0]
-        rate = math.exp(min(log_rate0 + math.log(a) - c * y[0], _LOG_RATE_CAP))
-        return [s, rate, -rate]
-
-    def blowup(t, y):
-        return y[1] - 1.0
-    blowup.terminal = True
-    blowup.direction = 1.0
-
-    # Tolerances in units of g's relative error, d(log g) = dJ/((q-1)(1-J)) - dSigma.
-    # The third component, 1 - J, only steers the step size: its relative
-    # tolerance (q-1) tol holds J's local error below (q-1)(1-J) tol, so the
-    # steps tighten only where 1/(1-J) amplifies that error, on the way to
-    # blow-up.  1 - J has double precision only, hence the floor.
-    res = solve_ivp(rhs, (0.0, horizon), [0.0, 0.0, 1.0], method="RK45",
-                    rtol=[tol, tol, max(tol * c, _RTOL_FLOOR)], atol=[tol, tol * c, 0.0],
-                    dense_output=True, events=blowup)
-    if not res.success:
-        raise RuntimeError(f"comparison integration failed: {res.message}")
-    blowup_time = float(res.t_events[0][0]) if res.status == 1 else None
-    end = float(res.t[-1])
+    level = _quadrature(problem, c, log_rate0, horizon, tol)
+    while level.escape is not None and 2.0 * level.t[level.escape] <= level.t[-1]:
+        shorter = _quadrature(problem, c, log_rate0, float(level.t[level.escape + 1]), tol)
+        if shorter.escape is None:
+            break
+        level = shorter
+    blowup_time = None if level.escape is None else level.blowup_time()
+    end = horizon if blowup_time is None else blowup_time
     ts = np.linspace(0.0, end, samples)
     if blowup_time is not None:
         ts = ts[:-1]  # the blow-up instant itself has no finite value
-    sol = ComparisonSolution(ts, np.empty_like(ts), blowup_time, res.sol, end, g0, q)
+    sol = ComparisonSolution(ts, np.empty_like(ts), blowup_time, level, end, g0, q)
     sol.values = sol._sample(ts)
     return sol
 
@@ -405,29 +621,27 @@ def growth_residual(problem: ScalarProblem, cert: Certificate, t: TimeLike) -> n
 
 def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
               valid_mu: bool = False) -> np.ndarray:
-    """:func:`growth_residual` at the float array t, which is checked once:
-    mu, sigma, mu'/mu and alpha are evaluated in that order, all sharing one
-    memo of the powers of t (see :func:`rdcert.profiles._power`), so each
-    (1 + t)**e and exp(rate t) is computed once.  A profile that does not
-    vary stays one number.  With ``valid_mu``, a mu that is not positive and
-    finite raises :class:`InvalidCertificateError` before sigma is evaluated."""
+    """:func:`growth_residual` at the float array t, which is checked
+    once: mu**(q-1) and mu'/mu (see :meth:`Certificate._growth_terms`), sigma
+    and alpha are evaluated in that order, all sharing one memo of the powers
+    of t (see :func:`rdcert.profiles._power`), so each (1 + t)**e and
+    exp(rate t) is computed once.  A profile that does not vary stays one
+    number.  With ``valid_mu``, a mu that is not positive and finite raises
+    :class:`InvalidCertificateError` before sigma is evaluated."""
     _check_times(t)
     memo = {}
-    profile = cert._profile()
-    mu = np.asarray(_values_at(profile, t, memo), dtype=float)
-    if valid_mu:
-        with np.errstate(over="ignore"):
-            finite = _finite(mu)
-        if not (finite and mu.min() > 0.0):
-            raise InvalidCertificateError("mu must be positive and finite on the horizon")
-    slack = (np.asarray(_values_at(problem.sigma, t, memo), dtype=float)
-             - np.asarray(cert.nu if cert.family == "exponential"
-                          else _derivative(profile, t, memo) / mu, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in mu' past the range: nan
+        r, log_derivative = cert._growth_terms(t, problem.q - 1.0, memo, valid_mu)
+    # sigma - mu'/mu, into mu'/mu when that is a new array; sigma's own array
+    # is then free for alpha's, so a block touches fewer fresh pages
+    slack = np.asarray(_values_at(problem.sigma, t, memo), dtype=float)
+    if isinstance(log_derivative, np.ndarray):
+        slack = np.subtract(slack, log_derivative, out=log_derivative)
+    else:
+        slack = slack - log_derivative
     alpha = np.asarray(_nonnegative_alpha(_values_at(problem.alpha, t, memo)), dtype=float)
-    memo.clear()  # nothing reads the powers again: free them before mu**(q-1)
     with np.errstate(over="ignore"):
-        r = mu ** (problem.q - 1.0)  # a new value, so the rest goes in place
-        r *= slack
+        r *= slack  # r is a new value, so the rest goes in place
         r -= alpha
     return r
 

@@ -292,6 +292,17 @@ class ProfileSum:
         return total
 
 
+def _table_knots(profile: ProfileLike) -> np.ndarray:
+    """The knot times of every table in a TimeProfile or ProfileSum, where
+    its slope may jump; a plain callable shows none."""
+    if isinstance(profile, TimeProfile):
+        return profile.table[:, 0] if profile.kind == "tabulated" else np.empty(0)
+    if isinstance(profile, ProfileSum):
+        return np.concatenate([np.empty(0)] + [_table_knots(f) for _, factors in profile.terms
+                                               for f in factors])
+    return np.empty(0)
+
+
 def _in_place(op, a, b):
     """op(a, b), op commutative, written into a or b if one is an array."""
     return op(b, a) if isinstance(b, np.ndarray) and not isinstance(a, np.ndarray) else op(a, b)

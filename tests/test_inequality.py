@@ -233,6 +233,54 @@ class TestComparisonSolve:
         with pytest.raises(ValueError):
             comparison_solve(prob, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["sigma", "alpha"])
+    def test_a_coefficient_that_is_not_finite_is_named_with_its_time(self, field, bad):
+        # finite up to t = 0.3; raised before any numpy RuntimeWarning, which
+        # fails the suite (alpha = -inf is negative, and says so)
+        kwargs = dict(sigma=CONST(1.0), alpha=CONST(0.1), q=1.25, g0=0.5)
+        kwargs[field] = lambda t: np.where(t < 0.3, 0.5, bad)
+        if field == "alpha" and bad < 0.0:
+            with pytest.raises(ValueError, match="^alpha\\(t\\) must be nonnegative$"):
+                comparison_solve(ScalarProblem(**kwargs), 1.0)
+            return
+        with pytest.raises(ValueError, match=f"^{field}\\(t\\) is not finite at t = ") as caught:
+            comparison_solve(ScalarProblem(**kwargs), 1.0)
+        t = float(str(caught.value).rsplit(" ", 1)[1])
+        assert 0.3 <= t < 0.3 + 1.0 / 64  # the first node past 0.3 of the first grid
+
+    def test_tabulated_alpha_matches_the_segmentwise_closed_form(self):
+        # a piecewise-linear alpha, the shape certificate alphas take, with
+        # knots off any dyadic grid.  With a constant sigma, J is a sum over
+        # the segments of int (a + b s) exp(-lam s) ds, lam = (q-1) sigma
+        rng = np.random.default_rng(7)
+        sigma, q, g0, horizon = 0.7, 1.5, 0.9, 6.0
+        knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, horizon, 40)), [horizon]])
+        values = rng.uniform(0.0, 0.6, knots.size)
+        prob = ScalarProblem(sigma=CONST(sigma), alpha=TimeProfile.tabulated(knots, values),
+                             q=q, g0=g0)
+        sol = comparison_solve(prob, horizon)
+        assert sol.blowup_time is None
+        c = q - 1.0
+        lam = c * sigma
+
+        def antiderivative(s, a, b):  # of (a + b s) exp(-lam s)
+            return -math.exp(-lam * s) * ((a + b * s) / lam + b / lam ** 2)
+
+        def exact(t):
+            total = 0.0
+            for s0, s1, v0, v1 in zip(knots[:-1], knots[1:], values[:-1], values[1:]):
+                if s0 >= t:
+                    break
+                b = (v1 - v0) / (s1 - s0)
+                a = v0 - b * s0
+                total += antiderivative(min(s1, t), a, b) - antiderivative(s0, a, b)
+            j = c * g0 ** c * total
+            return g0 * math.exp(-sigma * t) * (1.0 - j) ** (-1.0 / c)
+        probes = np.concatenate([np.linspace(0.0, horizon, 53)[1:], knots[1:-1]])
+        worst = max(abs(sol.value(float(t)) / exact(float(t)) - 1.0) for t in probes)
+        assert worst <= 1e-8
+
 
 class TestCertificateFamilies:
     @pytest.mark.parametrize("cert", [
@@ -385,15 +433,31 @@ class TestCheckCertificate:
         assert 1.0 / cert.mu(20.0) < 1e-4
 
 
+def growth_terms(cert, q, ts):
+    """mu**(q-1) and mu'/mu at the array ts, written out in the operation
+    order of the check: in logs for the parametric weights, with (1 + t)**-nu
+    and (1 + t)**-1 as factors of the bounded weight's mu'."""
+    c = q - 1.0
+    if cert.family == "exponential":
+        return np.exp((cert.nu * ts + math.log(cert.mu0)) * c), cert.nu
+    if cert.family == "power":
+        return (np.exp((np.log1p(ts) * cert.m + math.log(cert.mu0)) * c),
+                (1.0 + ts) ** -1.0 * cert.m)
+    mu = np.asarray(cert.mu(ts), dtype=float)
+    if cert.family == "bounded":
+        return (np.exp(np.log(mu) * c),
+                (1.0 + ts) ** -cert.nu * (-cert.nu * cert.mu1) * (1.0 + ts) ** -1.0 / mu)
+    return mu ** c, profile_derivative(cert._profile(), ts) / mu
+
+
 def whole_grid_check(problem, cert, horizon, n, tol):
     """The verdict of check_certificate from one whole-array evaluation of
     r = mu**(q-1) (sigma - mu'/mu) - alpha, refined the same way:
     (residuals, worst_residual, worst_t, first_violation_t)."""
     ts = np.linspace(0.0, horizon, n)
-    mu = np.asarray(cert.mu(ts), dtype=float)
-    slack = (np.asarray(problem.sigma_fn()(ts), dtype=float)
-             - np.asarray(log_derivative(cert, ts), dtype=float))
-    residuals = mu ** (problem.q - 1.0) * slack - np.asarray(problem.alpha_fn()(ts), dtype=float)
+    weight, log_d = growth_terms(cert, problem.q, ts)
+    slack = np.asarray(problem.sigma_fn()(ts), dtype=float) - log_d
+    residuals = weight * slack - np.asarray(problem.alpha_fn()(ts), dtype=float)
 
     def at(t):
         return float(growth_residual(problem, cert, t))
@@ -414,6 +478,38 @@ def whole_grid_check(problem, cert, horizon, n, tol):
         else:
             first = float(ts[bad[0]])
     return residuals, worst, worst_t, first
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_closed_form_weights_match_the_power_of_mu(data):
+    # each family's mu**(q-1) and mu'/mu from its own formula, against the
+    # residual written out from mu, its derivative and one power of mu
+    draw = data.draw
+    family = draw(st.sampled_from(["exponential", "power", "bounded"]))
+    mu0 = draw(st.floats(0.1, 10.0))
+    if family == "exponential":
+        cert = Certificate.exponential(mu0, draw(st.floats(-1.0, 1.0)))
+    elif family == "power":
+        cert = Certificate.power(mu0, draw(st.floats(-3.0, 3.0)))
+    else:
+        cert = Certificate.bounded(mu0, draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 3.0)))
+    q = draw(st.floats(1.05, 3.0))
+    sigma = TimeProfile.power_decay(draw(st.floats(-2.0, 2.0)), 1.0,
+                                    offset=draw(st.floats(-1.0, 3.0)))
+    alpha = TimeProfile.power_decay(draw(st.floats(0.0, 2.0)), 2.0)
+    ts = np.linspace(0.0, draw(st.floats(0.5, 8.0)), 257)
+    mu = np.asarray(cert.mu(ts), dtype=float)
+    weight = mu ** (q - 1.0)
+    log_d = profile_derivative(cert._profile(), ts) / mu
+    want = weight * (sigma(ts) - log_d) - alpha(ts)
+    size = weight * (np.abs(sigma(ts)) + np.abs(log_d)) + alpha(ts)
+    problem = ScalarProblem(sigma=sigma, alpha=alpha, q=q, g0=1.0)
+    got = growth_residual(problem, cert, ts)
+    assert np.all(np.abs(got - want) <= 1e-14 * size)
+    # a scalar time takes numpy scalars through the same formulas
+    i = draw(st.integers(0, len(ts) - 1))
+    assert abs(float(growth_residual(problem, cert, float(ts[i]))) - want[i]) <= 1e-14 * size[i]
 
 
 BLOCKED_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]

@@ -1,8 +1,12 @@
 """Source layout of the package, read with ``ast``: no module imports a name it
 never uses, and the linear-stability layer is closed form, importing from no
-rdcert module but ``profiles``."""
+rdcert module but ``profiles``.  Importing the package leaves
+``scipy.integrate`` unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,15 @@ def test_the_checks_catch_leftover_imports():
     assert unused_imports(tree) == ["Field", "Grid1D", "KineticsSpec", "SystemSpec",
                                     "TimeProfile", "simulate"]
     assert rdcert_imports(tree) == {"grid", "profiles", "solver"}
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # nothing in the package integrates with scipy, and loading it costs
+    # every CLI process tens of milliseconds
+    code = ("import sys, rdcert; "
+            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'integrate']])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
