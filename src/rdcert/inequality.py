@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -175,18 +176,16 @@ class Certificate:
         float nu.  Taken in logs,
         one log and one exp are cheaper than numpy's power, and past the
         double range it reads inf or 0 rather than inf * 0.  With
-        ``valid_mu``, a mu that is not positive and finite on the 1-d t
-        raises :class:`InvalidCertificateError` first.  A parametric family's
-        mu is monotone, so its two values at t's ends decide that; a table's
-        is checked at every point."""
+        ``valid_mu``, a table's mu that is not positive and finite on t
+        raises :class:`InvalidCertificateError` first; a parametric family's
+        mu is monotone, so :func:`check_certificate` decides that once from
+        its values at the grid's two ends."""
         profile = self._profile()
         if self.family == "custom":
             mu = np.asarray(_values_at(profile, t, memo), dtype=float)
             if valid_mu:
                 _require_valid(mu)
             return mu ** c, _derivative(profile, t, memo) / mu
-        if valid_mu and t.size:
-            _require_valid(np.asarray(_values_at(profile, t[[0, -1]], {}), dtype=float))
         if self.family == "bounded":
             mu = _values_at(profile, t, memo)  # a new array, reading (1 + t)**-nu
             log_derivative = _power(t, -self.nu, memo) * (-self.nu * self.mu1)
@@ -231,8 +230,8 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 # Cap on log J'.  It keeps J' and J finite on the grid's nodes past an
-# escape.  A J' this large before the escape puts it within about exp(-200)
-# time units, a time the cap does move.
+# escape.  A log J'(0) past it puts the escape within exp(-200) time units,
+# inside the first panel: there J's expansion gives it (see _Expansion).
 _LOG_RATE_CAP = 200.0
 # Intervals of the first grid (at least 4 a segment), and the most the
 # doubling may reach.
@@ -311,6 +310,21 @@ class _Quadrature:
         return min(lo + brentq(excess, 0.0, 1.0, xtol=1e-15) * h, hi)
 
 
+@dataclass
+class _Expansion:
+    """(Sigma, J, 1 - J) of :class:`_Quadrature` on [0, t_star] for an
+    escape t_star = 1 / J'(0) below exp(-_LOG_RATE_CAP): the first terms
+    Sigma = sigma(0) t and J = J'(0) t, whose relative error over so short a
+    time is of the order of sigma t_star."""
+
+    sigma0: float
+    t_star: float
+
+    def __call__(self, ts: np.ndarray):
+        j = np.divide(ts, self.t_star, out=np.zeros_like(ts), where=ts > 0.0)
+        return ts * self.sigma0, j, 1.0 - j
+
+
 def _hermite(values, slopes, i, weights):
     w00, w10, w01, w11 = weights
     return values[i] * w00 + slopes[i] * w10 + values[i + 1] * w01 + slopes[i + 1] * w11
@@ -370,12 +384,13 @@ def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 
 def _quadrature(problem: ScalarProblem, c: float, log_rate0: float, end: float,
-                tol: float) -> _Quadrature:
+                tol: float):
     """Sigma and J on [0, end], the grid doubled until the Richardson
     estimate of g's relative error is at most tol (see :func:`_estimate`).
     The grid's segments end at the knots of the coefficients' tables, where
     a slope may jump.  Each doubling evaluates sigma and alpha at the new
-    midpoints only."""
+    midpoints only.  A log J'(0) past _LOG_RATE_CAP gives their
+    :class:`_Expansion` instead."""
     sigma, alpha = problem.sigma_fn(), problem.alpha_fn()
     breaks = _breaks(problem, end)
     # intervals a segment: about _FIRST_INTERVALS in all, even, at least 4
@@ -384,6 +399,9 @@ def _quadrature(problem: ScalarProblem, c: float, log_rate0: float, end: float,
     s = _coefficient("sigma", sigma, t)
     with np.errstate(divide="ignore"):  # log 0 = -inf: J' = 0 where alpha = 0
         log_alpha = np.log(_coefficient("alpha", alpha, t))
+    log_start = float(log_alpha[0]) + log_rate0  # log J'(0)
+    if log_start > _LOG_RATE_CAP:
+        return _Expansion(float(s[0]), math.exp(-log_start))
     previous = None
     while True:
         steps = np.diff(breaks) / m
@@ -452,7 +470,10 @@ def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
     Hermite interpolant (J' is the integrand) between the two nodes around
     it; the same interpolants give g between the nodes.  An escape in the
     first half of the grid is solved again on [0, node past the crossing],
-    so the grid resolves the time before it.  Values past the double range
+    so the grid resolves the time before it.  Where J'(0) exceeds exp(200),
+    the escape lies within exp(-200) of t = 0, and J = J'(0) t and
+    Sigma = sigma(0) t give it and g before it, to a relative error of the
+    order of sigma times the escape time.  Values past the double range
     read inf.  Blow-up is a reported outcome, not an error; a sigma or alpha
     that is not finite at a node is a ValueError naming that time.  The grid
     cannot see the kinks of a plain callable, where the rule converges only
@@ -468,12 +489,15 @@ def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
     c = q - 1.0
     log_rate0 = math.log(c) + c * math.log(g0)  # log of (q-1) g0**(q-1)
     level = _quadrature(problem, c, log_rate0, horizon, tol)
-    while level.escape is not None and 2.0 * level.t[level.escape] <= level.t[-1]:
-        shorter = _quadrature(problem, c, log_rate0, float(level.t[level.escape + 1]), tol)
-        if shorter.escape is None:
-            break
-        level = shorter
-    blowup_time = None if level.escape is None else level.blowup_time()
+    if isinstance(level, _Expansion):
+        blowup_time = level.t_star if level.t_star <= horizon else None
+    else:
+        while level.escape is not None and 2.0 * level.t[level.escape] <= level.t[-1]:
+            shorter = _quadrature(problem, c, log_rate0, float(level.t[level.escape + 1]), tol)
+            if shorter.escape is None:
+                break
+            level = shorter
+        blowup_time = None if level.escape is None else level.blowup_time()
     end = horizon if blowup_time is None else blowup_time
     ts = np.linspace(0.0, end, samples)
     if blowup_time is not None:
@@ -591,8 +615,9 @@ class CertificateReport:
 
     ``passed`` requires the growth-condition residual to stay >= -tol on the
     grid (after local refinement of the worst point) and the initial-value
-    slack 1 - mu(0) g(0) to be >= -tol.  ``residuals`` holds the residual at
-    each of the grid's :attr:`times`.
+    slack 1 - mu(0) g(0) to be >= -tol.  The check keeps only this verdict:
+    :attr:`residuals`, the residual at each of the grid's :attr:`times`, is
+    evaluated again on first read.
     """
 
     passed: bool
@@ -604,31 +629,45 @@ class CertificateReport:
     horizon: float
     failed_condition: Optional[str]       # "initial_condition" | "residual"
     first_violation_t: Optional[float]
-    residuals: np.ndarray
+    _problem: ScalarProblem = field(repr=False, compare=False)
+    _cert: Certificate = field(repr=False, compare=False)
 
     @property
     def times(self) -> np.ndarray:
         """The grid, ``np.linspace(0, horizon, grid_points)``, formed on each read."""
         return np.linspace(0.0, self.horizon, self.grid_points)
 
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """The residual at each of the grid's :attr:`times`, evaluated block
+        by block on first read, as the check evaluated it, and then kept."""
+        out = np.empty(self.grid_points)
+        for block in _blocks(self.grid_points):
+            out[block] = _residual(self._problem, self._cert,
+                                   _grid_block(0.0, self.horizon, self.grid_points, block))
+        return out
+
 
 def growth_residual(problem: ScalarProblem, cert: Certificate, t: TimeLike) -> np.ndarray:
     """r(t) = mu**(q-1) (sigma - mu'/mu) - alpha: the growth condition of the
     certificate holds at t iff r(t) >= 0.  For a large q the power may
     overflow to inf; that is the residual's value, so it is not warned about."""
-    return _residual(problem, cert, np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    _check_times(t)
+    return _residual(problem, cert, t)
 
 
 def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
-              valid_mu: bool = False) -> np.ndarray:
-    """:func:`growth_residual` at the float array t, which is checked
-    once: mu**(q-1) and mu'/mu (see :meth:`Certificate._growth_terms`), sigma
-    and alpha are evaluated in that order, all sharing one memo of the powers
-    of t (see :func:`rdcert.profiles._power`), so each (1 + t)**e and
+              valid_mu: bool = False, on_block=None) -> np.ndarray:
+    """:func:`growth_residual` at the float array t of checked times:
+    mu**(q-1) and mu'/mu (see :meth:`Certificate._growth_terms`), sigma and
+    alpha are evaluated in that order, all sharing one memo of the powers of
+    t (see :func:`rdcert.profiles._power`), so each (1 + t)**e and
     exp(rate t) is computed once.  A profile that does not vary stays one
-    number.  With ``valid_mu``, a mu that is not positive and finite raises
-    :class:`InvalidCertificateError` before sigma is evaluated."""
-    _check_times(t)
+    number.  With ``valid_mu``, a table weight's mu that is not positive and
+    finite raises :class:`InvalidCertificateError` before sigma is
+    evaluated.  ``on_block``, when given, is called with t, the memo and
+    alpha's values once alpha is checked."""
     memo = {}
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in mu' past the range: nan
         r, log_derivative = cert._growth_terms(t, problem.q - 1.0, memo, valid_mu)
@@ -640,6 +679,8 @@ def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
     else:
         slack = slack - log_derivative
     alpha = np.asarray(_nonnegative_alpha(_values_at(problem.alpha, t, memo)), dtype=float)
+    if on_block is not None:
+        on_block(t, memo, alpha)
     with np.errstate(over="ignore"):
         r *= slack  # r is a new value, so the rest goes in place
         r -= alpha
@@ -647,44 +688,66 @@ def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
 
 
 def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
-                      grid_points: int = 10_000, tol: float = 0.0) -> CertificateReport:
+                      grid_points: int = 10_000, tol: float = 0.0, *,
+                      _on_block=None) -> CertificateReport:
     """Evaluate both certificate conditions on a dense time grid.
 
     The residual is :func:`growth_residual` on the grid
     ``np.linspace(0, horizon, grid_points)``, whose points are formed and
-    evaluated block by block so that each block's temporaries stay in cache;
-    only the residuals are stored.  The residuals equal the whole-grid
-    formula bit for bit, and the errors keep its precedence: a mu that is
+    evaluated block by block so that each block's temporaries stay in cache.
+    No residual is stored: each block updates the grid minimum and the first
+    point below -tol, which equal the whole-grid ones bit for bit, and the
+    report evaluates :attr:`CertificateReport.residuals` again if they are
+    read.  The errors keep the whole-grid formula's precedence: a mu that is
     not positive and finite somewhere on the grid raises
     :class:`InvalidCertificateError` even when sigma or alpha fails in an
-    earlier block.  The grid minimum is sharpened by bounded scalar
+    earlier block.  A parametric weight is monotone, so its two values at 0
+    and the horizon decide that before the first block; a table weight is
+    checked in every block.  The grid minimum is sharpened by bounded scalar
     minimization between its neighbours, and the first sign change is
     located by bisection so failures carry a meaningful time.
     """
+    # _on_block(t, memo, alpha), private to rdcert.scenarios, reads each
+    # block's times, powers of t and alpha (see _residual)
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be finite and positive")
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
-    residuals = np.empty(grid_points)
+    if cert.family != "custom":
+        _require_valid(np.asarray(_values_at(cert._profile(), np.array([0.0, horizon]), {}),
+                                  dtype=float))
+    # the first smallest residual (a NaN wins, as in np.argmin), and the first
+    # one below -tol with the one before it (None at t = 0)
+    i_min, worst_residual = 0, math.inf
+    first_bad = last = None
     for block in _blocks(grid_points):
+        t = _grid_block(0.0, horizon, grid_points, block)
         try:
-            residuals[block] = _residual(problem, cert,
-                                         _grid_block(horizon, grid_points, block), True)
+            r = _residual(problem, cert, t, True, _on_block)
         except Exception:
             # Earlier blocks raised nothing, so the whole-grid evaluation of
             # the rest raises what the whole grid would: mu's errors first.
             _residual(problem, cert,
-                      _grid_block(horizon, grid_points, slice(block.start, grid_points)), True)
+                      _grid_block(0.0, horizon, grid_points, slice(block.start, grid_points)),
+                      True)
             raise
+        i = int(r.argmin())
+        low = float(r[i])
+        if (low < worst_residual or low != low) and worst_residual == worst_residual:
+            i_min, worst_residual = block.start + i, low
+        if first_bad is None and not low >= -tol:
+            bad = r < -tol
+            j = int(bad.argmax())
+            if bad[j]:
+                first_bad = block.start + j, float(r[j]), last if j == 0 else float(r[j - 1])
+        last = float(r[-1])
 
     def residual_at(t):
         return float(growth_residual(problem, cert, t))
 
     def point(i):  # times[i], bit for bit
-        return _grid_block(horizon, grid_points, slice(i, i + 1))[0]
+        return _grid_block(0.0, horizon, grid_points, slice(i, i + 1))[0]
 
-    i_min = int(np.argmin(residuals))
-    worst_residual = float(residuals[i_min])
     worst_t = float(point(i_min))
     lo = point(max(i_min - 1, 0))
     hi = point(min(i_min + 1, grid_points - 1))
@@ -706,10 +769,9 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
         first_violation_t = 0.0
     elif not residual_ok:
         failed_condition = "residual"
-        bad = residuals < -tol
-        j = int(np.argmax(bad))  # the first violating point, if any
-        if bad[j]:
-            if j > 0 and residuals[j - 1] >= -tol and residuals[j - 1] != residuals[j]:
+        if first_bad is not None:
+            j, r_j, before = first_bad
+            if before is not None and before >= -tol and before != r_j:
                 first_violation_t = float(brentq(
                     lambda s: residual_at(s) + tol, point(j - 1), point(j), xtol=1e-12))
             else:
@@ -722,7 +784,7 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
         worst_residual=worst_residual, worst_t=worst_t, c9_slack=c9_slack,
         tol=tol, grid_points=grid_points, horizon=horizon,
         failed_condition=failed_condition, first_violation_t=first_violation_t,
-        residuals=residuals)
+        _problem=problem, _cert=cert)
 
 
 def verify_envelope(times, g, cert: Certificate, slack: float = 0.02) -> np.ndarray:

@@ -197,21 +197,28 @@ def _blocks(n: int):
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
-def _grid_block(horizon: float, n: int, block: slice) -> np.ndarray:
-    """``np.linspace(0.0, horizon, n)[block]`` bit for bit, for n >= 2, a
-    finite horizon >= 0 and a slice start:stop with start < n and no step
-    (a block of :func:`_blocks` (n), say), without forming the whole grid:
-    point i is i * (horizon / (n - 1)), and the last point is horizon itself."""
+def _grid_block(first: float, last: float, n: int, block: slice,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.linspace(first, last, n)[block]`` bit for bit, for n >= 2, finite
+    ends 0 <= first <= last and a slice start:stop with start < n and no
+    step (a block of :func:`_blocks` (n), say), without forming the whole
+    grid: point i is i * ((last - first) / (n - 1)) + first, and the last
+    point is last itself.  Written into ``out`` (of the block's length) when
+    given."""
     stop = min(block.stop, n)
-    t = np.arange(block.start, stop, dtype=float)
-    step = horizon / (n - 1)
+    index = np.arange(block.start, stop, dtype=float)
+    t = index if out is None else out
+    delta = last - first
+    step = delta / (n - 1)
     if step == 0.0:  # linspace's order for a step below the double range
-        t /= n - 1
-        t *= horizon
+        np.divide(index, n - 1, out=t)
+        t *= delta
     else:
-        t *= step
+        np.multiply(index, step, out=t)
+    if first != 0.0:  # adding +0.0 leaves every point (none is -0.0) as it is
+        t += first
     if stop == n:
-        t[-1] = horizon
+        t[-1] = last
     return t
 
 

@@ -33,8 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .inequality import Certificate, CertificateReport, ScalarProblem, check_certificate
-from .profiles import (ProfileLike, ProfileSum, TimeProfile, _blocks, _grid_block,
-                       coupling_gamma0)
+from .profiles import ProfileLike, ProfileSum, TimeProfile, _power, coupling_gamma0
 
 __all__ = [
     "ScenarioInputs", "HypothesisReport", "Scenario", "ScenarioNotApplicable",
@@ -183,23 +182,25 @@ def _require(inp: ScenarioInputs, names) -> None:
         raise ScenarioNotApplicable(f"missing scenario inputs: {', '.join(missing)}")
 
 
-def _grid_check(fn_lhs, fn_rhs, horizon: float, grid_points: int):
-    """all(lhs <= rhs) on a uniform grid; returns (ok, first failing t).
+class _ClosedFormCap:
+    """The check (1+t)**e alpha(t) <= cap of :func:`bounded_neumann_scenario`,
+    run on the certificate check's blocks: it reads each block's times, its
+    memo of the powers of t and alpha's values (see
+    :func:`rdcert.inequality._residual`), so it costs one power and one
+    comparison a block until the first failing time, ``first_bad``."""
 
-    The grid is formed and evaluated in cache-sized blocks, every block even
-    after a failure, so that an error lhs raises anywhere on the grid is
-    still raised.
-    """
-    if grid_points < 2:
-        raise ValueError("need at least 2 grid points")
-    first_bad = None
-    for block in _blocks(grid_points):
-        t = _grid_block(horizon, grid_points, block)
-        bad = np.flatnonzero(np.asarray(fn_lhs(t), dtype=float)
-                             > np.asarray(fn_rhs(t), dtype=float))
-        if first_bad is None and bad.size:
-            first_bad = float(t[bad[0]])
-    return first_bad is None, first_bad
+    def __init__(self, exponent: float, cap: float):
+        self.exponent, self.cap = exponent, cap
+        self.first_bad: Optional[float] = None
+
+    def check_block(self, t: np.ndarray, memo: dict, alpha) -> None:
+        if self.first_bad is not None:
+            return
+        with np.errstate(over="ignore"):
+            bad = _power(t, self.exponent, memo) * alpha > self.cap
+        i = int(bad.argmax())
+        if bad[i]:
+            self.first_bad = float(t[i])
 
 
 def _bounded_certificate(inp: ScenarioInputs) -> Certificate:
@@ -211,17 +212,18 @@ def _bounded_certificate(inp: ScenarioInputs) -> Certificate:
 
 
 def _certified_scenario(name: str, problem: ScalarProblem, cert: Certificate,
-                        horizon: float, grid_points: int, tol: float, conditions: dict,
-                        details: dict, first_failure_t: Optional[float] = None,
+                        report: CertificateReport, conditions: dict, details: dict,
+                        first_failure_t: Optional[float] = None,
                         case: Optional[str] = None) -> Scenario:
-    """Check ``cert`` against ``problem`` and assemble the scenario.
+    """Assemble the scenario from the check ``report`` of ``cert`` against
+    ``problem``.
 
     ``conditions`` holds the regime's own checks; the initial-value condition
     of the certificate family and the comparison inequality are added here.
     ``first_failure_t`` is the first failing time of a regime check, if any;
     otherwise the certificate check's first violation is reported.
     """
-    report = check_certificate(problem, cert, horizon, grid_points, tol)
+    tol = report.tol
     if cert.family == "bounded":
         # a bounded weight is fitted to g0: mu(0) g0 = 1 up to round-off
         mu_g0 = (cert.mu0 + cert.mu1) * problem.g0
@@ -264,9 +266,10 @@ def exponential_decay_scenario(inp: ScenarioInputs, horizon: float,
     sigma = comparison_sigma(c_omega, TimeProfile.constant(inp.d0), inp.a0,
                              TimeProfile.constant(1.0))
     problem = ScalarProblem(sigma=sigma, alpha=inp.alpha(), q=q, g0=inp.g0)
+    cert = Certificate.exponential(1.0 / inp.g0, nu)
     return _certified_scenario(
-        "exponential-decay", problem, Certificate.exponential(1.0 / inp.g0, nu),
-        horizon, grid_points, tol,
+        "exponential-decay", problem, cert,
+        check_certificate(problem, cert, horizon, grid_points, tol),
         conditions={"dirichlet_ends": True, "sigma_margin_positive": True},
         details={"sigma0": sigma0, "nu": nu, "q": q, "poincare": c_omega,
                  "alpha_factor": inp.alpha_factor})
@@ -296,9 +299,9 @@ def power_decay_scenario(inp: ScenarioInputs, horizon: float,
     sigma = comparison_sigma(c_omega, TimeProfile.power_decay(inp.d0, 1.0), inp.gamma0,
                              TimeProfile.power_decay(1.0, inp.k))
     problem = ScalarProblem(sigma=sigma, alpha=inp.alpha(), q=q, g0=inp.g0)
+    cert = Certificate.power(1.0 / inp.g0, inp.m)
     return _certified_scenario(
-        "power-decay", problem, Certificate.power(1.0 / inp.g0, inp.m),
-        horizon, grid_points, tol,
+        "power-decay", problem, cert, check_certificate(problem, cert, horizon, grid_points, tol),
         conditions={"dirichlet_ends": True, "k_at_least_one": inp.k >= 1.0,
                     "decay_margin_positive": True},
         details={"margin": margin, "q": q, "poincare": c_omega,
@@ -321,10 +324,13 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
 
         alpha_factor * (1+t)**(nu+1) * c0(t) <= mu0**(q-1) * (nu mu1/mu0 - gamma0)
 
-    and the exact grid check of the comparison inequality.  The closed-form
-    bound ignores that mu(t) > mu0 for small t and can admit strengths the
-    exact condition rejects; when that happens the report flags it and the
-    exact check is the one that decides.
+    and the exact grid check of the comparison inequality.  Both run in one
+    pass over the grid: the bound reads each block of the certificate check
+    (its times, powers of t and alpha), and its first failing grid time is
+    the scenario's ``first_failure_t``.  The closed-form bound ignores that
+    mu(t) > mu0 for small t and can admit strengths the exact condition
+    rejects; when that happens the report flags it and the exact check is
+    the one that decides.
     """
     if inp.bc != "neumann":
         raise ScenarioNotApplicable("bounded scenario needs Neumann ends")
@@ -347,17 +353,18 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
         cap = mu0 ** (q - 1.0) * ratio_margin
     except OverflowError:  # mu0**(q-1) past the double range: the cap reads +-inf
         cap = math.copysign(math.inf, ratio_margin) if ratio_margin else 0.0
-    weighted_alpha = ProfileSum(((1.0, (TimeProfile.power_growth(1.0, nu + 1.0), alpha)),))
-    closed_ok, first_bad = _grid_check(weighted_alpha, lambda ts: np.full(np.shape(ts), cap),
-                                       horizon, grid_points)
+    closed_form = _ClosedFormCap(nu + 1.0, cap)
+    report = check_certificate(problem, cert, horizon, grid_points, tol,
+                               _on_block=closed_form.check_block)
+    closed_ok = closed_form.first_bad is None
     scenario = _certified_scenario(
-        "bounded-neumann", problem, cert, horizon, grid_points, tol,
+        "bounded-neumann", problem, cert, report,
         conditions={"neumann_ends": True, "nu_plus_one_le_k": nu + 1.0 <= k,
                     "ratio_margin_positive": ratio_margin > 0.0 or alpha_is_zero,
                     "closed_form_growth_bound": closed_ok},
         details={"q": q, "ratio_margin": ratio_margin, "closed_form_cap": cap,
                  "alpha_factor": inp.alpha_factor},
-        first_failure_t=first_bad)
+        first_failure_t=closed_form.first_bad)
     scenario.hypotheses.details["closed_form_insufficient"] = bool(
         closed_ok and not scenario.certificate_check.passed)
     return scenario
@@ -420,11 +427,13 @@ def modulated_scenario(inp: ScenarioInputs, horizon: float,
         phi0 = phi.v0
         rate_margin = phi0 * sign - inp.m
         conditions["rate_margin_positive"] = rate_margin > 0.0
+        cert = Certificate.power(1.0 / inp.g0, inp.m)
         return _certified_scenario(
-            "modulated-pair", problem, Certificate.power(1.0 / inp.g0, inp.m),
-            horizon, grid_points, tol, conditions,
+            "modulated-pair", problem, cert,
+            check_certificate(problem, cert, horizon, grid_points, tol), conditions,
             dict(base_details, phi0=phi0, rate_margin=rate_margin), case="decay")
 
-    return _certified_scenario("modulated-pair", problem, _bounded_certificate(inp),
-                               horizon, grid_points, tol, conditions, base_details,
-                               case="bounded")
+    cert = _bounded_certificate(inp)
+    return _certified_scenario("modulated-pair", problem, cert,
+                               check_certificate(problem, cert, horizon, grid_points, tol),
+                               conditions, base_details, case="bounded")

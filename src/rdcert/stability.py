@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .profiles import _blocks, _finite
+from .profiles import _blocks, _finite, _grid_block
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,28 @@ def eig2(m) -> tuple[complex, complex]:
 
 def det_m(lin: Linearization2, k) -> np.ndarray:
     """det M(k) in closed form: ad - bc - (a d2 + d d1) k^2 + d1 d2 k^4."""
-    k2 = np.asarray(k, dtype=float) ** 2
-    return (lin.a * lin.d - lin.b * lin.c
-            - (lin.a * lin.d2 + lin.d * lin.d1) * k2 + lin.d1 * lin.d2 * k2 * k2)
+    return _det_of_k2(lin, np.asarray(k, dtype=float) ** 2)
 
 
 def trace_m(lin: Linearization2, k) -> np.ndarray:
     """tr M(k) = a + d - (d1 + d2) k^2."""
-    return lin.a + lin.d - (lin.d1 + lin.d2) * np.asarray(k, dtype=float) ** 2
+    return _trace_of_k2(lin, np.asarray(k, dtype=float) ** 2)
+
+
+def _det_of_k2(lin: Linearization2, k2, out=None, work=None):
+    """:func:`det_m` at k^2 = k2, written into ``out`` with the k^4 term in
+    ``work`` when they are given (arrays of k2's shape)."""
+    det = np.subtract(lin.a * lin.d - lin.b * lin.c,
+                      np.multiply(lin.a * lin.d2 + lin.d * lin.d1, k2, out=out), out=out)
+    quartic = np.multiply(lin.d1 * lin.d2, k2, out=work)
+    quartic *= k2
+    det += quartic
+    return det
+
+
+def _trace_of_k2(lin: Linearization2, k2, out=None):
+    """:func:`trace_m` at k^2 = k2, written into ``out`` when it is given."""
+    return np.subtract(lin.a + lin.d, np.multiply(lin.d1 + lin.d2, k2, out=out), out=out)
 
 
 def _half_exponent(x: float) -> int:
@@ -139,9 +153,12 @@ class ModeRate(NamedTuple):
 
 @dataclass(frozen=True)
 class DispersionReport:
-    """Per-wavenumber scan of M(k) plus the instability band.  The
-    eigenvalues ``lam1`` and ``lam2`` are derived from ``trace`` and ``det``
-    on first read."""
+    """Per-wavenumber scan of M(k) plus the instability band.  ``k``,
+    ``det`` and ``trace`` are the three rows of one (3, samples) array: one
+    allocation that a process reuses from scan to scan, where three
+    separate ones were each returned to the system and faulted in again.
+    The eigenvalues ``lam1`` and ``lam2`` are derived from ``trace`` and
+    ``det`` on first read."""
 
     k: np.ndarray
     det: np.ndarray
@@ -186,10 +203,14 @@ def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
     """Evaluate det and trace of M(k) on a uniform grid of wavenumbers in
     (0, k_max], and the largest real part of its eigenvalues there.
 
-    The grid is filled in cache-sized blocks, and only k, det and trace are
-    stored: the report derives the eigenvalues from them on first read (see
-    :func:`_eigenvalue_pair`).  The largest growth rate is the maximum of
-    (tr + sqrt(max(disc, 0)))/2, disc = tr^2 - 4 det, the real part of lam1.
+    The grid is ``np.linspace(k_max / samples, k_max, samples)`` bit for
+    bit, formed in cache-sized blocks straight into the report's store of k,
+    det and trace (see :class:`DispersionReport`); each block's one k^2
+    gives :func:`det_m` and :func:`trace_m` there.  Only those three are
+    stored: the report derives the eigenvalues
+    from them on first read (see :func:`_eigenvalue_pair`).  The largest
+    growth rate is the maximum of (tr + sqrt(max(disc, 0)))/2,
+    disc = tr^2 - 4 det, the real part of lam1.
 
     Default k_max is twice the larger of the band's upper edge and 10 pi / L
     (or a kinetics-based scale when there is neither).  When ``L`` is given,
@@ -217,15 +238,16 @@ def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
     if L is not None and k_max * L / math.pi >= samples + 1:  # floor(k_max L / pi) > samples
         raise ValueError(f"k_max = {k_max:g} admits {k_max * L / math.pi:.6g} modes n pi / L, "
                          f"more than the {samples} samples of the scan resolve")
-    ks = np.linspace(k_max / samples, k_max, samples)
-    det, tr = np.empty(samples), np.empty(samples)
+    ks, det, tr = np.empty((3, samples))  # one store, see DispersionReport
     max_growth_rate = -math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # disc is checked instead
         for block in _blocks(samples):
-            k = ks[block]
-            det[block] = d = det_m(lin, k)
-            tr[block] = t = trace_m(lin, k)
-            disc = t * t - 4.0 * d  # finite: so are t, d, the roots and the eigenvalues
+            k2 = _grid_block(k_max / samples, k_max, samples, block, out=ks[block]) ** 2
+            # tr's row holds det's k^4 term until trace is written into it
+            d = _det_of_k2(lin, k2, out=det[block], work=tr[block])
+            t = _trace_of_k2(lin, k2, out=tr[block])
+            disc = np.multiply(t, t, out=k2)
+            disc -= 4.0 * d  # finite: so are t, d, the roots and the eigenvalues
             if not _finite(disc):
                 raise ValueError(f"M(k) leaves the double range on the scan up to "
                                  f"k_max = {k_max:g}")

@@ -1,9 +1,10 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
@@ -130,6 +131,26 @@ class TestComparisonSolve:
             sol = comparison_solve(prob, tstar * 2.0, tol=1e-11)
             assert sol.blowup_time == pytest.approx(tstar, abs=1e-7)
             assert math.isinf(sol.value(tstar * 1.5))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(log_g0=st.floats(0.0, 300.0), q=st.floats(1.2, 3.0), sigma=st.floats(-2.0, 2.0),
+           alpha=st.floats(0.1, 10.0))
+    @example(log_g0=100.0, q=2.0, sigma=0.0, alpha=1.0)   # J'(0) = 1e100
+    @example(log_g0=300.0, q=2.0, sigma=0.0, alpha=1.0)   # J'(0) = 1e300
+    @example(log_g0=86.0, q=3.0, sigma=1.0, alpha=1.0)    # log J'(0) = 396.7
+    @example(log_g0=43.0, q=3.0, sigma=1.0, alpha=1.0)    # log J'(0) = 198.7, under the cap
+    def test_huge_initial_value_blows_up_at_the_closed_form_time(self, log_g0, q, sigma, alpha):
+        # a log J'(0) past the rate cap puts the escape in the first panel,
+        # where it is taken from J = J'(0) t; the cap once moved it to 1.4e-87
+        g0 = 10.0 ** log_g0
+        tstar = bernoulli_blowup_time(sigma, alpha, q, g0)
+        assume(tstar is not None and sys.float_info.min <= tstar < 5.0)
+        prob = ScalarProblem(sigma=CONST(sigma), alpha=CONST(alpha), q=q, g0=g0)
+        sol = comparison_solve(prob, 5.0)
+        assert sol.blowup_time == pytest.approx(tstar, rel=1e-6)
+        half = 0.5 * sol.blowup_time
+        assert sol.value(half) == pytest.approx(
+            bernoulli_closed_form(sigma, alpha, q, g0, half), rel=1e-6)
 
     def test_monotone_in_alpha(self):
         # pointwise larger alpha gives a pointwise larger solution
@@ -468,7 +489,7 @@ def whole_grid_check(problem, cert, horizon, n, tol):
     if refined.fun < worst:
         worst, worst_t = float(refined.fun), float(refined.x)
     first = None
-    if worst < -tol:
+    if not worst >= -tol:  # a NaN worst residual fails too
         bad = np.flatnonzero(residuals < -tol)
         if not bad.size:
             first = worst_t
@@ -513,6 +534,7 @@ def test_closed_form_weights_match_the_power_of_mu(data):
 
 
 BLOCKED_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+BLOCKED_IDS = ["B-1", "B", "B+1", "3B+7"]
 
 
 def spike(horizon, n, index, height):
@@ -540,13 +562,17 @@ class TestBlockedCheck:
     def assert_matches(self, problem, cert, horizon, n, tol=1e-12):
         rep = check_certificate(problem, cert, horizon, grid_points=n, tol=tol)
         residuals, worst, worst_t, first = whole_grid_check(problem, cert, horizon, n, tol)
-        assert rep.residuals.tobytes() == residuals.tobytes()
-        assert (rep.worst_residual, rep.worst_t) == (worst, worst_t)
+        # the verdict is streamed; the residuals are formed on first read
+        assert "residuals" not in vars(rep)
+        assert np.array_equal([rep.worst_residual], [worst], equal_nan=True)
+        assert rep.worst_t == worst_t
         assert rep.first_violation_t == first
         assert rep.passed == (worst >= -tol)
+        assert rep.residuals.tobytes() == residuals.tobytes()
+        assert rep.residuals is rep.residuals  # kept after the first read
         return rep
 
-    @pytest.mark.parametrize("n", BLOCKED_SIZES, ids=["B-1", "B", "B+1", "3B+7"])
+    @pytest.mark.parametrize("n", [2] + BLOCKED_SIZES, ids=["2"] + BLOCKED_IDS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_whole_grid(self, family, n):
         cert, sigma, alpha, horizon = self.FAMILIES[family]
@@ -575,6 +601,68 @@ class TestBlockedCheck:
         assert rep.passed == (dip > 0.0)
         if not rep.passed:
             assert rep.times[edge - 1] < rep.first_violation_t < rep.times[edge]
+
+    @pytest.mark.parametrize("n", [2] + BLOCKED_SIZES, ids=["2"] + BLOCKED_IDS)
+    def test_violation_at_point_0(self, n):
+        # r = 0.5 e^(t/8) - 0.75 (1+t)**-2 starts at -0.25 and turns positive
+        problem = ScalarProblem(sigma=CONST(1.0), alpha=TimeProfile.power_decay(0.75, 2.0),
+                                q=1.25, g0=1.0)
+        rep = self.assert_matches(problem, Certificate.exponential(1.0, 0.5), 10.0, n)
+        assert rep.first_violation_t == 0.0 and not rep.passed
+
+    @pytest.mark.parametrize("dip", [0.25, -1.0], ids=["passing", "failing"])
+    def test_minimum_tied_across_blocks_takes_the_first(self, dip):
+        # mu = 1 and sigma = 1, so r = 1 - alpha: two equal spikes of alpha, in
+        # blocks 0 and 2, give two equal grid minima; np.argmin takes the first
+        n, horizon = 3 * _BLOCK + 7, 10.0
+        ts = np.linspace(0.0, horizon, n)
+        first, second = _BLOCK - 5, 2 * _BLOCK + 3
+        knots = [0.0]
+        for i in (first, second):
+            knots += [ts[i - 1], ts[i], ts[i + 1]]
+        alpha = TimeProfile.tabulated(knots + [horizon], [0.0, 0.0, 1.0 - dip, 0.0,
+                                                          0.0, 1.0 - dip, 0.0, 0.0])
+        problem = ScalarProblem(sigma=CONST(1.0), alpha=alpha, q=1.25, g0=1.0)
+        rep = self.assert_matches(problem, Certificate.exponential(1.0, 0.0), horizon, n)
+        assert rep.residuals[first] == rep.residuals[second] == rep.worst_residual == dip
+        assert rep.worst_t == ts[first]
+
+    @pytest.mark.parametrize("violation", ["none", "block-0", "same-block"])
+    def test_nan_residual_in_a_later_block(self, violation):
+        # alpha is NaN at one point of block 2: that NaN is the grid minimum,
+        # as in np.argmin, and the verdict fails; a violation, from t = 0 or
+        # inside the NaN's own block, still gives the first violation time
+        n, horizon = 3 * _BLOCK + 7, 10.0
+        ts = np.linspace(0.0, horizon, n)
+        spot = ts[2 * _BLOCK + 11]
+
+        def alpha(t):
+            t = np.asarray(t, dtype=float)
+            base = (0.6 if violation == "block-0" else 0.1) / (1.0 + t) ** 2
+            if violation == "same-block":  # r < 0 on ts[2B + 5] .. ts[2B + 20]
+                base = np.where((t >= ts[2 * _BLOCK + 5]) & (t <= ts[2 * _BLOCK + 20]), 10.0, base)
+            return np.where(t == spot, np.nan, base)
+        problem = ScalarProblem(sigma=CONST(1.0), alpha=alpha, q=1.25, g0=1.0)
+        rep = self.assert_matches(problem, Certificate.exponential(1.0, 0.5), horizon, n)
+        assert math.isnan(rep.worst_residual) and rep.worst_t == spot and not rep.passed
+        first = {"none": spot, "block-0": 0.0}.get(violation)
+        if first is None:
+            assert ts[2 * _BLOCK + 4] < rep.first_violation_t <= ts[2 * _BLOCK + 5]
+        else:
+            assert rep.first_violation_t == first
+
+    def test_table_weight_invalid_only_mid_grid(self):
+        # the table's mu dips below 0 only inside block 1; alpha < 0 fails in
+        # block 0, and the weight's error still comes first
+        n, horizon = 3 * _BLOCK + 7, 3.0
+        ts = np.linspace(0.0, horizon, n)
+        a, b = ts[_BLOCK + 100], ts[_BLOCK + 200]
+        cert = Certificate.from_table([0.0, a, 0.5 * (a + b), b, horizon],
+                                      [1.0, 1.0, -0.5, 1.0, 1.0])
+        for alpha in (CONST(0.1), CONST(-1.0)):
+            problem = ScalarProblem(sigma=CONST(1.0), alpha=alpha, q=1.25, g0=1.0)
+            with pytest.raises(InvalidCertificateError):
+                check_certificate(problem, cert, horizon, n)
 
     def test_invalid_mu_in_a_later_block_outranks_alpha_in_block_0(self):
         # alpha < 0 fails in block 0; mu = (1+t)**775 overflows past t = 1.5, in block 2
@@ -632,7 +720,7 @@ class TestBlockedCheck:
         rep = self.assert_matches(problem, cert, horizon, n, tol)
         assert rep.times.tobytes() == np.linspace(0.0, horizon, n).tobytes()
 
-    @pytest.mark.parametrize("n", BLOCKED_SIZES, ids=["B-1", "B", "B+1", "3B+7"])
+    @pytest.mark.parametrize("n", BLOCKED_SIZES, ids=BLOCKED_IDS)
     @pytest.mark.parametrize("family", ["exponential", "power", "bounded"])
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -641,26 +729,42 @@ class TestBlockedCheck:
 
     # one example each: a table weight's mu'/mu takes refined differences
     # point by point, about 25 us a point
-    @pytest.mark.parametrize("n", BLOCKED_SIZES, ids=["B-1", "B", "B+1", "3B+7"])
+    @pytest.mark.parametrize("n", BLOCKED_SIZES, ids=BLOCKED_IDS)
     @settings(max_examples=1, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_shared_powers_match_whole_grid_custom(self, n, data):
         self.assert_shared_powers_match(data, "custom", n)
 
     def test_stores_only_the_residuals(self):
-        # 8 bytes a point for the residuals, plus cache-sized block temporaries:
-        # the grid's times are formed block by block and never stored
+        # read from the report, the residuals take 8 bytes a point, plus
+        # cache-sized block temporaries: the grid's times are formed block by
+        # block and never stored
         n = 1_000_000
         problem = ScalarProblem(sigma=CONST(1.0), alpha=TimeProfile.power_decay(0.1, 1.0),
                                 q=1.25, g0=1.0)
         tracemalloc.start()
         try:
             rep = check_certificate(problem, Certificate.power(1.0, 0.5), 10.0, n)
+            assert len(rep.residuals) == n
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rep.passed
         assert peak / n < 13.0
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_check_keeps_no_grid_sized_array(self, family):
+        # the verdict comes from per-block reductions: the check's peak stays
+        # well under one 8 MB array of the 2^20-point grid
+        cert, sigma, alpha, horizon = self.FAMILIES[family]
+        problem = ScalarProblem(sigma=sigma, alpha=alpha, q=1.25, g0=1.0 / float(cert.mu(0.0)))
+        tracemalloc.start()
+        try:
+            check_certificate(problem, cert, horizon, 1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestVerifyEnvelope:

@@ -391,11 +391,18 @@ class TestHelpers:
 @pytest.mark.parametrize("n", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 @pytest.mark.parametrize("horizon", [1.0, 10.0, 0.1, math.pi, 7.3e5, 3e-7, 0.0, 5e-324])
 def test_grid_block_is_linspace_bit_for_bit(n, horizon):
-    whole = np.linspace(0.0, horizon, n)
-    pieces = [_grid_block(horizon, n, block) for block in _blocks(n)]
-    assert [len(p) for p in pieces] == [len(whole[b]) for b in _blocks(n)]
-    assert np.concatenate(pieces).tobytes() == whole.tobytes()
-    assert pieces[-1][-1] == horizon
+    # a grid from 0, and one from its own first step, as the dispersion
+    # scan's wavenumbers k_max / n .. k_max are
+    for first in (0.0, horizon / n):
+        whole = np.linspace(first, horizon, n)
+        pieces = [_grid_block(first, horizon, n, block) for block in _blocks(n)]
+        assert [len(p) for p in pieces] == [len(whole[b]) for b in _blocks(n)]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        assert pieces[-1][-1] == horizon
+        store = np.full(n, np.nan)
+        for block in _blocks(n):
+            assert _grid_block(first, horizon, n, block, out=store[block]).base is store
+        assert store.tobytes() == whole.tobytes()
 
 
 # one profile of each kind, with values of both signs, zero weights and offsets

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdcert.profiles import _BLOCK, ProfileSum, TimeProfile
-from rdcert.scenarios import (ScenarioInputs, ScenarioNotApplicable, _grid_check,
+from rdcert.scenarios import (ScenarioInputs, ScenarioNotApplicable,
                               bounded_neumann_scenario, comparison_exponent,
                               comparison_sigma, exponential_decay_scenario,
                               modulated_scenario, power_decay_scenario)
@@ -60,30 +60,84 @@ class TestProblemData:
             ScenarioInputs(L=1.0, c0=c0, alpha_factor=math.inf).alpha()
 
 
-class TestGridCheck:
-    """_grid_check evaluates its grid in blocks of _BLOCK points."""
+def neumann_inputs(**kw):
+    base = dict(L=1.0, bc="neumann", gamma0=0.1, k=2.0, nu=1.0, mu0=0.5, mu1=0.5,
+                g0=1.0, p=2.0)
+    base.update(kw)
+    return ScenarioInputs(**base)
+
+
+class TestClosedFormCap:
+    """bounded_neumann_scenario checks its closed-form bound
+    (1+t)**(nu+1) alpha(t) <= cap on the certificate check's blocks of
+    _BLOCK points."""
 
     N = 3 * _BLOCK + 7
+    CAP = 0.5 ** 0.25 * 0.9  # mu0**(q-1) (nu mu1/mu0 - gamma0) of neumann_inputs
+
+    def scenario(self, c0, horizon=1.0):
+        return bounded_neumann_scenario(neumann_inputs(c0=c0, alpha_factor=1.0),
+                                        horizon=horizon, grid_points=self.N)
 
     def test_first_failure_past_block_zero(self):
+        # the weighted alpha (1+t)**2 alpha(t) is cap t / level: it rises
+        # through the cap between ts[2B + 100] and ts[2B + 101]
         ts = np.linspace(0.0, 1.0, self.N)
-        cap = 0.5 * (ts[2 * _BLOCK + 100] + ts[2 * _BLOCK + 101])
-        ok, first = _grid_check(np.square, lambda t: np.full(np.shape(t), cap ** 2),
-                                1.0, self.N)
-        assert not ok
-        assert first == ts[np.flatnonzero(ts ** 2 > cap ** 2)[0]] == ts[2 * _BLOCK + 101]
+        level = 0.5 * (ts[2 * _BLOCK + 100] + ts[2 * _BLOCK + 101])
+
+        def c0(t):
+            return self.CAP * np.asarray(t, dtype=float) / level * (1.0 + t) ** -2.0
+        sc = self.scenario(c0)
+        weighted = (1.0 + ts) ** 2.0 * c0(ts)
+        first = np.flatnonzero(weighted > sc.hypotheses.details["closed_form_cap"])[0]
+        assert first == 2 * _BLOCK + 101
+        assert not sc.hypotheses.conditions["closed_form_growth_bound"]
+        assert sc.hypotheses.first_failure_t == ts[first]
 
     def test_passing_grid(self):
-        assert _grid_check(np.square, np.ones_like, 1.0, self.N) == (True, None)
+        sc = self.scenario(TimeProfile.power_decay(0.2, 2.0))
+        assert sc.hypotheses.conditions["closed_form_growth_bound"]
+        assert sc.hypotheses.first_failure_t is None and sc.ready
 
     def test_error_in_a_later_block_is_raised(self):
-        # the check fails in block 0, and lhs raises in block 2 as on the whole grid
-        def lhs(t):
-            if np.any(t > 0.9):
-                raise ValueError("lhs undefined past 0.9")
-            return np.ones_like(t)
-        with pytest.raises(ValueError, match="past 0.9"):
-            _grid_check(lhs, np.zeros_like, 1.0, self.N)
+        # the bound fails in block 0, and alpha raises in block 2 as on the whole
+        # grid; the scenario's 1001-point probe of alpha falls between the bad times
+        def c0(t):
+            t = np.asarray(t, dtype=float)
+            if np.any((t > 0.9003) & (t < 0.9007)):
+                raise ValueError("c0 undefined on (0.9003, 0.9007)")
+            return np.full(t.shape, 10.0)
+        with pytest.raises(ValueError, match="undefined on"):
+            self.scenario(c0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cap_fields_match_the_written_out_bound(self, seed):
+        # random inputs against all(ts (1+t)**(nu+1) alpha <= cap) written out on
+        # np.linspace, and the cap itself
+        rng = np.random.default_rng(seed)
+        nu, mu0, mu1 = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
+        gamma0 = rng.uniform(0.05, 0.95) * nu * mu1 / mu0  # ratio margin > 0
+        p, factor, horizon = rng.uniform(1.5, 4.0), rng.uniform(0.5, 3.0), rng.uniform(1.0, 30.0)
+        n = int(rng.choice([2, 1001, _BLOCK + 1, 2 * _BLOCK + 3]))
+        c0 = [TimeProfile.power_decay(rng.uniform(0.05, 1.0), rng.uniform(0.5, 3.0)),
+              TimeProfile.constant(rng.uniform(0.0, 0.5)),
+              TimeProfile.tabulated(np.linspace(0.0, horizon, 5), rng.uniform(0.0, 1.0, 5))
+              ][seed % 3]
+        inp = neumann_inputs(gamma0=gamma0, k=nu + 1.0 + rng.uniform(0.0, 1.0), nu=nu,
+                             mu0=mu0, mu1=mu1, g0=1.0 / (mu0 + mu1), p=p, c0=c0,
+                             alpha_factor=factor)
+        sc = bounded_neumann_scenario(inp, horizon=horizon, grid_points=n)
+        q = comparison_exponent(p)
+        cap = mu0 ** (q - 1.0) * (nu * mu1 / mu0 - gamma0)
+        ts = np.linspace(0.0, horizon, n)
+        bad = np.flatnonzero((1.0 + ts) ** (nu + 1.0) * (factor * c0(ts)) > cap)
+        details, conditions = sc.hypotheses.details, sc.hypotheses.conditions
+        assert details["closed_form_cap"] == cap
+        assert conditions["closed_form_growth_bound"] == (bad.size == 0)
+        first = ts[bad[0]] if bad.size else sc.certificate_check.first_violation_t
+        assert sc.hypotheses.first_failure_t == first
+        assert details["closed_form_insufficient"] == (bad.size == 0
+                                                       and not sc.certificate_check.passed)
 
 
 class TestExponentialDecay:

@@ -249,6 +249,19 @@ class TestDispersionKernel:
         assert report.lam1 is lam1  # derived once
         assert report.max_growth_rate == float(np.max(lam1.real))
 
+    @pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1_100_000])
+    def test_scan_grid_is_linspace_in_one_store(self, n):
+        # k, det and trace are the rows of one (3, n) array, k formed block by
+        # block into its row, bit for bit np.linspace's grid
+        k_max = 7.3
+        report = dispersion_scan(TURING, k_max=k_max, samples=n)
+        assert report.k.tobytes() == np.linspace(k_max / n, k_max, n).tobytes()
+        store = report.k.base
+        assert store is not None and store.shape == (3, n)
+        assert report.det.base is store and report.trace.base is store
+        assert report.det.tobytes() == det_m(TURING, report.k).tobytes()
+        assert report.trace.tobytes() == trace_m(TURING, report.k).tobytes()
+
     def test_regime_change_inside_a_block(self):
         _, disc = self.scan(TURING, 0.65)
         change = np.flatnonzero(np.diff(np.sign(disc)))
