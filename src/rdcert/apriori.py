@@ -82,8 +82,7 @@ class PointwiseViolation(NamedTuple):
 
 
 def build_paraboloid(m1: float, diffusion: Sequence[TimeProfile], L: float,
-                     u0: Field, horizon: float, t_samples: int = 513,
-                     margin: float = 0.0) -> UpperSolution:
+                     u0: Field, horizon: float, t_samples: int = 513) -> UpperSolution:
     """Certified paraboloid barrier v(x) = -a x^2 + b for a Dirichlet problem
     whose reaction magnitude never exceeds ``m1``.
 
@@ -104,7 +103,7 @@ def build_paraboloid(m1: float, diffusion: Sequence[TimeProfile], L: float,
     a = m1 / (2.0 * _DIMENSION * d_inf) if m1 > 0.0 else 1e-12
     xs = u0.grid.x
     b_init = float(np.max(u0.values + a * xs[None, :] ** 2))
-    b = max(a * L * L, b_init + margin)
+    b = max(a * L * L, b_init)
     if b <= 0.0:
         b = a * L * L  # nonpositive initial data: containment alone decides
     note = (f"barrier slope a = m1/(2*{_DIMENSION}*inf d) with the factor 2 per "

@@ -282,13 +282,14 @@ def _cmd_check_certificate(cfg: RunConfig, out: Path, args) -> int:
     report = check_certificate(problem, cert, horizon=T,
                                grid_points=cfg.get("theorem", "grid_points"),
                                tol=cfg.get("theorem", "tol"))
-    write_csv(out / "residuals.csv", ["t", "c8_residual"], [report.times, report.residuals])
+    times = report.times
+    residuals = growth_residual(problem, cert, times)
+    write_csv(out / "residuals.csv", ["t", "c8_residual"], [times, residuals])
     write_report(out / "report.json", {
         **_check_payload(report), "worst_t": report.worst_t,
         "certificate": _certificate_payload(cert), "alpha_factor": factor})
     if args.plots:
-        svg_line_plot(out / "plots_residual.svg",
-                      [(report.times, report.residuals, "residual")],
+        svg_line_plot(out / "plots_residual.svg", [(times, residuals, "residual")],
                       title="growth-condition residual", xlabel="t", ylabel="residual")
     return EXIT_OK if report.passed else EXIT_HYPOTHESES
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -158,7 +157,7 @@ class Certificate:
         from .profiles import eval_profile
         return eval_profile(self._profile(), t)
 
-    def _growth_terms(self, t: np.ndarray, c: float, memo: dict, valid_mu: bool):
+    def _growth_terms(self, t: np.ndarray, c: float, memo: dict):
         """mu**c and mu'/mu at the checked float array t, each family's
         from its own formula, reading the powers of t in ``memo`` (see
         :func:`rdcert.profiles._power`):
@@ -173,18 +172,13 @@ class Certificate:
         ===========  =============================  ===================================
 
         Both are new values (a numpy scalar for a 0-d t) or mu'/mu the
-        float nu.  Taken in logs,
-        one log and one exp are cheaper than numpy's power, and past the
-        double range it reads inf or 0 rather than inf * 0.  With
-        ``valid_mu``, a table's mu that is not positive and finite on t
-        raises :class:`InvalidCertificateError` first; a parametric family's
-        mu is monotone, so :func:`check_certificate` decides that once from
-        its values at the grid's two ends."""
+        float nu.  Taken in logs, one log and one exp are cheaper than
+        numpy's power, and past the double range it reads inf or 0 rather
+        than inf * 0.  Whether mu is positive and finite is not checked here
+        (see :func:`check_certificate`)."""
         profile = self._profile()
         if self.family == "custom":
             mu = np.asarray(_values_at(profile, t, memo), dtype=float)
-            if valid_mu:
-                _require_valid(mu)
             return mu ** c, _derivative(profile, t, memo) / mu
         if self.family == "bounded":
             mu = _values_at(profile, t, memo)  # a new array, reading (1 + t)**-nu
@@ -229,10 +223,9 @@ class Certificate:
 # Comparison equation: two cumulative quadratures, blow-up where J = 1
 # ---------------------------------------------------------------------------
 
-# Cap on log J'.  It keeps J' and J finite on the grid's nodes past an
-# escape.  A log J'(0) past it puts the escape within exp(-200) time units,
-# inside the first panel: there J's expansion gives it (see _Expansion).
-_LOG_RATE_CAP = 200.0
+# A log J'(0) past this puts the escape within exp(-200) time units, inside
+# the first panel: there J's expansion gives it (see _Expansion).
+_EXPANSION_LOG_RATE = 200.0
 # Intervals of the first grid (at least 4 a segment), and the most the
 # doubling may reach.
 _FIRST_INTERVALS = 64
@@ -253,8 +246,10 @@ class ComparisonSolution:
     _q: float
 
     def value(self, t: float) -> float:
-        """Evaluate at one time; returns inf beyond a detected blow-up."""
-        if self.blowup_time is not None and t >= self.blowup_time:
+        """Evaluate at one time; returns inf at a t > 0 at or past a
+        detected blow-up, and g0 at t = 0 even when the blow-up time
+        underflows to 0."""
+        if self.blowup_time is not None and t >= self.blowup_time and t > 0.0:
             return math.inf
         if not -1e-12 <= t <= self._end + 1e-12:
             raise ValueError(f"time {t} outside the integrated range")
@@ -313,7 +308,7 @@ class _Quadrature:
 @dataclass
 class _Expansion:
     """(Sigma, J, 1 - J) of :class:`_Quadrature` on [0, t_star] for an
-    escape t_star = 1 / J'(0) below exp(-_LOG_RATE_CAP): the first terms
+    escape t_star = 1 / J'(0) below exp(-_EXPANSION_LOG_RATE): the first terms
     Sigma = sigma(0) t and J = J'(0) t, whose relative error over so short a
     time is of the order of sigma t_star."""
 
@@ -330,10 +325,11 @@ def _hermite(values, slopes, i, weights):
     return values[i] * w00 + slopes[i] * w10 + values[i + 1] * w01 + slopes[i + 1] * w11
 
 
-def _breaks(problem: ScalarProblem, end: float) -> np.ndarray:
-    """0, the knots of sigma's and alpha's tables inside (0, end), and end:
-    between two of them both coefficients are smooth, as far as can be seen."""
-    knots = np.concatenate([_table_knots(problem.sigma), _table_knots(problem.alpha)])
+def _breaks(end: float, *profiles: ProfileLike) -> np.ndarray:
+    """0, the knots of the profiles' tables inside (0, end), and end: between
+    two of them each profile is smooth, as far as can be seen, and a table
+    is linear."""
+    knots = np.concatenate([_table_knots(profile) for profile in profiles])
     return np.unique(np.concatenate([[0.0], knots[(knots > 0.0) & (knots < end)], [end]]))
 
 
@@ -389,10 +385,13 @@ def _quadrature(problem: ScalarProblem, c: float, log_rate0: float, end: float,
     estimate of g's relative error is at most tol (see :func:`_estimate`).
     The grid's segments end at the knots of the coefficients' tables, where
     a slope may jump.  Each doubling evaluates sigma and alpha at the new
-    midpoints only.  A log J'(0) past _LOG_RATE_CAP gives their
-    :class:`_Expansion` instead."""
+    midpoints only.  A log J'(0) past _EXPANSION_LOG_RATE gives their
+    :class:`_Expansion` instead.  log J' is capped at 700 - max(0, log end),
+    so past an escape J' stays at most e**cap, J at most 2 end e**cap and
+    an odd node's panel combination at most 34 e**cap: all finite."""
     sigma, alpha = problem.sigma_fn(), problem.alpha_fn()
-    breaks = _breaks(problem, end)
+    breaks = _breaks(end, problem.sigma, problem.alpha)
+    log_rate_cap = 700.0 - max(0.0, math.log(end))
     # intervals a segment: about _FIRST_INTERVALS in all, even, at least 4
     m = max(4, 2 * -(-_FIRST_INTERVALS // (2 * (len(breaks) - 1))))
     t = np.append(_nodes(breaks, m, np.arange(m)), end)
@@ -400,7 +399,7 @@ def _quadrature(problem: ScalarProblem, c: float, log_rate0: float, end: float,
     with np.errstate(divide="ignore"):  # log 0 = -inf: J' = 0 where alpha = 0
         log_alpha = np.log(_coefficient("alpha", alpha, t))
     log_start = float(log_alpha[0]) + log_rate0  # log J'(0)
-    if log_start > _LOG_RATE_CAP:
+    if log_start > _EXPANSION_LOG_RATE:
         return _Expansion(float(s[0]), math.exp(-log_start))
     previous = None
     while True:
@@ -410,7 +409,7 @@ def _quadrature(problem: ScalarProblem, c: float, log_rate0: float, end: float,
         rate = big_sigma * -c
         rate += log_alpha
         rate += log_rate0
-        np.exp(np.minimum(rate, _LOG_RATE_CAP, out=rate), out=rate)
+        np.exp(np.minimum(rate, log_rate_cap, out=rate), out=rate)
         j, rate_panels = _cumulative_simpson(rate, steps, m)
         escape = int(np.argmax(j >= 1.0))
         level = _Quadrature(t, s, rate, big_sigma, j, escape if j[escape] >= 1.0 else None)
@@ -470,14 +469,17 @@ def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
     Hermite interpolant (J' is the integrand) between the two nodes around
     it; the same interpolants give g between the nodes.  An escape in the
     first half of the grid is solved again on [0, node past the crossing],
-    so the grid resolves the time before it.  Where J'(0) exceeds exp(200),
-    the escape lies within exp(-200) of t = 0, and J = J'(0) t and
-    Sigma = sigma(0) t give it and g before it, to a relative error of the
-    order of sigma times the escape time.  Values past the double range
-    read inf.  Blow-up is a reported outcome, not an error; a sigma or alpha
-    that is not finite at a node is a ValueError naming that time.  The grid
-    cannot see the kinks of a plain callable, where the rule converges only
-    as h**2; a grid past 2**20 intervals is a RuntimeError.
+    so the grid resolves the time before it.  log J' is capped at
+    700 - max(0, log end) on [0, end], which keeps J' and J finite past an
+    escape.  Where J'(0) exceeds exp(200), the escape lies within exp(-200)
+    of t = 0, and J = J'(0) t and Sigma = sigma(0) t give it and g before
+    it, to a relative error of the order of sigma times the escape time; a
+    blow-up time that underflows to 0 leaves g(0) = g0.  Values past the
+    double range read inf.  Blow-up is a reported outcome, not an error; a
+    sigma or alpha that is not finite at a node is a ValueError naming that
+    time.  The grid cannot see the kinks of a plain callable, where the
+    rule converges only as h**2; a grid past 2**20 intervals is a
+    RuntimeError.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be finite and positive")
@@ -615,9 +617,9 @@ class CertificateReport:
 
     ``passed`` requires the growth-condition residual to stay >= -tol on the
     grid (after local refinement of the worst point) and the initial-value
-    slack 1 - mu(0) g(0) to be >= -tol.  The check keeps only this verdict:
-    :attr:`residuals`, the residual at each of the grid's :attr:`times`, is
-    evaluated again on first read.
+    slack 1 - mu(0) g(0) to be >= -tol.  The report holds the verdict and
+    where it was decided, not the residuals: ``growth_residual(problem,
+    cert, report.times)`` gives them.
     """
 
     passed: bool
@@ -629,48 +631,42 @@ class CertificateReport:
     horizon: float
     failed_condition: Optional[str]       # "initial_condition" | "residual"
     first_violation_t: Optional[float]
-    _problem: ScalarProblem = field(repr=False, compare=False)
-    _cert: Certificate = field(repr=False, compare=False)
 
     @property
     def times(self) -> np.ndarray:
         """The grid, ``np.linspace(0, horizon, grid_points)``, formed on each read."""
         return np.linspace(0.0, self.horizon, self.grid_points)
 
-    @cached_property
-    def residuals(self) -> np.ndarray:
-        """The residual at each of the grid's :attr:`times`, evaluated block
-        by block on first read, as the check evaluated it, and then kept."""
-        out = np.empty(self.grid_points)
-        for block in _blocks(self.grid_points):
-            out[block] = _residual(self._problem, self._cert,
-                                   _grid_block(0.0, self.horizon, self.grid_points, block))
-        return out
-
 
 def growth_residual(problem: ScalarProblem, cert: Certificate, t: TimeLike) -> np.ndarray:
     """r(t) = mu**(q-1) (sigma - mu'/mu) - alpha: the growth condition of the
-    certificate holds at t iff r(t) >= 0.  For a large q the power may
-    overflow to inf; that is the residual's value, so it is not warned about."""
+    certificate holds at t iff r(t) >= 0.  A 1-D t is evaluated in blocks of
+    _BLOCK times into one new array, so that each block's temporaries stay
+    in cache; the values are those of one whole-array evaluation.  For
+    a large q the power may overflow to inf; that is the residual's value,
+    so it is not warned about."""
     t = np.asarray(t, dtype=float)
     _check_times(t)
-    return _residual(problem, cert, t)
+    if t.ndim != 1:
+        return _residual(problem, cert, t)
+    out = np.empty(len(t))
+    for block in _blocks(len(t)):
+        out[block] = _residual(problem, cert, t[block])
+    return out
 
 
 def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
-              valid_mu: bool = False, on_block=None) -> np.ndarray:
+              on_block=None) -> np.ndarray:
     """:func:`growth_residual` at the float array t of checked times:
     mu**(q-1) and mu'/mu (see :meth:`Certificate._growth_terms`), sigma and
     alpha are evaluated in that order, all sharing one memo of the powers of
     t (see :func:`rdcert.profiles._power`), so each (1 + t)**e and
     exp(rate t) is computed once.  A profile that does not vary stays one
-    number.  With ``valid_mu``, a table weight's mu that is not positive and
-    finite raises :class:`InvalidCertificateError` before sigma is
-    evaluated.  ``on_block``, when given, is called with t, the memo and
+    number.  ``on_block``, when given, is called with t, the memo and
     alpha's values once alpha is checked."""
     memo = {}
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in mu' past the range: nan
-        r, log_derivative = cert._growth_terms(t, problem.q - 1.0, memo, valid_mu)
+        r, log_derivative = cert._growth_terms(t, problem.q - 1.0, memo)
     # sigma - mu'/mu, into mu'/mu when that is a new array; sigma's own array
     # is then free for alpha's, so a block touches fewer fresh pages
     slack = np.asarray(_values_at(problem.sigma, t, memo), dtype=float)
@@ -692,20 +688,18 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
                       _on_block=None) -> CertificateReport:
     """Evaluate both certificate conditions on a dense time grid.
 
-    The residual is :func:`growth_residual` on the grid
-    ``np.linspace(0, horizon, grid_points)``, whose points are formed and
-    evaluated block by block so that each block's temporaries stay in cache.
-    No residual is stored: each block updates the grid minimum and the first
-    point below -tol, which equal the whole-grid ones bit for bit, and the
-    report evaluates :attr:`CertificateReport.residuals` again if they are
-    read.  The errors keep the whole-grid formula's precedence: a mu that is
-    not positive and finite somewhere on the grid raises
-    :class:`InvalidCertificateError` even when sigma or alpha fails in an
-    earlier block.  A parametric weight is monotone, so its two values at 0
-    and the horizon decide that before the first block; a table weight is
-    checked in every block.  The grid minimum is sharpened by bounded scalar
-    minimization between its neighbours, and the first sign change is
-    located by bisection so failures carry a meaningful time.
+    First, mu must be positive and finite on all of [0, horizon], else
+    :class:`InvalidCertificateError` is raised before sigma or alpha is
+    evaluated.  Each parametric weight is monotone and a table weight is
+    linear between its knots, so mu's values at 0, at the horizon and at
+    the table's knots between them decide that exactly.  Then the verdict
+    reads the residual of :func:`growth_residual` on the grid
+    ``np.linspace(0, horizon, grid_points)``: its minimum, sharpened by
+    bounded scalar minimization between the minimum's neighbours, and its
+    first point below -tol, from which bisection locates the first sign
+    change, so a failure carries a meaningful time.  The grid is formed and
+    evaluated block by block and no residual is kept; the verdict and the
+    errors are those of one whole-grid evaluation.
     """
     # _on_block(t, memo, alpha), private to rdcert.scenarios, reads each
     # block's times, powers of t and alpha (see _residual)
@@ -713,9 +707,8 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
         raise ValueError("horizon must be finite and positive")
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
-    if cert.family != "custom":
-        _require_valid(np.asarray(_values_at(cert._profile(), np.array([0.0, horizon]), {}),
-                                  dtype=float))
+    weight = cert._profile()
+    _require_valid(np.asarray(_values_at(weight, _breaks(horizon, weight), {}), dtype=float))
     # the first smallest residual (a NaN wins, as in np.argmin), and the first
     # one below -tol with the one before it (None at t = 0)
     i_min, worst_residual = 0, math.inf
@@ -723,13 +716,13 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
     for block in _blocks(grid_points):
         t = _grid_block(0.0, horizon, grid_points, block)
         try:
-            r = _residual(problem, cert, t, True, _on_block)
+            r = _residual(problem, cert, t, _on_block)
         except Exception:
             # Earlier blocks raised nothing, so the whole-grid evaluation of
-            # the rest raises what the whole grid would: mu's errors first.
+            # the rest raises what the whole grid would: sigma's errors
+            # before alpha's, wherever on the grid each arises.
             _residual(problem, cert,
-                      _grid_block(0.0, horizon, grid_points, slice(block.start, grid_points)),
-                      True)
+                      _grid_block(0.0, horizon, grid_points, slice(block.start, grid_points)))
             raise
         i = int(r.argmin())
         low = float(r[i])
@@ -783,8 +776,7 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
         passed=bool(initial_ok and residual_ok),
         worst_residual=worst_residual, worst_t=worst_t, c9_slack=c9_slack,
         tol=tol, grid_points=grid_points, horizon=horizon,
-        failed_condition=failed_condition, first_violation_t=first_violation_t,
-        _problem=problem, _cert=cert)
+        failed_condition=failed_condition, first_violation_t=first_violation_t)
 
 
 def verify_envelope(times, g, cert: Certificate, slack: float = 0.02) -> np.ndarray:

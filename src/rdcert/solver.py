@@ -56,7 +56,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .grid import (Field, Grid1D, NormSet, _carve, _norm_rows, _norm_shapes, _scratch_len,
+from .grid import (Field, Grid1D, _carve, _norm_rows, _norm_shapes, _scratch_len,
                    norms_from_values, quadrature_weights)
 from .profiles import (KineticsSpec, TimeProfile, _check_state, _finite, _reaction_into,
                        coefficient_table, effective_c0, eval_profile, gamma_of_t,
@@ -130,10 +130,6 @@ class Trajectory:
     def g(self) -> np.ndarray:
         """L2 norm series, the quantity the comparison inequality bounds."""
         return self.l2
-
-    def norms(self, i: int) -> NormSet:
-        return NormSet(l2=float(self.l2[i]), sup=float(self.sup[i]),
-                       h1_semi=float(self.h1_semi[i]), h2=float(self.h2[i]))
 
 
 def _diffusion_table(sys: SystemSpec, times: np.ndarray) -> np.ndarray:

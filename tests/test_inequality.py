@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from rdcert.inequality import (Certificate, InvalidCertificateError, ScalarProblem,
+from rdcert.inequality import (Certificate, InvalidCertificateError, ScalarProblem, _residual,
                                bernoulli_blowup_time, bernoulli_closed_form,
                                check_certificate, comparison_solve, growth_residual,
                                verify_envelope)
@@ -140,8 +140,8 @@ class TestComparisonSolve:
     @example(log_g0=86.0, q=3.0, sigma=1.0, alpha=1.0)    # log J'(0) = 396.7
     @example(log_g0=43.0, q=3.0, sigma=1.0, alpha=1.0)    # log J'(0) = 198.7, under the cap
     def test_huge_initial_value_blows_up_at_the_closed_form_time(self, log_g0, q, sigma, alpha):
-        # a log J'(0) past the rate cap puts the escape in the first panel,
-        # where it is taken from J = J'(0) t; the cap once moved it to 1.4e-87
+        # a log J'(0) past 200 puts the escape in the first panel, where it
+        # is taken from J = J'(0) t; a cap of 200 once moved it to 1.4e-87
         g0 = 10.0 ** log_g0
         tstar = bernoulli_blowup_time(sigma, alpha, q, g0)
         assume(tstar is not None and sys.float_info.min <= tstar < 5.0)
@@ -151,6 +151,25 @@ class TestComparisonSolve:
         half = 0.5 * sol.blowup_time
         assert sol.value(half) == pytest.approx(
             bernoulli_closed_form(sigma, alpha, q, g0, half), rel=1e-6)
+
+    def test_blowup_time_underflowing_to_zero_keeps_g0_at_zero(self):
+        # the escape near 1e-600 reads 0.0, yet g(0) is g0
+        sol = comparison_solve(ScalarProblem(sigma=CONST(0.5), alpha=CONST(2.0), q=3.0,
+                                             g0=1e300), 1.0)
+        assert sol.blowup_time == 0.0
+        assert sol.value(0.0) == pytest.approx(1e300, rel=1e-12)
+        assert sol.value(1e-300) == math.inf
+
+    def test_rate_rising_past_exp_200_before_the_escape(self):
+        # alpha = t near 0, so J'(0) = 0 and J = g0 t**2 / 2 (sigma's factor
+        # is 1 to 1e-149): the escape at sqrt(2 / g0), where J' is about
+        # 1.4e150, and g = 4/3 g0 at half of it
+        g0 = 1e300
+        prob = ScalarProblem(sigma=CONST(-5.0), q=2.0, g0=g0,
+                             alpha=TimeProfile.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 1.0]))
+        sol = comparison_solve(prob, 2.0)
+        assert sol.blowup_time == pytest.approx(math.sqrt(2.0 / g0), rel=1e-13)
+        assert sol.value(0.5 * sol.blowup_time) == pytest.approx(4.0 / 3.0 * g0, rel=1e-13)
 
     def test_monotone_in_alpha(self):
         # pointwise larger alpha gives a pointwise larger solution
@@ -562,14 +581,13 @@ class TestBlockedCheck:
     def assert_matches(self, problem, cert, horizon, n, tol=1e-12):
         rep = check_certificate(problem, cert, horizon, grid_points=n, tol=tol)
         residuals, worst, worst_t, first = whole_grid_check(problem, cert, horizon, n, tol)
-        # the verdict is streamed; the residuals are formed on first read
-        assert "residuals" not in vars(rep)
+        # the verdict is streamed; growth_residual on the report's times
+        # gives the whole-grid residuals
         assert np.array_equal([rep.worst_residual], [worst], equal_nan=True)
         assert rep.worst_t == worst_t
         assert rep.first_violation_t == first
         assert rep.passed == (worst >= -tol)
-        assert rep.residuals.tobytes() == residuals.tobytes()
-        assert rep.residuals is rep.residuals  # kept after the first read
+        assert growth_residual(problem, cert, rep.times).tobytes() == residuals.tobytes()
         return rep
 
     @pytest.mark.parametrize("n", [2] + BLOCKED_SIZES, ids=["2"] + BLOCKED_IDS)
@@ -597,7 +615,7 @@ class TestBlockedCheck:
         problem = ScalarProblem(sigma=CONST(1.0), alpha=spike(horizon, n, edge, height),
                                 q=1.25, g0=1.0)
         rep = self.assert_matches(problem, cert, horizon, n)
-        assert int(np.argmin(rep.residuals)) == edge
+        assert int(np.argmin(growth_residual(problem, cert, rep.times))) == edge
         assert rep.passed == (dip > 0.0)
         if not rep.passed:
             assert rep.times[edge - 1] < rep.first_violation_t < rep.times[edge]
@@ -623,8 +641,10 @@ class TestBlockedCheck:
         alpha = TimeProfile.tabulated(knots + [horizon], [0.0, 0.0, 1.0 - dip, 0.0,
                                                           0.0, 1.0 - dip, 0.0, 0.0])
         problem = ScalarProblem(sigma=CONST(1.0), alpha=alpha, q=1.25, g0=1.0)
-        rep = self.assert_matches(problem, Certificate.exponential(1.0, 0.0), horizon, n)
-        assert rep.residuals[first] == rep.residuals[second] == rep.worst_residual == dip
+        cert = Certificate.exponential(1.0, 0.0)
+        rep = self.assert_matches(problem, cert, horizon, n)
+        residuals = growth_residual(problem, cert, rep.times)
+        assert residuals[first] == residuals[second] == rep.worst_residual == dip
         assert rep.worst_t == ts[first]
 
     @pytest.mark.parametrize("violation", ["none", "block-0", "same-block"])
@@ -663,6 +683,22 @@ class TestBlockedCheck:
             problem = ScalarProblem(sigma=CONST(1.0), alpha=alpha, q=1.25, g0=1.0)
             with pytest.raises(InvalidCertificateError):
                 check_certificate(problem, cert, horizon, n)
+
+    def test_table_weight_invalid_only_between_grid_points(self):
+        # mu is 1 at every grid point and -1 at the knot 0.15, between the
+        # grid points 0.1 and 0.2: mu at the table's knots decides it before
+        # sigma or alpha is read
+        calls = []
+
+        def coefficient(t):
+            calls.append(t)
+            return np.ones_like(np.asarray(t, dtype=float))
+        cert = Certificate.from_table([0.0, 0.14, 0.15, 0.16, 1.0], [1.0, 1.0, -1.0, 1.0, 1.0])
+        problem = ScalarProblem(sigma=coefficient, alpha=coefficient, q=1.25, g0=1.0)
+        assert np.all(cert.mu(np.linspace(0.0, 1.0, 11)) == 1.0)
+        with pytest.raises(InvalidCertificateError):
+            check_certificate(problem, cert, 1.0, grid_points=11)
+        assert calls == []
 
     def test_invalid_mu_in_a_later_block_outranks_alpha_in_block_0(self):
         # alpha < 0 fails in block 0; mu = (1+t)**775 overflows past t = 1.5, in block 2
@@ -735,21 +771,33 @@ class TestBlockedCheck:
     def test_shared_powers_match_whole_grid_custom(self, n, data):
         self.assert_shared_powers_match(data, "custom", n)
 
+    @pytest.mark.parametrize("n", BLOCKED_SIZES, ids=BLOCKED_IDS)
+    @pytest.mark.parametrize("family", ["exponential", "power", "bounded", "custom"])
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_growth_residual_blocks_match_one_evaluation(self, family, n, data):
+        # on unsorted times that are no linspace, growth_residual's blocks
+        # give the residuals of one whole-array evaluation bit for bit
+        problem, cert, horizon, _ = self.shared_powers_case(data, family)
+        times = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(
+            0.0, horizon, n)
+        whole = _residual(problem, cert, times)
+        assert growth_residual(problem, cert, times).tobytes() == whole.tobytes()
+
     def test_stores_only_the_residuals(self):
-        # read from the report, the residuals take 8 bytes a point, plus
-        # cache-sized block temporaries: the grid's times are formed block by
-        # block and never stored
+        # beyond its input, growth_residual takes the residuals' 8 bytes a
+        # point, plus cache-sized block temporaries
         n = 1_000_000
         problem = ScalarProblem(sigma=CONST(1.0), alpha=TimeProfile.power_decay(0.1, 1.0),
                                 q=1.25, g0=1.0)
+        times = np.linspace(0.0, 10.0, n)
         tracemalloc.start()
         try:
-            rep = check_certificate(problem, Certificate.power(1.0, 0.5), 10.0, n)
-            assert len(rep.residuals) == n
+            residuals = growth_residual(problem, Certificate.power(1.0, 0.5), times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.passed
+        assert len(residuals) == n and residuals.min() >= 0.0
         assert peak / n < 13.0
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
