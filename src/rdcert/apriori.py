@@ -32,9 +32,12 @@ _DIMENSION = 1
 
 _LOG_MAX = math.log(np.finfo(float).max)
 
-# A constant barrier's sign condition is checked at this many evenly spaced
-# times over the horizon.
+# Evenly spaced times at which a constant barrier's sign condition is checked
+# and a paraboloid's diffusion infimum taken, and find_constant_upper's
+# geometric candidate levels.
 _SIGN_TIMES = 33
+_DIFFUSION_TIMES = 513
+_CANDIDATE_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -82,19 +85,19 @@ class PointwiseViolation(NamedTuple):
 
 
 def build_paraboloid(m1: float, diffusion: Sequence[TimeProfile], L: float,
-                     u0: Field, horizon: float, t_samples: int = 513) -> UpperSolution:
+                     u0: Field, horizon: float) -> UpperSolution:
     """Certified paraboloid barrier v(x) = -a x^2 + b for a Dirichlet problem
     whose reaction magnitude never exceeds ``m1``.
 
     Chooses a = m1 / (2 * inf_t min_i d_i(t)) so the barrier's diffusion
-    deficit dominates the reaction for every component at all sampled times,
+    deficit dominates the reaction for every component at 513 sampled times,
     then b large enough that the zero set of v contains (0, L) and v dominates
     the initial data.  Fails when the diffusion infimum vanishes over the
     horizon (nothing to push the barrier down against).
     """
     if m1 < 0.0:
         raise ValueError("reaction bound m1 must be >= 0")
-    ts = np.linspace(0.0, horizon, t_samples)
+    ts = np.linspace(0.0, horizon, _DIFFUSION_TIMES)
     d_inf = min(float(np.min(np.asarray(eval_profile(p, ts), dtype=float)))
                 for p in diffusion)
     if d_inf <= 0.0:
@@ -176,9 +179,8 @@ def _sign_bounds(kin: KineticsSpec, levels: np.ndarray, u_max: float,
 
 
 def find_constant_upper(kin: KineticsSpec, u_max: float, horizon: float,
-                        min_level: float = 0.0,
-                        candidates: int = 64) -> Optional[UpperSolution]:
-    """The smallest of ``candidates`` geometric levels up to u_max whose
+                        min_level: float = 0.0) -> Optional[UpperSolution]:
+    """The smallest of 64 geometric levels up to u_max whose
     constant barrier passes the sign condition (single equation only), or
     None when none does, phi is not positive at a checked time or a profile
     rejects one.  Every level's bound is formed in one array.
@@ -188,10 +190,10 @@ def find_constant_upper(kin: KineticsSpec, u_max: float, horizon: float,
     """
     if kin.n_components != 1:
         raise ValueError("automatic level search only supports single equations")
-    lo = max(u_max / candidates, min_level, 1e-12)
+    lo = max(u_max / _CANDIDATE_LEVELS, min_level, 1e-12)
     if lo > u_max:
         return None
-    levels = np.geomspace(lo, u_max, candidates)
+    levels = np.geomspace(lo, u_max, _CANDIDATE_LEVELS)
     try:
         bound = _sign_bounds(kin, levels, u_max, horizon)[1]
     except ValueError:
@@ -202,15 +204,13 @@ def find_constant_upper(kin: KineticsSpec, u_max: float, horizon: float,
     return constant_upper_solution(kin, [levels[passing[0]]], u_max, horizon)
 
 
-def verify_pointwise_bound(traj: Trajectory, us: UpperSolution,
-                           tol: Optional[float] = None) -> list:
+def verify_pointwise_bound(traj: Trajectory, us: UpperSolution) -> list:
     """All recorded (t, x, component) points where the trajectory escapes the
-    barrier, above v or below -v.  Empty list means the bound holds."""
+    barrier by more than 1e-9 max(1, max |v|), above v or below -v."""
     vals = traj.states
     xs = traj.grid.x
     bound = us.bound_at(xs, vals.shape[1])
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(bound))))
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(bound))))
     outside = (vals > bound + tol) | (vals < -bound - tol)
     # nonzero walks snapshots, then components, then nodes: the order of a
     # snapshot-by-snapshot scan

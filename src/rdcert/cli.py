@@ -97,7 +97,11 @@ def main(argv=None) -> int:
         if args.grid_points is not None:
             cfg.values["theorem"]["grid_points"] = parse_value(
                 "theorem", "grid_points", args.grid_points)
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a path under one
+            print(f"usage error: --out {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
         out = Path(args.out)
         code = args.func(cfg, out, args)
     except BlowUpError as exc:  # a reportable outcome, not a crash

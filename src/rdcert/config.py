@@ -304,7 +304,10 @@ def build_initial(cfg: RunConfig, grid: Grid1D, n_components: int,
     # file(path): snapshot CSV with columns x, u1, ..., un
     if len(args) != 1:
         raise ConfigError("[run].ic: file takes one argument, file(path)")
-    data = np.genfromtxt(args[0], delimiter=",", names=True)
+    try:
+        data = np.genfromtxt(args[0], delimiter=",", names=True)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"[run].ic: cannot read {args[0]!r}: {exc.strerror or exc}") from exc
     if data.dtype.names is None or data.dtype.names[0] != "x":
         raise ConfigError("[run].ic: snapshot file needs columns x, u1, ...")
     xs = np.asarray(data["x"], dtype=float)

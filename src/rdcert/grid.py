@@ -278,7 +278,8 @@ def lp_integrals(values: np.ndarray, grid: Grid1D, exponent: float) -> np.ndarra
 
 def poincare_constant(grid: Grid1D) -> float:
     """Best constant c with c ||u||^2 <= ||u'||^2: (pi/L)^2 for Dirichlet fields,
-    0 under Neumann (constants are in the kernel)."""
+    0 under Neumann (constants are in the kernel).  Reads only ``L`` and
+    ``bc``, so it takes a :class:`rdcert.scenarios.ScenarioInputs` as well."""
     if grid.bc == "dirichlet":
         return (math.pi / grid.L) ** 2
     return 0.0

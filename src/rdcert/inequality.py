@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -113,6 +113,7 @@ class Certificate:
     nu: float = 0.0
     m: float = 0.0
     table: Optional[np.ndarray] = None
+    _weight: TimeProfile = field(init=False, repr=False, compare=False)  # mu, formed once
 
     def __post_init__(self):
         if self.family not in ("exponential", "power", "bounded", "custom"):
@@ -125,6 +126,14 @@ class Certificate:
             if self.table is None:
                 raise ValueError("custom certificates carry a (t, mu) table")
             object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
+            weight = TimeProfile.tabulated(self.table[:, 0], self.table[:, 1])
+        elif self.family == "exponential":
+            weight = TimeProfile.exponential(self.mu0, self.nu)
+        elif self.family == "power":
+            weight = TimeProfile.power_growth(self.mu0, self.m)
+        else:
+            weight = TimeProfile.power_decay(self.mu1, self.nu, offset=self.mu0)
+        object.__setattr__(self, "_weight", weight)
 
     @staticmethod
     def exponential(mu0: float, nu: float) -> "Certificate":
@@ -144,18 +153,8 @@ class Certificate:
                            table=np.column_stack([np.asarray(times, float),
                                                   np.asarray(values, float)]))
 
-    def _profile(self) -> TimeProfile:
-        if self.family == "exponential":
-            return TimeProfile.exponential(self.mu0, self.nu)
-        if self.family == "power":
-            return TimeProfile.power_growth(self.mu0, self.m)
-        if self.family == "bounded":
-            return TimeProfile.power_decay(self.mu1, self.nu, offset=self.mu0)
-        return TimeProfile.tabulated(self.table[:, 0], self.table[:, 1])
-
     def mu(self, t: TimeLike) -> TimeLike:
-        from .profiles import eval_profile
-        return eval_profile(self._profile(), t)
+        return self._weight(t)
 
     def _growth_terms(self, t: np.ndarray, c: float, memo: dict):
         """mu**c and mu'/mu at the checked float array t, each family's
@@ -176,7 +175,7 @@ class Certificate:
         numpy's power, and past the double range it reads inf or 0 rather
         than inf * 0.  Whether mu is positive and finite is not checked here
         (see :func:`check_certificate`)."""
-        profile = self._profile()
+        profile = self._weight
         if self.family == "custom":
             mu = np.asarray(_values_at(profile, t, memo), dtype=float)
             return mu ** c, _derivative(profile, t, memo) / mu
@@ -234,35 +233,37 @@ _MAX_INTERVALS = 1 << 20
 
 @dataclass
 class ComparisonSolution:
-    """Sampled majorant trajectory; blowup_time is None when g exists on the
-    whole horizon."""
+    """The majorant g on [0, end]; blowup_time is None when g exists on the
+    whole horizon, and end is then the horizon."""
 
-    times: np.ndarray
-    values: np.ndarray
     blowup_time: Optional[float]
-    _dense: Optional[Callable]  # t -> (Sigma, J, 1 - J); None when g0 = 0
+    _dense: Optional[Callable]  # t -> (Sigma, J); None when g0 = 0
     _end: float
     _g0: float
     _q: float
 
-    def value(self, t: float) -> float:
-        """Evaluate at one time; returns inf at a t > 0 at or past a
-        detected blow-up, and g0 at t = 0 even when the blow-up time
-        underflows to 0."""
-        if self.blowup_time is not None and t >= self.blowup_time and t > 0.0:
-            return math.inf
-        if not -1e-12 <= t <= self._end + 1e-12:
-            raise ValueError(f"time {t} outside the integrated range")
-        return float(self._sample(np.array([t], dtype=float))[0])
-
-    def _sample(self, ts: np.ndarray) -> np.ndarray:
+    def value(self, t: TimeLike) -> TimeLike:
+        """g at a float time t, or at each time of an array t (an array of
+        t's shape), each with the bits of its own one-time call: inf at a
+        t > 0 at or past a detected blow-up, g0 at t = 0 even when the
+        blow-up time underflows to 0, and a ValueError for a time outside
+        [0, end] before the blow-up."""
+        ts = np.array(t, dtype=float, ndmin=1)
+        blown = (np.zeros(ts.shape, dtype=bool) if self.blowup_time is None
+                 else (ts > 0.0) & (ts >= self.blowup_time))
+        inside = (ts >= -1e-12) & (ts <= self._end + 1e-12) | blown
+        if not inside.all():
+            bad = t if np.ndim(t) == 0 else float(ts[np.argmin(inside)])
+            raise ValueError(f"time {bad} outside the integrated range")
         if self._dense is None:
-            return np.zeros_like(ts)
-        big_sigma, j, _ = self._dense(np.clip(ts, 0.0, self._end))
-        with np.errstate(over="ignore", divide="ignore"):
-            log_g = (math.log(self._g0) - big_sigma
-                     - np.log1p(-np.minimum(j, 1.0)) / (self._q - 1.0))
-            return np.exp(log_g)
+            g = np.zeros_like(ts)
+        else:
+            big_sigma, j = self._dense(np.clip(ts, 0.0, self._end))
+            with np.errstate(over="ignore", divide="ignore"):
+                g = np.exp(math.log(self._g0) - big_sigma
+                           - np.log1p(-np.minimum(j, 1.0)) / (self._q - 1.0))
+        g[blown] = math.inf
+        return float(g[0]) if np.ndim(t) == 0 else g.reshape(np.shape(t))
 
 
 @dataclass
@@ -278,7 +279,7 @@ class _Quadrature:
     escape: Optional[int]   # the first node with J >= 1
 
     def __call__(self, ts: np.ndarray):
-        """(Sigma, J, 1 - J) at the times ts in [0, t[-1]], from the cubic
+        """(Sigma, J) at the times ts in [0, t[-1]], from the cubic
         Hermite interpolants of the node values and their slopes."""
         i = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.t) - 2)
         h = self.t[i + 1] - self.t[i]
@@ -288,7 +289,7 @@ class _Quadrature:
         weights = ((1.0 + 2.0 * u) * v * v, h * u * v * v, u * u * (3.0 - 2.0 * u), -h * u * u * v)
         big_sigma = _hermite(self.big_sigma, self.sigma, i, weights)
         j = _hermite(self.j, self.rate, i, weights)
-        return big_sigma, j, 1.0 - j
+        return big_sigma, j
 
     def blowup_time(self) -> float:
         """The root of the interpolant's J = 1 between the escape node and
@@ -307,7 +308,7 @@ class _Quadrature:
 
 @dataclass
 class _Expansion:
-    """(Sigma, J, 1 - J) of :class:`_Quadrature` on [0, t_star] for an
+    """(Sigma, J) of :class:`_Quadrature` on [0, t_star] for an
     escape t_star = 1 / J'(0) below exp(-_EXPANSION_LOG_RATE): the first terms
     Sigma = sigma(0) t and J = J'(0) t, whose relative error over so short a
     time is of the order of sigma t_star."""
@@ -317,7 +318,7 @@ class _Expansion:
 
     def __call__(self, ts: np.ndarray):
         j = np.divide(ts, self.t_star, out=np.zeros_like(ts), where=ts > 0.0)
-        return ts * self.sigma0, j, 1.0 - j
+        return ts * self.sigma0, j
 
 
 def _hermite(values, slopes, i, weights):
@@ -451,8 +452,8 @@ def _estimate(previous, sigma_panels: np.ndarray, rate_panels: np.ndarray,
     return float(d_sigma + d_j / (c * (1.0 - level.j[4 * kept]))) / 15.0
 
 
-def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
-                     samples: int = 2001) -> ComparisonSolution:
+def comparison_solve(problem: ScalarProblem, horizon: float,
+                     tol: float = 1e-10) -> ComparisonSolution:
     """Integrate g' = -sigma(t) g + alpha(t) g**q from g(0) = g0.
 
     The equation is Bernoulli: w = g**(1-q) obeys a linear equation, which an
@@ -467,7 +468,8 @@ def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
     error, |dSigma| + |dJ| / ((q-1)(1-J)), is at most tol.
     Finite blow-up is the first crossing of J = 1, the root of J's cubic
     Hermite interpolant (J' is the integrand) between the two nodes around
-    it; the same interpolants give g between the nodes.  An escape in the
+    it; the same interpolants give g between the nodes, evaluated only at
+    the times a caller passes to :meth:`ComparisonSolution.value`.  An escape in the
     first half of the grid is solved again on [0, node past the crossing],
     so the grid resolves the time before it.  log J' is capped at
     700 - max(0, log end) on [0, end], which keeps J' and J finite past an
@@ -485,8 +487,7 @@ def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
         raise ValueError("horizon must be finite and positive")
     q, g0 = problem.q, problem.g0
     if g0 == 0.0:
-        ts = np.linspace(0.0, horizon, samples)
-        return ComparisonSolution(ts, np.zeros_like(ts), None, None, horizon, g0, q)
+        return ComparisonSolution(None, None, horizon, g0, q)
 
     c = q - 1.0
     log_rate0 = math.log(c) + c * math.log(g0)  # log of (q-1) g0**(q-1)
@@ -501,12 +502,7 @@ def comparison_solve(problem: ScalarProblem, horizon: float, tol: float = 1e-10,
             level = shorter
         blowup_time = None if level.escape is None else level.blowup_time()
     end = horizon if blowup_time is None else blowup_time
-    ts = np.linspace(0.0, end, samples)
-    if blowup_time is not None:
-        ts = ts[:-1]  # the blow-up instant itself has no finite value
-    sol = ComparisonSolution(ts, np.empty_like(ts), blowup_time, level, end, g0, q)
-    sol.values = sol._sample(ts)
-    return sol
+    return ComparisonSolution(blowup_time, level, end, g0, q)
 
 
 def bernoulli_closed_form(sigma: float, alpha: float, q: float, g0: float,
@@ -707,7 +703,7 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
         raise ValueError("horizon must be finite and positive")
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
-    weight = cert._profile()
+    weight = cert._weight
     _require_valid(np.asarray(_values_at(weight, _breaks(horizon, weight), {}), dtype=float))
     # the first smallest residual (a NaN wins, as in np.argmin), and the first
     # one below -tol with the one before it (None at t = 0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Literal, NamedTuple, Optional, Union
 
@@ -99,18 +99,6 @@ class TimeProfile:
     def tabulated(times, values, positive: bool = False) -> "TimeProfile":
         table = np.column_stack([np.asarray(times, float), np.asarray(values, float)])
         return TimeProfile("tabulated", table=table, positive=positive)
-
-    def scaled(self, factor: float) -> "TimeProfile":
-        """Profile evaluating to factor * value(t); every kind is closed under scaling."""
-        if not math.isfinite(factor):
-            raise ValueError("scale factor must be finite")
-        positive = self.positive and factor > 0.0
-        if self.kind == "tabulated":
-            table = self.table.copy()
-            table[:, 1] *= factor
-            return replace(self, table=table, positive=positive)
-        return replace(self, v0=factor * self.v0, offset=factor * self.offset,
-                       positive=positive)
 
     @property
     def t_max(self) -> float:
@@ -424,13 +412,10 @@ def _finite(values: np.ndarray) -> bool:
     return math.isfinite(flat.dot(flat)) or bool(np.isfinite(values).all())
 
 
-def eval_reaction(kin: KineticsSpec, u, x=None, t: float = 0.0) -> np.ndarray:
-    """Evaluate F(u, t) at one point (u shape (n,)) or a batch (n, N).
-
-    The split-form reaction does not depend on the position: ``x`` is
-    accepted for callers that pass the nodes and is not used.  Exactly zero
-    at u = 0.
-    """
+def eval_reaction(kin: KineticsSpec, u, t: float = 0.0) -> np.ndarray:
+    """Evaluate F(u, t) at one point (u shape (n,)) or a batch (n, N); the
+    split-form reaction does not depend on the position.  Exactly zero at
+    u = 0."""
     u_arr = np.asarray(u, dtype=float)
     return _reaction_into(kin, u_arr, t, np.empty(u_arr.shape),
                           np.empty((1,) + u_arr.shape[1:]), np.empty(u_arr.shape))
@@ -585,22 +570,26 @@ def effective_c0(kin: KineticsSpec) -> ProfileSum:
     return ProfileSum(((1.0, (kin.modulation, kin.c0)),))
 
 
-def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float,
-                       u_samples: int = 2001, t_samples: int = 65,
-                       directions: int = 64, safety: float = 0.05) -> float:
+# reaction_sup_bound's samples: _SUP_STATES states on [-u_max, u_max] (for two
+# components, max(_SUP_STATES // _SUP_DIRECTIONS, 32) radii on each of
+# _SUP_DIRECTIONS rays) and _SUP_TIMES times, and its inflation for the gap
+_SUP_STATES, _SUP_DIRECTIONS, _SUP_TIMES, _SUP_SAFETY = 2001, 64, 65, 0.05
+
+
+def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float) -> float:
     """Sampled upper bound for sup |F(u, t)| over |u| <= u_max, t in [0, horizon].
 
-    The result is inflated by ``safety`` to absorb the sampling gap.  A u and
+    The result is inflated by 5 % to absorb the sampling gap.  A u and
     the saturation term of the sample states are computed once, and combined
     once per distinct c0 of the sample times; each sample time then only
     scales that peak by its |phi|.
     """
-    ts = np.linspace(0.0, horizon, t_samples)
+    ts = np.linspace(0.0, horizon, _SUP_TIMES)
     if kin.n_components == 1:
-        points = np.linspace(-u_max, u_max, u_samples)[None, :]
+        points = np.linspace(-u_max, u_max, _SUP_STATES)[None, :]
     else:
-        radii = np.linspace(0.0, u_max, max(u_samples // directions, 32))
-        angles = np.linspace(0.0, 2.0 * np.pi, directions, endpoint=False)
+        radii = np.linspace(0.0, u_max, max(_SUP_STATES // _SUP_DIRECTIONS, 32))
+        angles = np.linspace(0.0, 2.0 * np.pi, _SUP_DIRECTIONS, endpoint=False)
         points = np.concatenate(
             [np.stack([radii * np.cos(a), radii * np.sin(a)]) for a in angles], axis=1)
     if not np.all(np.isfinite(points)):
@@ -623,4 +612,4 @@ def reaction_sup_bound(kin: KineticsSpec, u_max: float, horizon: float,
             f = linear - c0 * damped
             peaks[c0] = math.sqrt(float(np.max(np.sum(f * f, axis=0))))
         worst = max(worst, abs(phi) * peaks[c0])
-    return worst * (1.0 + safety)
+    return worst * (1.0 + _SUP_SAFETY)

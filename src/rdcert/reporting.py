@@ -82,6 +82,7 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_WIDTH, _HEIGHT = 800, 500  # pixels of an svg_line_plot
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -92,15 +93,15 @@ def _ticks(lo: float, hi: float, count: int = 5):
 
 
 def svg_line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "",
-                  logy: bool = False, width: int = 800, height: int = 500) -> None:
-    """Minimal line plot: ``curves`` is a sequence of (x, y, label) triples.
+                  logy: bool = False) -> None:
+    """Minimal _WIDTH x _HEIGHT line plot: ``curves`` is a sequence of (x, y, label) triples.
 
     With ``logy`` the vertical axis is log10 and nonpositive samples are
     dropped from the plot (but still present in the CSV outputs).
     """
     margin_l, margin_r, margin_t, margin_b = 70, 20, 40, 55
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     prepared = []
     for x, y, label in curves:
@@ -131,14 +132,14 @@ def svg_line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str =
         return margin_t + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+        parts.append(f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
                      f'font-size="16" font-family="sans-serif">{title}</text>')
     for tick in _ticks(x_lo, x_hi):
         px = sx(tick)
@@ -154,7 +155,7 @@ def svg_line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str =
         parts.append(f'<text x="{margin_l - 8}" y="{py + 4:.1f}" text-anchor="end" '
                      f'font-size="11" font-family="sans-serif">{label}</text>')
     if xlabel:
-        parts.append(f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 12}" '
+        parts.append(f'<text x="{margin_l + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
                      f'text-anchor="middle" font-size="13" font-family="sans-serif">{xlabel}</text>')
     if ylabel:
         parts.append(f'<text x="18" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" '

@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from .grid import poincare_constant
 from .inequality import Certificate, CertificateReport, ScalarProblem, check_certificate
 from .profiles import ProfileLike, ProfileSum, TimeProfile, _power, coupling_gamma0
 
@@ -67,7 +68,7 @@ def comparison_sigma(c_omega: float, d: Optional[ProfileLike], gamma0: float,
 @dataclass(frozen=True)
 class ScenarioInputs:
     """Everything a scenario constructor may need; each constructor validates
-    the subset it uses.
+    the subset it uses, and L is checked finite and positive, as in Grid1D.
 
     ``c0`` is the effective nonlinearity strength of the full reaction
     (modulation folded in: :func:`rdcert.profiles.effective_c0`), any
@@ -95,10 +96,9 @@ class ScenarioInputs:
     g0: Optional[float] = None
     alpha_factor: float = 0.0
 
-    def poincare(self) -> float:
-        if self.bc == "dirichlet":
-            return (math.pi / self.L) ** 2
-        return 0.0
+    def __post_init__(self):
+        if not (math.isfinite(self.L) and self.L > 0.0):
+            raise ValueError("interval length L must be finite and positive")
 
     def alpha(self) -> ProfileSum:
         factor = self.alpha_factor
@@ -256,7 +256,7 @@ def exponential_decay_scenario(inp: ScenarioInputs, horizon: float,
     _require(inp, ("a0", "d0", "g0"))
     if not (inp.g0 > 0.0):
         raise ScenarioNotApplicable("needs g0 > 0")
-    c_omega = inp.poincare()
+    c_omega = poincare_constant(inp)
     sigma0 = inp.d0 * c_omega - inp.a0
     if sigma0 <= 0.0:
         raise ScenarioNotApplicable(
@@ -289,7 +289,7 @@ def power_decay_scenario(inp: ScenarioInputs, horizon: float,
     _require(inp, ("d0", "gamma0", "k", "m", "g0"))
     if not (inp.g0 > 0.0):
         raise ScenarioNotApplicable("needs g0 > 0")
-    c_omega = inp.poincare()
+    c_omega = poincare_constant(inp)
     margin = c_omega * inp.d0 - inp.gamma0 - inp.m
     if margin <= 0.0:
         raise ScenarioNotApplicable(
@@ -397,7 +397,7 @@ def modulated_scenario(inp: ScenarioInputs, horizon: float,
     bound = coupling_gamma0(a, b, c, d)
     gamma0 = bound.gamma0
     d0 = min(inp.d1, inp.d2)
-    c_omega = inp.poincare()
+    c_omega = poincare_constant(inp)
     sign = d0 * c_omega - gamma0
     q = comparison_exponent(inp.p)
     phi = inp.phi

@@ -56,25 +56,36 @@ def m_of_k(lin: Linearization2, k: float) -> np.ndarray:
 
 
 def eig2(m) -> tuple[complex, complex]:
-    """Both eigenvalues of a 2x2 matrix, ordered by descending real part.
-
-    Roots of lambda^2 - tr lambda + det = 0 via the cancellation-free
-    quadratic formula; complex pairs are returned with the +imag root first.
-    """
+    """Both eigenvalues of a finite 2x2 matrix, ordered by descending real
+    part, a complex pair with the +imag root first: the one-matrix case of
+    :func:`_roots`, so a real root has a +0.0 imaginary part."""
     mat = np.asarray(m, dtype=float)
     if mat.shape != (2, 2) or not np.all(np.isfinite(mat)):
         raise ValueError("need a finite 2x2 matrix")
     tr = mat[0, 0] + mat[1, 1]
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    lam1, lam2 = _roots(np.array([tr]), np.array([det]))
+    return complex(lam1[0]), complex(lam2[0])
+
+
+def _roots(tr: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Both roots of lambda^2 - tr lambda + det = 0 at each entry of the
+    float arrays tr and det, lam1 and lam2 of a complex array, ordered by
+    descending real part.  Where disc = tr^2 - 4 det >= 0 they are the
+    cancellation-free r1 = (tr + sign(tr) sqrt(disc))/2 and det / r1 (0
+    where r1 = 0); otherwise tr/2 +- i sqrt(-disc)/2, the +imag root first.
+    No imaginary part is -0.0."""
     disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        r1 = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
-        r2 = det / r1 if r1 != 0.0 else 0.0
-        lo, hi = sorted((r1, r2))
-        return complex(hi), complex(lo)
-    half_im = 0.5 * math.sqrt(-disc)
-    return complex(0.5 * tr, half_im), complex(0.5 * tr, -half_im)
+    real = disc >= 0.0
+    root = np.sqrt(disc, out=np.zeros_like(disc), where=real)
+    r1 = np.where(tr >= 0.0, 0.5 * (tr + root), 0.5 * (tr - root))
+    r2 = np.divide(det, r1, out=np.zeros_like(r1), where=real & (r1 != 0.0))
+    first = r2 < r1  # the order sorted((r1, r2)) gives, ties included
+    half_im = 0.5 * np.sqrt(np.negative(disc), out=np.zeros_like(disc), where=~real)
+    lam = np.empty((2,) + tr.shape, dtype=complex)
+    lam.real = np.where(real, np.where(first, (r1, r2), (r2, r1)), 0.5 * tr)
+    lam.imag = half_im, 0.0 - half_im
+    return lam
 
 
 def det_m(lin: Linearization2, k) -> np.ndarray:
@@ -261,9 +272,8 @@ def dispersion_scan(lin: Linearization2, k_max: Optional[float] = None,
 
 def _mode_rates(lin: Linearization2, k_max: float, L: float) -> tuple:
     """The :class:`ModeRate` of every admissible mode k_n = n pi / L <= k_max,
-    each the leading eigenvalue ``eig2(m_of_k(lin, k_n))[0]``, computed for
-    all modes at once with eig2's formulas and masks in place of its
-    branches."""
+    each the leading eigenvalue ``eig2(m_of_k(lin, k_n))[0]``, the roots of
+    all modes taken by one :func:`_roots` call."""
     ns = np.arange(1, int(k_max * L / math.pi) + 2)
     k = ns * math.pi / L
     keep = k <= k_max  # k_n increases with n
@@ -272,19 +282,9 @@ def _mode_rates(lin: Linearization2, k_max: float, L: float) -> tuple:
     m00, m11 = lin.a - lin.d1 * k2, lin.d - lin.d2 * k2
     if not (np.isfinite(m00).all() and np.isfinite(m11).all()):
         raise ValueError("need a finite 2x2 matrix")
-    tr = m00 + m11
-    det = m00 * m11 - lin.b * lin.c
-    disc = tr * tr - 4.0 * det
-    real = disc >= 0.0
-    root = np.sqrt(disc, out=np.zeros_like(disc), where=real)
-    # the cancellation-free root r1, then det / r1, and the larger of the two
-    r1 = np.where(tr >= 0.0, 0.5 * (tr + root), 0.5 * (tr - root))
-    r2 = np.divide(det, r1, out=np.zeros_like(r1), where=real & (r1 != 0.0))
-    half_im = 0.5 * np.sqrt(np.negative(disc), out=np.zeros_like(disc), where=~real)
-    rate_re = np.where(real, np.where(r2 < r1, r1, r2), 0.5 * tr)
-    return tuple(ModeRate(n=n, k=kn, rate=complex(re, im), unstable=re > 0.0)
-                 for n, kn, re, im in zip(ns.tolist(), k.tolist(), rate_re.tolist(),
-                                          half_im.tolist()))
+    rates = _roots(m00 + m11, m00 * m11 - lin.b * lin.c)[0]
+    return tuple(ModeRate(n=n, k=kn, rate=rate, unstable=rate.real > 0.0)
+                 for n, kn, rate in zip(ns.tolist(), k.tolist(), rates.tolist()))
 
 
 @dataclass(frozen=True)

@@ -420,6 +420,33 @@ DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+class TestFilesystemErrors:
+    """An --out that cannot be a directory and an ic file that cannot be read
+    each end in exit 1 and one stderr line, not a traceback."""
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["existing-file", "under-a-file"])
+    def test_out_that_is_not_a_directory(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        code = main(["simulate", "--config", write_cfg(tmp_path, TH31_CFG),
+                     "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: --out ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_ic_file_that_cannot_be_read(self, tmp_path, capsys, path):
+        text = TH31_CFG.replace("ic = mode(1, 0.0797884560802865)",
+                                f"ic = file({tmp_path / path})")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: [run].ic: cannot read ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert json.loads((out / "run_meta.json").read_text())["exit_code"] == 1
+
+
 class TestExtremeInputs:
     """Demo configs with one value pushed to an extreme but valid (or just
     invalid) setting end in an exit code and a report or a one-line message,

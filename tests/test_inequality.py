@@ -23,7 +23,7 @@ def log_derivative(cert, t):
     if cert.family == "exponential":
         t_arr = np.asarray(t, dtype=float)
         return float(cert.nu) if t_arr.ndim == 0 else np.full(t_arr.shape, cert.nu)
-    return profile_derivative(cert._profile(), t) / cert.mu(t)
+    return profile_derivative(cert._weight, t) / cert.mu(t)
 
 
 class TestBernoulliClosedForm:
@@ -113,7 +113,7 @@ class TestComparisonSolve:
     def test_zero_initial_stays_zero(self):
         prob = ScalarProblem(sigma=CONST(-3.0), alpha=CONST(1.0), q=1.5, g0=0.0)
         sol = comparison_solve(prob, 4.0)
-        assert np.all(sol.values == 0.0)
+        assert np.all(sol.value(np.linspace(0.0, 4.0, 2001)) == 0.0)
         assert sol.blowup_time is None
 
     def test_matches_closed_form(self):
@@ -191,7 +191,7 @@ class TestComparisonSolve:
     def test_values_stay_nonnegative(self):
         prob = ScalarProblem(sigma=CONST(4.0), alpha=CONST(0.0), q=1.5, g0=1.0)
         sol = comparison_solve(prob, 20.0)
-        assert np.all(sol.values >= 0.0)
+        assert np.all(sol.value(np.linspace(0.0, 20.0, 2001)) >= 0.0)
 
     def test_growth_without_blowup_stays_exact(self):
         # alpha = 0 with sigma < 0: pure exponential growth far past g = 1e14
@@ -320,6 +320,30 @@ class TestComparisonSolve:
         probes = np.concatenate([np.linspace(0.0, horizon, 53)[1:], knots[1:-1]])
         worst = max(abs(sol.value(float(t)) / exact(float(t)) - 1.0) for t in probes)
         assert worst <= 1e-8
+
+
+class TestComparisonValueOnArrays:
+    """value at an array of times gives each time the bits of its own
+    one-time call, inf past a blow-up included."""
+
+    @pytest.mark.parametrize("sigma, alpha, q, g0, horizon", [
+        (1.0, 0.5, 1.25, 0.5, 5.0),       # decays
+        (-1.0, 1.0, 2.0, 1.0, 3.0),       # blows up at log 2
+        (-3.0, 1.0, 1.5, 0.0, 4.0),       # g0 = 0 stays 0
+        (0.5, 2.0, 3.0, 1e300, 1.0),      # the blow-up time underflows to 0
+    ], ids=["decay", "blow-up", "zero", "underflowing-blow-up"])
+    def test_matches_one_time_calls(self, sigma, alpha, q, g0, horizon):
+        sol = comparison_solve(ScalarProblem(sigma=CONST(sigma), alpha=CONST(alpha), q=q,
+                                             g0=g0), horizon)
+        ts = np.concatenate([np.linspace(0.0, horizon, 2001), [-1e-13, horizon + 1e-13]])
+        if sol.blowup_time is not None:
+            ts = np.concatenate([ts, [sol.blowup_time, np.nextafter(sol.blowup_time, 0.0)]])
+        got = sol.value(ts)
+        assert got.tobytes() == np.array([sol.value(float(t)) for t in ts]).tobytes()
+        assert sol.value(ts[:2000].reshape(40, 50)).tobytes() == got[:2000].tobytes()
+        assert np.isinf(got).any() == (sol.blowup_time is not None)
+        with pytest.raises(ValueError, match="outside the integrated range"):
+            sol.value(np.array([0.0, 0.5 * horizon, -1.0]))
 
 
 class TestCertificateFamilies:
@@ -464,7 +488,8 @@ class TestCheckCertificate:
                 continue
             checked += 1
             sol = comparison_solve(prob, horizon, tol=1e-10)
-            ratio = sol.values * np.asarray(cert.mu(sol.times), dtype=float)
+            ts = np.linspace(0.0, horizon, 2001)
+            ratio = sol.value(ts) * np.asarray(cert.mu(ts), dtype=float)
             assert float(np.max(ratio)) <= 1.0 + 1e-6
         assert checked >= 20  # the battery must actually exercise passing cases
 
@@ -487,7 +512,7 @@ def growth_terms(cert, q, ts):
     if cert.family == "bounded":
         return (np.exp(np.log(mu) * c),
                 (1.0 + ts) ** -cert.nu * (-cert.nu * cert.mu1) * (1.0 + ts) ** -1.0 / mu)
-    return mu ** c, profile_derivative(cert._profile(), ts) / mu
+    return mu ** c, profile_derivative(cert._weight, ts) / mu
 
 
 def whole_grid_check(problem, cert, horizon, n, tol):
@@ -541,7 +566,7 @@ def test_closed_form_weights_match_the_power_of_mu(data):
     ts = np.linspace(0.0, draw(st.floats(0.5, 8.0)), 257)
     mu = np.asarray(cert.mu(ts), dtype=float)
     weight = mu ** (q - 1.0)
-    log_d = profile_derivative(cert._profile(), ts) / mu
+    log_d = profile_derivative(cert._weight, ts) / mu
     want = weight * (sigma(ts) - log_d) - alpha(ts)
     size = weight * (np.abs(sigma(ts)) + np.abs(log_d)) + alpha(ts)
     problem = ScalarProblem(sigma=sigma, alpha=alpha, q=q, g0=1.0)

@@ -63,11 +63,6 @@ class TestTimeProfile:
         with pytest.raises(ValueError):
             TimeProfile.tabulated([1.0, 2.0], [1.0, 1.0])  # does not start at 0
 
-    def test_scaled_is_exact(self):
-        prof = TimeProfile.power_decay(0.7, 2.0, offset=0.3)
-        ts = np.linspace(0.0, 4.0, 9)
-        assert np.array_equal(eval_profile(prof.scaled(2.0), ts), 2.0 * eval_profile(prof, ts))
-
 
 class TestProfileDerivative:
     @pytest.mark.parametrize("prof", [
@@ -135,7 +130,7 @@ class TestEvalReaction:
                          nonlinearity="saturated_power", c0=TimeProfile.constant(1.0)),
         ]
         for kin in kinetics:
-            out = eval_reaction(kin, np.zeros(kin.n_components), None, 1.7)
+            out = eval_reaction(kin, np.zeros(kin.n_components), 1.7)
             assert np.all(out == 0.0)
 
     def test_linear_diagonal(self):
@@ -156,9 +151,9 @@ class TestEvalReaction:
                            p=2.5, modulation=TimeProfile.constant(1.3))
         rng = np.random.default_rng(3)
         u = rng.normal(size=(2, 17))
-        batch = eval_reaction(kin, u, None, 0.9)
+        batch = eval_reaction(kin, u, 0.9)
         for j in range(17):
-            assert batch[:, j] == pytest.approx(eval_reaction(kin, u[:, j], None, 0.9))
+            assert batch[:, j] == pytest.approx(eval_reaction(kin, u[:, j], 0.9))
 
     def test_non_finite_state_rejected(self):
         kin = KineticsSpec(n_components=1)
@@ -182,7 +177,7 @@ class TestEvalReaction:
                                c0=TimeProfile.power_decay(0.8, 1.0, offset=0.2), p=p)
             for t in rng.uniform(0.0, 10.0, 8):
                 u = rng.normal(scale=rng.uniform(0.01, 50.0), size=(2, 64))
-                b = eval_reaction(kin, u, None, float(t))
+                b = eval_reaction(kin, u, float(t))
                 mag_b = np.sqrt(np.sum(b * b, axis=0))
                 mag_u = np.sqrt(np.sum(u * u, axis=0))
                 cap = eval_profile(kin.c0, float(t)) * mag_u ** p
@@ -195,10 +190,10 @@ class TestEvalReaction:
                             modulation=base)
         kin2 = KineticsSpec(n_components=1, linear=np.array([[1.4]]),
                             nonlinearity="saturated_power", c0=TimeProfile.constant(0.7),
-                            modulation=base.scaled(2.0))
+                            modulation=TimeProfile.exponential(1.8, -0.3))
         u = np.array([[0.3, -1.2, 4.5]])
-        f1 = eval_reaction(kin1, u, None, 0.8)
-        f2 = eval_reaction(kin2, u, None, 0.8)
+        f1 = eval_reaction(kin1, u, 0.8)
+        f2 = eval_reaction(kin2, u, 0.8)
         assert np.array_equal(f2, 2.0 * f1)
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -224,7 +219,7 @@ class TestEvalReaction:
             expected = np.dot(linear, u)
             expected -= u * (c0 / row)
             expected *= phi
-            assert eval_reaction(kin, u, None, t).tobytes() == expected.tobytes(), t
+            assert eval_reaction(kin, u, t).tobytes() == expected.tobytes(), t
 
 
 def per_time_sup_bound(kin, u_max, horizon, u_samples=2001, t_samples=65, safety=0.05):
@@ -345,8 +340,8 @@ class TestHelpers:
 
     def test_reaction_sup_bound_linear(self):
         kin = KineticsSpec(n_components=1, linear=np.array([[2.0]]))
-        bound = reaction_sup_bound(kin, u_max=3.0, horizon=1.0, safety=0.0)
-        assert bound == pytest.approx(6.0, rel=1e-6)
+        bound = reaction_sup_bound(kin, u_max=3.0, horizon=1.0)
+        assert bound == pytest.approx(1.05 * 6.0, rel=1e-6)
 
     @pytest.mark.parametrize("m, linear", [(1, None), (1, [[0.7]]),
                                            (2, [[0.3, 1.1], [-0.9, 0.2]])])
@@ -364,11 +359,11 @@ class TestHelpers:
             angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
             points = np.concatenate([np.stack([radii * np.cos(a), radii * np.sin(a)])
                                      for a in angles], axis=1)
-        worst = max(float(np.max(np.linalg.norm(eval_reaction(kin, points, None, float(t)),
+        worst = max(float(np.max(np.linalg.norm(eval_reaction(kin, points, float(t)),
                                                 axis=0)))
                     for t in ts)
-        bound = reaction_sup_bound(kin, u_max, horizon, safety=0.0)
-        assert bound == pytest.approx(worst, rel=1e-14)
+        bound = reaction_sup_bound(kin, u_max, horizon)
+        assert bound == pytest.approx(1.05 * worst, rel=1e-14)
 
     def test_reaction_sup_bound_raises_at_first_rejected_time(self):
         # c0 turns negative from t = 1, the modulation table ends at t = 0.5:

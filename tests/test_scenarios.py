@@ -20,6 +20,14 @@ def test_comparison_exponent():
         comparison_exponent(1.0)
 
 
+@pytest.mark.parametrize("L", [0.0, -math.pi, math.inf])
+def test_interval_length_must_be_finite_and_positive(L):
+    # unchecked, L = 0 divides by zero in the Poincare constant, L = -pi
+    # gives the constant 1 and certifies decay, and L = inf gives 0
+    with pytest.raises(ValueError, match="interval length L must be finite and positive"):
+        ScenarioInputs(L=L, bc="dirichlet", a0=0.5, d0=1.0, p=2.0, g0=0.1)
+
+
 class TestProblemData:
     """sigma and alpha of every scenario are profile sums."""
 

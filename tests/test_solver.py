@@ -278,7 +278,7 @@ def crank_nicolson_reference(sys, T, dt, scheme):
     h2 = g.h * g.h
 
     def reaction(u, t):
-        out = eval_reaction(sys.kinetics, u, g.x, t)
+        out = eval_reaction(sys.kinetics, u, t)
         if sys.forcing is not None:
             out = out + sys.forcing(g.x, t)
         return out
@@ -871,7 +871,7 @@ class TestManufacturedForcing:
     def expected(self, sys, case, xs, t):
         d = np.array([eval_profile(p, t) for p in self.DIFFUSION])
         return (case.time_derivative(xs, t) - d[:, None] * case.laplacian(xs, t)
-                - eval_reaction(sys.kinetics, case.solution(xs, t), xs, t))
+                - eval_reaction(sys.kinetics, case.solution(xs, t), t))
 
     def test_matches_formula_bit_for_bit(self):
         case = two_component_case()

@@ -38,6 +38,61 @@ class TestEig2:
             assert ours[1] == pytest.approx(ref[1], abs=1e-9 * scale)
 
 
+def scalar_eig2(m):
+    """eig2 as a scalar formula with branches: the cancellation-free root,
+    then det / root, sorted; a complex pair +imag first."""
+    mat = np.asarray(m, dtype=float)
+    if mat.shape != (2, 2) or not np.all(np.isfinite(mat)):
+        raise ValueError("need a finite 2x2 matrix")
+    tr = mat[0, 0] + mat[1, 1]
+    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    disc = tr * tr - 4.0 * det
+    if disc >= 0.0:
+        root = math.sqrt(disc)
+        r1 = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
+        r2 = det / r1 if r1 != 0.0 else 0.0
+        lo, hi = sorted((r1, r2))
+        return complex(hi), complex(lo)
+    half_im = 0.5 * math.sqrt(-disc)
+    return complex(0.5 * tr, half_im), complex(0.5 * tr, -half_im)
+
+
+def eig2_matrices(seed=31, per_scale=200):
+    """Seeded finite 2x2 matrices at unit scale and near 1e150 and 1e-150:
+    random draws (real and complex pairs), tr^2 = 4 det exactly (a = d with
+    b c = 0, or a scalar matrix), and small integers that tie roots and
+    zero the cancellation-free root."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for scale in (1.0, 1e150, 1e-150):
+        for _ in range(per_scale):
+            mats.append(rng.normal(size=(2, 2)) * scale)
+            a, b = rng.normal(size=2) * scale
+            mats.append(np.array([[a, b], [0.0, a]]))
+            mats.append(np.array([[a, 0.0], [b, a]]))
+            mats.append(np.array([[a, 0.0], [0.0, a]]))
+            mats.append(np.array([[a, b], [-b, a]]))  # a complex pair
+            mats.append(rng.integers(-2, 3, size=(2, 2)).astype(float) * scale)
+    return mats
+
+
+class TestEig2Oracle:
+    """eig2, the one-matrix case of the vectorised root routine, equals the
+    scalar formula bit for bit, signed zeros included."""
+
+    def test_bit_for_bit(self):
+        kinds = set()
+        for m in eig2_matrices():
+            tr, det = m[0, 0] + m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            disc = tr * tr - 4.0 * det
+            kinds.add("double" if disc == 0.0 else "real" if disc > 0.0 else "complex")
+            got, want = eig2(m), scalar_eig2(m)
+            assert [type(z) for z in got] == [complex, complex]
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == \
+                [(z.real.hex(), z.imag.hex()) for z in want], m
+        assert kinds == {"double", "real", "complex"}
+
+
 class TestNumericalAbscissa:
     def test_shear_dense_sampling(self):
         m = np.array([[-1.0, 3.0], [0.0, -1.0]])
