@@ -446,10 +446,11 @@ def _cmd_run_theorem(cfg: RunConfig, out: Path, args) -> int:
 
     slack = cfg.get("theorem", "envelope_slack")
     envelope_violations = np.array([])
-    worst_ratio = None
+    worst_ratio = envelope = None
     if scenario.certificate is not None:
         mu_vals = np.asarray(scenario.certificate.mu(traj.times), dtype=float)
         worst_ratio = float(np.max(traj.g * mu_vals))
+        envelope = 1.0 / mu_vals
         envelope_violations = verify_envelope(traj.times, traj.g,
                                               scenario.certificate, slack=slack)
     pointwise = _pointwise_bounds(sys_spec, traj, float(traj.times[-1]))
@@ -481,11 +482,10 @@ def _cmd_run_theorem(cfg: RunConfig, out: Path, args) -> int:
         "g0": g0,
     }
     write_report(out / "report.json", payload)
-    _write_theorem_series(out / "series.csv", traj, scenario)
-    if args.plots and scenario.certificate is not None:
+    _write_theorem_series(out / "series.csv", traj, scenario, envelope)
+    if args.plots and envelope is not None:
         svg_line_plot(out / "plots_envelope.svg",
-                      [(traj.times, traj.g, "g(t)"),
-                       (traj.times, scenario.envelope(traj.times), "1/mu(t)")],
+                      [(traj.times, traj.g, "g(t)"), (traj.times, envelope, "1/mu(t)")],
                       title=f"scenario {which}: norm vs envelope",
                       xlabel="t", ylabel="log10", logy=True)
     if not scenario.ready:
@@ -495,13 +495,14 @@ def _cmd_run_theorem(cfg: RunConfig, out: Path, args) -> int:
     return EXIT_OK
 
 
-def _write_theorem_series(path, traj, scenario) -> None:
+def _write_theorem_series(path, traj, scenario, envelope) -> None:
+    """series.csv of a run-theorem run; envelope is 1/mu at the run's times,
+    None without a certificate."""
     times = traj.times
     problem = scenario.problem
     sigma_t = np.asarray(problem.sigma_fn()(times), dtype=float)
     alpha_t = np.asarray(problem.alpha_fn()(times), dtype=float)
-    if scenario.certificate is not None:
-        envelope = scenario.envelope(times)
+    if envelope is not None:
         residual = growth_residual(problem, scenario.certificate, times)
     else:
         envelope = residual = np.full_like(times, np.nan)

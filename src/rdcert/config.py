@@ -126,7 +126,8 @@ SCHEMA = {
         "nu": (_parse_float, None),
         "m": (_parse_float, None),
         "mu_split": (_parse_float, 0.5),
-        "alpha_factor": (_parse_float, None),
+        "alpha_factor": (_checked(_parse_float, lambda v: v >= 0.0,
+                                  "expected a nonnegative number, got {text!r}"), None),
     },
     "theorem": {
         "envelope_slack": (_parse_float, 0.02),
@@ -253,6 +254,12 @@ def build_kinetics(cfg: RunConfig) -> KineticsSpec:
     sec = cfg.values["kinetics"]
     matrix = parse_matrix(cfg.require("kinetics", "matrix"))
     c0 = _profile_from_keys("kinetics", "c0_", sec, sec["c0_v0"])
+    # c0 = v0 b(t) + offset is a strength (alpha < 0 otherwise): b is positive
+    # and monotone, b(0) = 1 and b tends to 0 (trend < 0), 1 or inf (trend > 0)
+    trend = {"power_decay": -c0.exponent, "power_growth": c0.exponent,
+             "exponential": c0.rate}.get(c0.kind, 0.0)
+    if min(c0.v0 + c0.offset, c0.offset if trend < 0 else 0, c0.v0 if trend > 0 else 0) < 0:
+        raise ConfigError("[kinetics]: the c0 profile must be nonnegative for every t >= 0")
     modulation = build_modulation(cfg)
     try:
         return KineticsSpec(n_components=matrix.shape[0], linear=matrix,

@@ -4,18 +4,19 @@ Everything here concerns the scalar differential inequality
 
     g'(t) <= -sigma(t) g + alpha(t) g**q,    q > 1,  g >= 0,
 
-whose equality version majorizes the L2 norm of the PDE solution.  A decay
-certificate is a positive weight mu(t); when
+whose equality version majorizes the L2 norm of the PDE solution; sigma
+and alpha may take either sign.  A decay certificate is a positive weight
+mu(t); when
 
     alpha(t) <= mu(t)**(q-1) * (sigma(t) - mu'(t)/mu(t))   for all t,
     mu(0) * g(0) <= 1,
 
 the envelope g(t) <= 1/mu(t) holds.  This module solves the comparison
-equation by its two quadratures (with finite-time blow-up detection),
-evaluates the constant-coefficient closed form as an independent oracle,
-checks certificates on dense time grids, taking each parametric family's
-mu**(q-1) and mu'/mu from its own formula, and verifies envelopes along
-computed trajectories.
+equation by its two quadratures (with finite-time blow-up detection, one
+rule placing the escape), evaluates the constant-coefficient closed form as
+an independent oracle, checks certificates on dense time grids, taking each
+parametric family's mu**(q-1) and mu'/mu from its own formula, and verifies
+envelopes along computed trajectories.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class InvalidCertificateError(ValueError):
 
 @dataclass(frozen=True)
 class ScalarProblem:
-    """Data of the comparison inequality: sigma may change sign, alpha >= 0."""
+    """Data of the comparison inequality: sigma and alpha may change sign."""
 
     sigma: ProfileLike
     alpha: ProfileLike
@@ -66,11 +67,7 @@ class ScalarProblem:
         return as_time_function(self.sigma)
 
     def alpha_fn(self) -> Callable[[TimeLike], TimeLike]:
-        inner = as_time_function(self.alpha)
-
-        def checked(t):
-            return _nonnegative_alpha(inner(t))
-        return checked
+        return as_time_function(self.alpha)
 
 
 def _into(ufunc, x):
@@ -84,15 +81,6 @@ def _require_valid(mu: np.ndarray) -> None:
         finite = _finite(mu)
     if not (finite and mu.min() > 0.0):
         raise InvalidCertificateError("mu must be positive and finite on the horizon")
-
-
-def _nonnegative_alpha(val: TimeLike) -> TimeLike:
-    """val, the alpha of a :class:`ScalarProblem` at some times, checked >= 0."""
-    # a coefficient that does not vary gives one float: no array reduction
-    negative = val < 0.0 if isinstance(val, float) else np.any(np.asarray(val) < 0.0)
-    if negative:
-        raise ValueError("alpha(t) must be nonnegative")
-    return val
 
 
 @dataclass(frozen=True)
@@ -222,9 +210,6 @@ class Certificate:
 # Comparison equation: two cumulative quadratures, blow-up where J = 1
 # ---------------------------------------------------------------------------
 
-# A log J'(0) past this puts the escape within exp(-200) time units, inside
-# the first panel: there J's expansion gives it (see _Expansion).
-_EXPANSION_LOG_RATE = 200.0
 # Intervals of the first grid (at least 4 a segment), and the most the
 # doubling may reach.
 _FIRST_INTERVALS = 64
@@ -237,7 +222,7 @@ class ComparisonSolution:
     whole horizon, and end is then the horizon."""
 
     blowup_time: Optional[float]
-    _dense: Optional[Callable]  # t -> (Sigma, J); None when g0 = 0
+    _dense: Optional[Callable]  # t -> (Sigma, J); None when g0 = 0 or g blows up at 0
     _end: float
     _g0: float
     _q: float
@@ -256,7 +241,7 @@ class ComparisonSolution:
             bad = t if np.ndim(t) == 0 else float(ts[np.argmin(inside)])
             raise ValueError(f"time {bad} outside the integrated range")
         if self._dense is None:
-            g = np.zeros_like(ts)
+            g = np.full(ts.shape, self._g0)
         else:
             big_sigma, j = self._dense(np.clip(ts, 0.0, self._end))
             with np.errstate(over="ignore", divide="ignore"):
@@ -269,7 +254,8 @@ class ComparisonSolution:
 @dataclass
 class _Quadrature:
     """Sigma and J, with their integrands sigma and J', at the nodes t of
-    one level of the doubling in :func:`comparison_solve`."""
+    one level of the doubling in :func:`comparison_solve`, whose segments
+    have m intervals each."""
 
     t: np.ndarray
     sigma: np.ndarray       # Sigma' at the nodes
@@ -277,11 +263,14 @@ class _Quadrature:
     big_sigma: np.ndarray
     j: np.ndarray
     escape: Optional[int]   # the first node with J >= 1
+    m: int
 
     def __call__(self, ts: np.ndarray):
-        """(Sigma, J) at the times ts in [0, t[-1]], from the cubic
-        Hermite interpolants of the node values and their slopes."""
-        i = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.t) - 2)
+        """(Sigma, J) at the times ts in [0, t[-1]], or in [0, t[escape]],
+        from the cubic Hermite interpolants of the node values and their
+        slopes; no node past the escape is read."""
+        last = len(self.t) - 2 if self.escape is None else self.escape - 1
+        i = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, last)
         h = self.t[i + 1] - self.t[i]
         u = (ts - self.t[i]) / h
         v = 1.0 - u
@@ -291,11 +280,22 @@ class _Quadrature:
         j = _hermite(self.j, self.rate, i, weights)
         return big_sigma, j
 
+    def settled(self) -> bool:
+        """Whether the escape is read from this grid: J and J' are finite at
+        the escape node, which lies in the second half of its segment, so
+        the doubling refined the time before it; or its time underflows."""
+        e = self.escape
+        k = (e - 1) % self.m + 1  # the escape node's place in its segment
+        return (self.t[e] < sys.float_info.min
+                or (2 * k > self.m and math.isfinite(self.j[e]) and math.isfinite(self.rate[e])))
+
     def blowup_time(self) -> float:
         """The root of the interpolant's J = 1 between the escape node and
-        the node before it."""
+        the node before it; a time below the normal double range reads 0."""
         i = self.escape - 1
         lo, hi = float(self.t[i]), float(self.t[i + 1])
+        if hi < sys.float_info.min:
+            return 0.0
         h = hi - lo
         j0, j1 = float(self.j[i]), float(self.j[i + 1])
         d0, d1 = h * float(self.rate[i]), h * float(self.rate[i + 1])
@@ -303,22 +303,8 @@ class _Quadrature:
         def excess(u):  # J - 1 at lo + u h
             v = 1.0 - u
             return (j0 * (1.0 + 2.0 * u) + d0 * u) * v * v + (j1 * (3.0 - 2.0 * u) - d1 * v) * u * u - 1.0
-        return min(lo + brentq(excess, 0.0, 1.0, xtol=1e-15) * h, hi)
-
-
-@dataclass
-class _Expansion:
-    """(Sigma, J) of :class:`_Quadrature` on [0, t_star] for an
-    escape t_star = 1 / J'(0) below exp(-_EXPANSION_LOG_RATE): the first terms
-    Sigma = sigma(0) t and J = J'(0) t, whose relative error over so short a
-    time is of the order of sigma t_star."""
-
-    sigma0: float
-    t_star: float
-
-    def __call__(self, ts: np.ndarray):
-        j = np.divide(ts, self.t_star, out=np.zeros_like(ts), where=ts > 0.0)
-        return ts * self.sigma0, j
+        root = min(lo + brentq(excess, 0.0, 1.0, xtol=1e-15) * h, hi)
+        return root if root >= sys.float_info.min else 0.0
 
 
 def _hermite(values, slopes, i, weights):
@@ -381,42 +367,38 @@ def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 
 def _quadrature(problem: ScalarProblem, c: float, log_rate0: float, end: float,
-                tol: float):
+                tol: float, intervals: int) -> _Quadrature:
     """Sigma and J on [0, end], the grid doubled until the Richardson
     estimate of g's relative error is at most tol (see :func:`_estimate`).
     The grid's segments end at the knots of the coefficients' tables, where
-    a slope may jump.  Each doubling evaluates sigma and alpha at the new
-    midpoints only.  A log J'(0) past _EXPANSION_LOG_RATE gives their
-    :class:`_Expansion` instead.  log J' is capped at 700 - max(0, log end),
-    so past an escape J' stays at most e**cap, J at most 2 end e**cap and
-    an odd node's panel combination at most 34 e**cap: all finite."""
+    a slope may jump; the first grid has about ``intervals`` in all, an even
+    number and at least 4 a segment.  Each doubling evaluates sigma and
+    alpha at the new midpoints only.  Past an escape J' and J may leave the
+    double range and read inf or nan."""
     sigma, alpha = problem.sigma_fn(), problem.alpha_fn()
     breaks = _breaks(end, problem.sigma, problem.alpha)
-    log_rate_cap = 700.0 - max(0.0, math.log(end))
-    # intervals a segment: about _FIRST_INTERVALS in all, even, at least 4
-    m = max(4, 2 * -(-_FIRST_INTERVALS // (2 * (len(breaks) - 1))))
+    m = max(4, 2 * -(-intervals // (2 * (len(breaks) - 1))))
     t = np.append(_nodes(breaks, m, np.arange(m)), end)
     s = _coefficient("sigma", sigma, t)
-    with np.errstate(divide="ignore"):  # log 0 = -inf: J' = 0 where alpha = 0
-        log_alpha = np.log(_coefficient("alpha", alpha, t))
-    log_start = float(log_alpha[0]) + log_rate0  # log J'(0)
-    if log_start > _EXPANSION_LOG_RATE:
-        return _Expansion(float(s[0]), math.exp(-log_start))
+    a = _coefficient("alpha", alpha, t)
     previous = None
     while True:
         steps = np.diff(breaks) / m
         big_sigma, sigma_panels = _cumulative_simpson(s, steps, m)
-        # J' = (q-1) g0**(q-1) alpha exp(-(q-1) Sigma), taken in logs
-        rate = big_sigma * -c
-        rate += log_alpha
-        rate += log_rate0
-        np.exp(np.minimum(rate, log_rate_cap, out=rate), out=rate)
-        j, rate_panels = _cumulative_simpson(rate, steps, m)
-        escape = int(np.argmax(j >= 1.0))
-        level = _Quadrature(t, s, rate, big_sigma, j, escape if j[escape] >= 1.0 else None)
-        if previous is not None and _estimate(previous, sigma_panels, rate_panels,
-                                              level, c) <= tol:
-            return level
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # J' = sign(alpha) exp(log|alpha| - (q-1) Sigma + log((q-1) g0**(q-1))),
+            # 0 where alpha = 0
+            rate = np.log(np.abs(a))
+            rate += big_sigma * -c
+            rate += log_rate0
+            np.copysign(np.exp(rate, out=rate), a, out=rate)
+            j, rate_panels = _cumulative_simpson(rate, steps, m)
+            escape = int(np.argmax(j >= 1.0))
+            level = _Quadrature(t, s, rate, big_sigma, j,
+                                escape if j[escape] >= 1.0 else None, m)
+            if previous is not None and _estimate(previous, sigma_panels, rate_panels,
+                                                  level, c) <= tol:
+                return level
         if len(j) > _MAX_INTERVALS:
             raise RuntimeError(f"comparison quadrature did not reach the relative "
                                f"accuracy {tol:g} with {len(j) - 1} intervals")
@@ -425,8 +407,7 @@ def _quadrature(problem: ScalarProblem, c: float, log_rate0: float, end: float,
         m *= 2
         t = _interleave(t, mid)
         s = _interleave(s, _coefficient("sigma", sigma, mid))
-        with np.errstate(divide="ignore"):
-            log_alpha = _interleave(log_alpha, np.log(_coefficient("alpha", alpha, mid)))
+        a = _interleave(a, _coefficient("alpha", alpha, mid))
 
 
 def _estimate(previous, sigma_panels: np.ndarray, rate_panels: np.ndarray,
@@ -465,23 +446,25 @@ def comparison_solve(problem: ScalarProblem, horizon: float,
     as q -> 1.  Both are taken by the cumulative Simpson rule at every node of
     a grid, uniform between the knots of the coefficients' tables, whose
     intervals are doubled until the Richardson estimate of g's relative
-    error, |dSigma| + |dJ| / ((q-1)(1-J)), is at most tol.
+    error, |dSigma| + |dJ| / ((q-1)(1-J)), is at most tol.  sigma and alpha
+    may take either sign; J' takes alpha's, and falls where alpha < 0.
     Finite blow-up is the first crossing of J = 1, the root of J's cubic
     Hermite interpolant (J' is the integrand) between the two nodes around
     it; the same interpolants give g between the nodes, evaluated only at
-    the times a caller passes to :meth:`ComparisonSolution.value`.  An escape in the
-    first half of the grid is solved again on [0, node past the crossing],
-    so the grid resolves the time before it.  log J' is capped at
-    700 - max(0, log end) on [0, end], which keeps J' and J finite past an
-    escape.  Where J'(0) exceeds exp(200), the escape lies within exp(-200)
-    of t = 0, and J = J'(0) t and Sigma = sigma(0) t give it and g before
-    it, to a relative error of the order of sigma times the escape time; a
-    blow-up time that underflows to 0 leaves g(0) = g0.  Values past the
-    double range read inf.  Blow-up is a reported outcome, not an error; a
-    sigma or alpha that is not finite at a node is a ValueError naming that
-    time.  The grid cannot see the kinks of a plain callable, where the
-    rule converges only as h**2; a grid past 2**20 intervals is a
-    RuntimeError.
+    the times a caller passes to :meth:`ComparisonSolution.value`.  One rule
+    places the escape: where it lies in the first half of its segment, or
+    J or J' is past the double range at its node, it is solved again on
+    [0, the node after it], so the grid resolves the time before it; where
+    that range finds no escape, or would not shrink, the range is solved
+    again from a first grid twice as fine.  Each pass so shortens the range
+    or refines the grid.  A blow-up time below the normal double range
+    reads 0, and g(0) = g0 still.  Values past the double range read inf.
+    Blow-up is a reported outcome, not an error; a sigma or alpha that is
+    not finite at a node is a ValueError naming that time.  The grid cannot
+    see the kinks of a plain callable, where the rule converges only as
+    h**2.  A grid past 2**20 intervals is a RuntimeError; so is a J that
+    leaves the double range with no escape before it, as it may where
+    alpha < 0 and |J| would pass e**709.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be finite and positive")
@@ -491,18 +474,24 @@ def comparison_solve(problem: ScalarProblem, horizon: float,
 
     c = q - 1.0
     log_rate0 = math.log(c) + c * math.log(g0)  # log of (q-1) g0**(q-1)
-    level = _quadrature(problem, c, log_rate0, horizon, tol)
-    if isinstance(level, _Expansion):
-        blowup_time = level.t_star if level.t_star <= horizon else None
-    else:
-        while level.escape is not None and 2.0 * level.t[level.escape] <= level.t[-1]:
-            shorter = _quadrature(problem, c, log_rate0, float(level.t[level.escape + 1]), tol)
-            if shorter.escape is None:
-                break
-            level = shorter
-        blowup_time = None if level.escape is None else level.blowup_time()
+    level, end, intervals = None, horizon, _FIRST_INTERVALS
+    while True:
+        again = _quadrature(problem, c, log_rate0, end, tol, intervals)
+        if level is not None and end < level.t[-1] and again.escape is None:
+            # the shorter range holds no escape, so the escape was the coarser
+            # grid's: solve its range again from a grid twice as fine
+            end, intervals = float(level.t[-1]), 2 * (len(level.t) - 1)
+            continue
+        level = again
+        if level.escape is None or level.settled():
+            break
+        # solve again up to the node after the escape, or, where that is the
+        # last node, on the same range from a grid twice as fine
+        end = float(level.t[min(level.escape + 1, len(level.t) - 1)])
+        intervals = _FIRST_INTERVALS if end < level.t[-1] else 2 * (len(level.t) - 1)
+    blowup_time = None if level.escape is None else level.blowup_time()
     end = horizon if blowup_time is None else blowup_time
-    return ComparisonSolution(blowup_time, level, end, g0, q)
+    return ComparisonSolution(blowup_time, None if end == 0.0 else level, end, g0, q)
 
 
 def bernoulli_closed_form(sigma: float, alpha: float, q: float, g0: float,
@@ -659,7 +648,7 @@ def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
     t (see :func:`rdcert.profiles._power`), so each (1 + t)**e and
     exp(rate t) is computed once.  A profile that does not vary stays one
     number.  ``on_block``, when given, is called with t, the memo and
-    alpha's values once alpha is checked."""
+    alpha's values once alpha is evaluated."""
     memo = {}
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in mu' past the range: nan
         r, log_derivative = cert._growth_terms(t, problem.q - 1.0, memo)
@@ -670,7 +659,7 @@ def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
         slack = np.subtract(slack, log_derivative, out=log_derivative)
     else:
         slack = slack - log_derivative
-    alpha = np.asarray(_nonnegative_alpha(_values_at(problem.alpha, t, memo)), dtype=float)
+    alpha = np.asarray(_values_at(problem.alpha, t, memo), dtype=float)
     if on_block is not None:
         on_block(t, memo, alpha)
     with np.errstate(over="ignore"):

@@ -225,6 +225,21 @@ class TestExitCodes:
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("c0_keys", [
+        "c0_v0 = 0.05\nc0_offset = -0.1",
+        "c0_v0 = 0.05\nc0_kind = exponential\nc0_rate = -0.1\nc0_offset = -0.01",
+        "c0_v0 = -0.05\nc0_kind = power_growth\nc0_exponent = 1.0\nc0_offset = 0.1",
+    ], ids=["negative-at-0", "negative-in-the-limit", "negative-after-t-1"])
+    @pytest.mark.parametrize("command", [["check-certificate"], ["run-theorem", "3.1"]])
+    def test_c0_negative_at_some_time(self, tmp_path, capsys, command, c0_keys):
+        # check-certificate evaluates no reaction, so it is the config that
+        # keeps a negative strength, and with it alpha < 0, out
+        text = CERT31_CFG.replace("c0_v0 = 0.05", c0_keys).replace("T = 10.0", "T = 0.5")
+        assert main([*command, "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("config error: [kinetics]: the c0 profile must be "
+                                           "nonnegative for every t >= 0\n")
+
     def test_profile_keys_the_kind_uses(self, tmp_path):
         text = TH31_CFG.replace("c0_v0 = 0.05", "c0_v0 = 0.05\nc0_kind = exponential\n"
                                                 "c0_rate = -0.1\nc0_offset = 0.01")
@@ -933,6 +948,9 @@ FUZZ_MUTATIONS = [(label, section, key, value)
                   for section, key in _keys(text) for value in FUZZ_VALUES
                   if not (key in RUN_LENGTH_KEYS and value == "1e308")]
 
+# run-theorem with a configured alpha factor, mutated in the pinned escapes only
+FUZZ_BASES["theorem31-alpha"] = (["run-theorem", "3.1"], short_demo("theorem31", "0.1")
+                                 + "\n[certificate]\nalpha_factor = 0.15\n")
 
 # analyze-dispersion: every one-key mutation of its demo config, in full
 FUZZ_BASES["dispersion"] = (["analyze-dispersion"],
@@ -996,6 +1014,9 @@ class TestExitCodeFuzzing:
         ("dispersion", "diffusion", "v0", "1e308, 1e308", 1),      # det M(k) quadratic
         ("dispersion", "diffusion", "v0", "1.0, 1e-310", 1),       # d1 d2 subnormal
         ("theorem34_L4", "diffusion", "v0", "1e308", 1),           # v0 / phi0 overflows
+        ("theorem31-certificate", "certificate", "alpha_factor", "-1", 1),  # alpha < 0
+        ("theorem31-alpha", "certificate", "alpha_factor", "-1", 1),
+        ("theorem31-certificate", "kinetics", "c0_v0", "-1", 1),  # c0 < 0, so alpha < 0
     ]
 
     @pytest.mark.parametrize("label, section, key, value, code", PINNED,

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
+import rdcert.inequality
 from rdcert.inequality import (Certificate, InvalidCertificateError, ScalarProblem, _residual,
                                bernoulli_blowup_time, bernoulli_closed_form,
                                check_certificate, comparison_solve, growth_residual,
@@ -138,10 +139,11 @@ class TestComparisonSolve:
     @example(log_g0=100.0, q=2.0, sigma=0.0, alpha=1.0)   # J'(0) = 1e100
     @example(log_g0=300.0, q=2.0, sigma=0.0, alpha=1.0)   # J'(0) = 1e300
     @example(log_g0=86.0, q=3.0, sigma=1.0, alpha=1.0)    # log J'(0) = 396.7
-    @example(log_g0=43.0, q=3.0, sigma=1.0, alpha=1.0)    # log J'(0) = 198.7, under the cap
+    @example(log_g0=43.0, q=3.0, sigma=1.0, alpha=1.0)    # log J'(0) = 198.7
     def test_huge_initial_value_blows_up_at_the_closed_form_time(self, log_g0, q, sigma, alpha):
-        # a log J'(0) past 200 puts the escape in the first panel, where it
-        # is taken from J = J'(0) t; a cap of 200 once moved it to 1.4e-87
+        # a huge J'(0) puts the escape in the first intervals of the first
+        # grid, so it is solved again on ever shorter horizons until it lies
+        # in the second half of the grid
         g0 = 10.0 ** log_g0
         tstar = bernoulli_blowup_time(sigma, alpha, q, g0)
         assume(tstar is not None and sys.float_info.min <= tstar < 5.0)
@@ -160,16 +162,42 @@ class TestComparisonSolve:
         assert sol.value(0.0) == pytest.approx(1e300, rel=1e-12)
         assert sol.value(1e-300) == math.inf
 
-    def test_rate_rising_past_exp_200_before_the_escape(self):
-        # alpha = t near 0, so J'(0) = 0 and J = g0 t**2 / 2 (sigma's factor
-        # is 1 to 1e-149): the escape at sqrt(2 / g0), where J' is about
-        # 1.4e150, and g = 4/3 g0 at half of it
-        g0 = 1e300
-        prob = ScalarProblem(sigma=CONST(-5.0), q=2.0, g0=g0,
+    @pytest.mark.parametrize("q, g0, rel", [
+        (2.0, 1e300, 1e-13),  # the escape at 1.4e-150, where J' is about 1.4e150
+        (3.0, 1e305, 1e-12),  # at 1e-305: J' is past the double range at every node > 0
+        (4.0, 1e300, None),   # at 8e-451, which underflows to 0
+    ])
+    def test_rate_rising_past_exp_200_before_the_escape(self, q, g0, rel):
+        # alpha = t near 0, so J'(0) = 0 and J = (q-1) g0**(q-1) t**2 / 2
+        # (sigma's factor is 1 to 1e-149): the escape at
+        # sqrt(2 / ((q-1) g0**(q-1))), and g = (3/4)**(-1/(q-1)) g0 at half of it
+        c = q - 1.0
+        prob = ScalarProblem(sigma=CONST(-5.0), q=q, g0=g0,
                              alpha=TimeProfile.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 1.0]))
         sol = comparison_solve(prob, 2.0)
-        assert sol.blowup_time == pytest.approx(math.sqrt(2.0 / g0), rel=1e-13)
-        assert sol.value(0.5 * sol.blowup_time) == pytest.approx(4.0 / 3.0 * g0, rel=1e-13)
+        if rel is None:
+            assert sol.blowup_time == 0.0
+            assert sol.value(0.0) == g0
+            return
+        tstar = math.exp(0.5 * (math.log(2.0 / c) - c * math.log(g0)))
+        assert sol.blowup_time == pytest.approx(tstar, rel=rel)
+        assert sol.value(0.5 * sol.blowup_time) == pytest.approx(0.75 ** (-1.0 / c) * g0, rel=rel)
+
+    @pytest.mark.parametrize("s", [-3000.0, -1e4, -1e5])
+    def test_late_escape_after_a_steep_knot(self, s):
+        # sigma is 0 up to t = 0.5, ramps to s over 1e-8 and stays there; alpha
+        # = 1, q = 2.  So J = g0 (0.5 + R + e**k (e**(lam (t - b)) - 1) / lam)
+        # past the ramp's end b, with lam = -s, k = lam delta / 2 and R the
+        # ramp's integral of exp(k (u/delta)**2): the escape lies in the
+        # second half of [0, 1], a few 1/lam past the knot
+        g0, delta = 1e-3, 1e-8
+        b, lam = 0.5 + delta, -s
+        k = lam * delta / 2.0
+        ramp = delta * sum(k ** n / (math.factorial(n) * (2 * n + 1)) for n in range(8))
+        tstar = b + math.log1p(lam * (1.0 / g0 - 0.5 - ramp) * math.exp(-k)) / lam
+        prob = ScalarProblem(sigma=TimeProfile.tabulated([0.0, 0.5, b, 1.0], [0.0, 0.0, s, s]),
+                             alpha=CONST(1.0), q=2.0, g0=g0)
+        assert comparison_solve(prob, 1.0).blowup_time == pytest.approx(tstar, abs=1e-10)
 
     def test_monotone_in_alpha(self):
         # pointwise larger alpha gives a pointwise larger solution
@@ -204,13 +232,17 @@ class TestComparisonSolve:
     def test_random_constant_coefficients_match_closed_form(self):
         # seeded property test over regimes hand-picked cases miss: q near 1,
         # sigma = 0, alpha = 0, (q-1) sigma T > 709, growth past g = 1e14 and
-        # finite escapes
+        # finite escapes; then, after those 56 draws, alpha < 0 (J falls, and
+        # no escape may be reported), with sigma < 0 and (q-1)|sigma| T from
+        # 50 to 600 in half of them, so J' reaches e**600 while |J| stays in
+        # the double range (past it, see the xfail test below)
         rng = np.random.default_rng(11)
         regimes = ("generic", "q_near_one", "sigma_zero", "alpha_zero",
                    "strong_decay", "strong_growth", "blow_up")
+        cases = ([regimes[i % len(regimes)] for i in range(56)]
+                 + ["negative_alpha", "negative_alpha_growth"] * 8)
         blow_ups = 0
-        for i in range(56):
-            regime = regimes[i % len(regimes)]
+        for regime in cases:
             sigma, alpha, horizon = rng.uniform(-1.5, 2.5), rng.uniform(0.0, 1.0), 10.0
             q, g0 = 1.0 + 10.0 ** rng.uniform(-1.5, 0.3), 10.0 ** rng.uniform(-3.0, 0.5)
             if regime == "q_near_one":
@@ -228,6 +260,10 @@ class TestComparisonSolve:
             elif regime == "blow_up":
                 sigma, alpha = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
                 g0 = rng.uniform(1.0, 3.0)
+            elif regime == "negative_alpha":
+                alpha = -alpha
+            elif regime == "negative_alpha_growth":  # g tends to (|sigma|/|alpha|)**(1/(q-1))
+                q, sigma, alpha = 1.0 + rng.uniform(1.0, 3.0), -rng.uniform(5.0, 20.0), -alpha
             prob = ScalarProblem(sigma=CONST(sigma), alpha=CONST(alpha), q=q, g0=g0)
             sol = comparison_solve(prob, horizon)
             tstar = bernoulli_blowup_time(sigma, alpha, q, g0)
@@ -247,6 +283,52 @@ class TestComparisonSolve:
             if regime == "strong_growth":
                 assert growth > 1e14
         assert blow_ups >= 6  # the battery must include finite-time escapes
+
+    @pytest.mark.parametrize("sigma, alpha, g0", [(-60.0, -5.0, 1.0), (-40.0, -1.0, 0.5)])
+    def test_negative_alpha_escape_of_a_coarse_grid_is_not_reported(self, sigma, alpha, g0):
+        # J' < 0 grows by e**(|sigma| h) an interval of the first grid, where
+        # node 3's cubic reads J >= 1; the range up to node 4 holds no escape,
+        # so the horizon is solved again from a finer grid, which finds none
+        sol = comparison_solve(ScalarProblem(sigma=CONST(sigma), alpha=CONST(alpha),
+                                             q=2.0, g0=g0), 10.0)
+        assert sol.blowup_time is None
+        for t in (0.1, 1.0, 10.0):
+            assert sol.value(t) == pytest.approx(
+                bernoulli_closed_form(sigma, alpha, 2.0, g0, t), rel=1e-8)
+
+    @pytest.mark.xfail(raises=RuntimeError, strict=True,
+                       reason="J' and J leave the double range where alpha < 0 and |J| "
+                              "passes e**709; J needs a running log scale")
+    def test_negative_alpha_with_j_past_the_double_range(self):
+        # log|J(10)| is about 996, while g tends to (|sigma|/|alpha|)**(1/(q-1))
+        sigma, alpha, q, g0 = -50.0, -1.0, 3.0, 1.0
+        sol = comparison_solve(ScalarProblem(sigma=CONST(sigma), alpha=CONST(alpha),
+                                             q=q, g0=g0), 10.0)
+        assert sol.blowup_time is None
+        assert sol.value(10.0) == pytest.approx(
+            bernoulli_closed_form(sigma, alpha, q, g0, 10.0), rel=1e-8)
+
+    @pytest.mark.parametrize("alpha_after", [0.0, -1.0])
+    def test_escape_next_to_the_last_node_ends(self, monkeypatch, alpha_after):
+        # a plain callable's jump at 0.99, which the grid cannot see, makes J'
+        # overflow at the second-to-last node of the first grid, and alpha
+        # jumps at the horizon: the range cannot shrink there, so the grid is
+        # refined instead, and each solve is counted so that a loop fails.
+        # g(0.99) = g0 / (1 - 0.99 g0), and the closed form from there gives
+        # the escape; the jump lies inside an interval of the final grid
+        # (about 1.2e-4 long), which places the escape to within it
+        quadrature, solves = rdcert.inequality._quadrature, []
+
+        def counted(*args):
+            solves.append(args)
+            assert len(solves) < 100, "the escape search does not end"
+            return quadrature(*args)
+        monkeypatch.setattr(rdcert.inequality, "_quadrature", counted)
+        g0 = 1e-3
+        prob = ScalarProblem(sigma=lambda t: np.where(t < 0.99, 0.0, -1e7),
+                             alpha=lambda t: np.where(t < 1.0, 1.0, alpha_after), q=2.0, g0=g0)
+        tstar = 0.99 + bernoulli_blowup_time(-1e7, 1.0, 2.0, g0 / (1.0 - 0.99 * g0))
+        assert comparison_solve(prob, 1.0).blowup_time == pytest.approx(tstar, abs=1e-4)
 
     @pytest.mark.parametrize("sigma, alpha, q, g0, t, expected", [
         # g0**(1-q) underflows: a pure decay g0 exp(-sigma t)
@@ -268,22 +350,13 @@ class TestComparisonSolve:
         tstar = bernoulli_blowup_time(sigma, alpha, q, g0)
         assert (tstar is not None and tstar <= t) == math.isinf(expected)
 
-    def test_negative_alpha_rejected(self):
-        prob = ScalarProblem(sigma=CONST(1.0), alpha=CONST(-0.1), q=1.5, g0=1.0)
-        with pytest.raises(ValueError):
-            comparison_solve(prob, 1.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["sigma", "alpha"])
     def test_a_coefficient_that_is_not_finite_is_named_with_its_time(self, field, bad):
         # finite up to t = 0.3; raised before any numpy RuntimeWarning, which
-        # fails the suite (alpha = -inf is negative, and says so)
+        # fails the suite
         kwargs = dict(sigma=CONST(1.0), alpha=CONST(0.1), q=1.25, g0=0.5)
         kwargs[field] = lambda t: np.where(t < 0.3, 0.5, bad)
-        if field == "alpha" and bad < 0.0:
-            with pytest.raises(ValueError, match="^alpha\\(t\\) must be nonnegative$"):
-                comparison_solve(ScalarProblem(**kwargs), 1.0)
-            return
         with pytest.raises(ValueError, match=f"^{field}\\(t\\) is not finite at t = ") as caught:
             comparison_solve(ScalarProblem(**kwargs), 1.0)
         t = float(str(caught.value).rsplit(" ", 1)[1])
@@ -726,15 +799,13 @@ class TestBlockedCheck:
         assert calls == []
 
     def test_invalid_mu_in_a_later_block_outranks_alpha_in_block_0(self):
-        # alpha < 0 fails in block 0; mu = (1+t)**775 overflows past t = 1.5, in block 2
+        # mu = (1+t)**775 overflows past t = 1.5, in block 2: that is raised
+        # before block 0's residual, with its alpha < 0, is formed
         n, horizon = 3 * _BLOCK + 7, 2.0
         problem = ScalarProblem(sigma=CONST(1.0), alpha=CONST(-1.0), q=1.25, g0=1.0)
         with np.errstate(over="ignore"):
             with pytest.raises(InvalidCertificateError):
                 check_certificate(problem, Certificate.power(1.0, 775.0), horizon, n)
-            with pytest.raises(ValueError, match="alpha") as caught:
-                check_certificate(problem, Certificate.power(1.0, 1.0), horizon, n)
-        assert not isinstance(caught.value, InvalidCertificateError)
 
     @staticmethod
     def shared_powers_case(data, family):
