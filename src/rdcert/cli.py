@@ -307,7 +307,8 @@ def _check_payload(report) -> dict:
     """The certificate-check fields that check-certificate and run-theorem share."""
     return {"pass": report.passed, "worst_residual": report.worst_residual,
             "c9_slack": report.c9_slack, "grid_points": report.grid_points,
-            "horizon": report.horizon, "failed_condition": report.failed_condition,
+            "evaluated_points": report.evaluated_points, "horizon": report.horizon,
+            "failed_condition": report.failed_condition,
             "first_violation_t": report.first_violation_t}
 
 

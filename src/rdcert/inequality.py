@@ -14,9 +14,11 @@ mu(t); when
 the envelope g(t) <= 1/mu(t) holds.  This module solves the comparison
 equation by its two quadratures (with finite-time blow-up detection, one
 rule placing the escape), evaluates the constant-coefficient closed form as
-an independent oracle, checks certificates on dense time grids, taking each
-parametric family's mu**(q-1) and mu'/mu from its own formula, and verifies
-envelopes along computed trajectories.
+an independent oracle, decides certificates on time grids, taking each
+parametric family's mu**(q-1) and mu'/mu from its own formula and
+evaluating the residual densely only on the grid cells whose interval bounds
+could decide the verdict, and verifies envelopes along computed
+trajectories.
 """
 
 from __future__ import annotations
@@ -24,14 +26,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional
+from functools import partial
+from typing import Callable, Literal, NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .profiles import (ProfileLike, TimeLike, TimeProfile, _blocks, _check_times, _derivative,
-                       _finite, _grid_block, _power, _table_knots, _values_at,
-                       as_time_function)
+from .profiles import (_BLOCK, ProfileLike, TimeLike, TimeProfile, _blocks, _check_times,
+                       _derivative, _finite, _grid_block, _interval, _power, _product, _spread,
+                       _table_knots, _values_at, as_time_function)
 
 __all__ = [
     "ScalarProblem", "Certificate", "CertificateReport", "ComparisonSolution",
@@ -598,12 +601,18 @@ def _exp_or_inf(x: float) -> float:
 
 @dataclass
 class CertificateReport:
-    """Outcome of the dense-grid certificate check.
+    """Outcome of the certificate check on the grid
+    ``np.linspace(0, horizon, grid_points)``.
 
-    ``passed`` requires the growth-condition residual to stay >= -tol on the
-    grid (after local refinement of the worst point) and the initial-value
-    slack 1 - mu(0) g(0) to be >= -tol.  The report holds the verdict and
-    where it was decided, not the residuals: ``growth_residual(problem,
+    ``passed`` requires the growth-condition residual to stay >= -tol at
+    every grid point (and at the local refinement of the worst one) and the
+    initial-value slack 1 - mu(0) g(0) to be >= -tol.  The verdict is the
+    grid's, decided from the residual at the cell endpoints and inside the
+    cells whose bounds could decide it (see :func:`check_certificate`):
+    the verdict of every grid point evaluated.  ``evaluated_points`` counts
+    the grid points at which the residual was evaluated, cell endpoints
+    included and the refinement's calls not.  The report holds the verdict
+    and where it was decided, not the residuals: ``growth_residual(problem,
     cert, report.times)`` gives them.
     """
 
@@ -616,6 +625,7 @@ class CertificateReport:
     horizon: float
     failed_condition: Optional[str]       # "initial_condition" | "residual"
     first_violation_t: Optional[float]
+    evaluated_points: int
 
     @property
     def times(self) -> np.ndarray:
@@ -628,8 +638,8 @@ def growth_residual(problem: ScalarProblem, cert: Certificate, t: TimeLike) -> n
     certificate holds at t iff r(t) >= 0.  A 1-D t is evaluated in blocks of
     _BLOCK times into one new array, so that each block's temporaries stay
     in cache; the values are those of one whole-array evaluation.  For
-    a large q the power may overflow to inf; that is the residual's value,
-    so it is not warned about."""
+    a large q the power may overflow to inf, and inf * 0 reads nan; those
+    are the residual's values, so they are not warned about."""
     t = np.asarray(t, dtype=float)
     _check_times(t)
     if t.ndim != 1:
@@ -640,15 +650,13 @@ def growth_residual(problem: ScalarProblem, cert: Certificate, t: TimeLike) -> n
     return out
 
 
-def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
-              on_block=None) -> np.ndarray:
+def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray) -> np.ndarray:
     """:func:`growth_residual` at the float array t of checked times:
     mu**(q-1) and mu'/mu (see :meth:`Certificate._growth_terms`), sigma and
     alpha are evaluated in that order, all sharing one memo of the powers of
     t (see :func:`rdcert.profiles._power`), so each (1 + t)**e and
     exp(rate t) is computed once.  A profile that does not vary stays one
-    number.  ``on_block``, when given, is called with t, the memo and
-    alpha's values once alpha is evaluated."""
+    number."""
     memo = {}
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in mu' past the range: nan
         r, log_derivative = cert._growth_terms(t, problem.q - 1.0, memo)
@@ -660,75 +668,206 @@ def _residual(problem: ScalarProblem, cert: Certificate, t: np.ndarray,
     else:
         slack = slack - log_derivative
     alpha = np.asarray(_values_at(problem.alpha, t, memo), dtype=float)
-    if on_block is not None:
-        on_block(t, memo, alpha)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 and inf - inf: nan
         r *= slack  # r is a new value, so the rest goes in place
         r -= alpha
     return r
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the double range: inf, inf * 0: nan
+def _residual_bound(problem: ScalarProblem, cert: Certificate, t: np.ndarray):
+    """(lower bound, size) of r on each cell between consecutive times of
+    the checked array t, by interval arithmetic on its pieces' values at t
+    (see :func:`rdcert.profiles._interval`): mu**(q-1) and mu'/mu are
+    monotone for every family, and a table weight's are between its knots.
+    None where sigma or alpha holds a plain callable."""
+    memo = {}
+    sigma, alpha = _interval(problem.sigma, t, memo), _interval(problem.alpha, t, memo)
+    if sigma is None or alpha is None:
+        return None
+    weight, log_derivative = (_spread(v) for v in cert._growth_terms(t, problem.q - 1.0, memo))
+    slack = (sigma[0] - log_derivative[1], sigma[1] - log_derivative[0],
+             sigma[2] + log_derivative[2])
+    lo, _, size = _product(weight, slack)
+    return lo - alpha[1], size + alpha[2]
+
+
+# Grid intervals a cell: cell k of the certificate check spans the grid
+# points k _CELL to (k + 1) _CELL (the last cell ends at the last point), so
+# neighbouring cells share an endpoint; _RUN cells are evaluated at a time.
+_CELL = 1024
+_RUN = _BLOCK // _CELL
+# A cell is passed over only when its bound clears the threshold by _MARGIN
+# times the sum of the magnitudes of the bound's terms.  A computed value
+# strays from the bound of the computed endpoint values by a few ulps of
+# those magnitudes, and by most where an exp reads an argument near 709 with
+# a few ulps of error: about 3 * 709 * 2**-53 = 2.4e-13 relative.
+_MARGIN = 1e-10
+
+
+class _Run(NamedTuple):
+    """One dense evaluation of consecutive cells, reduced."""
+
+    stop: int                 # the cell after the run
+    argmin: int               # the grid index of its first smallest value, a NaN winning
+    low: float
+    first: Optional[tuple]    # (index, value, value before or None at 0) of its first value below
+
+
+class _CellSearch:
+    """A quantity on the grid ``np.linspace(0, horizon, n)``, evaluated at
+    every cell endpoint and densely only on the cells asked for.
+
+    ``evaluate`` maps a float array of grid times to the quantity there (an
+    array); ``below`` is the threshold of :meth:`first_below`.  Given a lower
+    bound of the quantity on each cell (see :meth:`lower`), a cell whose
+    bound exceeds the smallest value found cannot hold the grid minimum, nor
+    a tie for it, and a cell whose bound is not below the threshold holds no
+    point below it.  Each run of cells is evaluated in one call, so a point
+    has the bits of the whole grid's dense pass."""
+
+    def __init__(self, horizon: float, n: int, evaluate, below: float):
+        self.horizon, self.n, self.evaluate, self.below = horizon, n, evaluate, below
+        self.ends = np.append(np.arange(0, n - 1, _CELL), n - 1)
+        self.times = np.append(_grid_block(0.0, horizon, n, slice(0, n - 1, _CELL)), horizon)
+        self.values = evaluate(self.times)
+        self.runs = {}                                  # first cell -> _Run
+        self.run_of = np.full(len(self.ends) - 1, -1)  # the first cell of each cell's run
+        self.evaluated = len(self.ends)                 # grid points evaluated
+
+    def time(self, i: int) -> float:
+        """The grid's point i, bit for bit."""
+        return _grid_block(0.0, self.horizon, self.n, slice(i, i + 1))[0]
+
+    def lower(self, bound, knots: np.ndarray) -> np.ndarray:
+        """Each cell's lower bound: ``bound`` = (lo, size) lowered by
+        _MARGIN size and by the cell's endpoint values, or -inf, which marks
+        a cell to evaluate densely, where ``bound`` is None, where it or an
+        endpoint value is not finite, or where the closed cell holds one of
+        ``knots`` past 0 (a table weight's slope at a knot is the mean of
+        its two sides, so a knot at an endpoint counts)."""
+        if bound is None:
+            return np.full(len(self.ends) - 1, -math.inf)
+        lo, size = bound
+        v = self.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower = np.minimum(lo - _MARGIN * size, np.minimum(v[:-1], v[1:]))
+        knots = np.sort(knots[knots > 0.0])
+        kinked = (np.searchsorted(knots, self.times[1:], "right")
+                  > np.searchsorted(knots, self.times[:-1], "left"))
+        return np.where(np.isfinite(lower) & ~kinked, lower, -math.inf)
+
+    def evaluate_cells(self, cells: np.ndarray) -> None:
+        """Evaluate densely each cell of the boolean mask ``cells`` not
+        evaluated yet, in runs of at most _RUN consecutive cells."""
+        todo = np.flatnonzero(cells & (self.run_of < 0))
+        if not todo.size:
+            return
+        gaps = np.flatnonzero(np.diff(todo) != 1)
+        for first, last in zip(todo[np.append(0, gaps + 1)].tolist(),
+                               todo[np.append(gaps, -1)].tolist()):
+            for start in range(first, last + 1, _RUN):
+                self._run(start, min(start + _RUN, last + 1))
+
+    def _run(self, start: int, stop: int) -> None:
+        a, b = int(self.ends[start]), int(self.ends[stop])
+        values = self.evaluate(_grid_block(0.0, self.horizon, self.n, slice(a, b + 1)))
+        i = int(values.argmin())
+        low = float(values[i])
+        first = None
+        if not low >= self.below:
+            bad = values < self.below
+            j = int(bad.argmax())
+            if bad[j]:
+                # j = 0 past the grid's point 0 is never read: the cell ending
+                # at the run's first point holds that value and comes first
+                first = a + j, float(values[j]), float(values[j - 1]) if j else None
+        self.runs[start] = _Run(stop, a + i, low, first)
+        self.run_of[start:stop] = start
+        self.evaluated += b - a - (stop - start)
+
+    def minimum(self) -> tuple:
+        """(index, value) of the first smallest value evaluated, a NaN
+        winning, as ``np.argmin`` picks them."""
+        i = int(self.values.argmin())
+        found = [(int(self.ends[i]), float(self.values[i]))]
+        found += [(run.argmin, run.low) for run in self.runs.values()]
+        nans = [f for f in found if f[1] != f[1]]
+        return min(nans) if nans else min(found, key=lambda f: (f[1], f[0]))
+
+    def first_below(self, lower: np.ndarray) -> Optional[tuple]:
+        """(index, value, value before or None at index 0) of the first grid
+        point below the threshold, or None: the cells whose ``lower`` bound
+        is below it are evaluated in order until one holds such a point."""
+        candidates = np.flatnonzero(lower < self.below)
+        k = 0
+        while k < len(candidates):
+            c = int(candidates[k])
+            if self.run_of[c] < 0:
+                ahead = candidates[k:k + _RUN]
+                fresh = (ahead == c + np.arange(len(ahead))) & (self.run_of[ahead] < 0)
+                self._run(c, c + (len(ahead) if fresh.all() else int(fresh.argmin())))
+            run = self.runs[int(self.run_of[c])]
+            if run.first is not None:
+                return run.first
+            k = int(np.searchsorted(candidates, run.stop))
+        return None
+
+
 def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
-                      grid_points: int = 10_000, tol: float = 0.0, *,
-                      _on_block=None) -> CertificateReport:
-    """Evaluate both certificate conditions on a dense time grid.
+                      grid_points: int = 10_000, tol: float = 0.0) -> CertificateReport:
+    """Decide both certificate conditions on the grid
+    ``np.linspace(0, horizon, grid_points)``.
 
     First, mu must be positive and finite on all of [0, horizon], else
     :class:`InvalidCertificateError` is raised before sigma or alpha is
     evaluated.  Each parametric weight is monotone and a table weight is
     linear between its knots, so mu's values at 0, at the horizon and at
     the table's knots between them decide that exactly.  Then the verdict
-    reads the residual of :func:`growth_residual` on the grid
-    ``np.linspace(0, horizon, grid_points)``: its minimum, sharpened by
-    bounded scalar minimization between the minimum's neighbours, and its
-    first point below -tol, from which bisection locates the first sign
-    change, so a failure carries a meaningful time.  The grid is formed and
-    evaluated block by block and no residual is kept; the verdict and the
-    errors are those of one whole-grid evaluation.
+    reads the residual of :func:`growth_residual` on the grid: its minimum,
+    sharpened by bounded scalar minimization between the minimum's
+    neighbours, and its first point below -tol, from which bisection locates
+    the first sign change, so a failure carries a meaningful time.
+
+    The grid is cut into cells of _CELL intervals.  The residual is
+    evaluated at every cell endpoint, and each cell gets a lower bound by
+    interval arithmetic on the endpoint values of r's monotone pieces (see
+    :func:`_residual_bound`).  Only the cells that could hold the grid
+    minimum, and those in order that could hold a point below -tol until the
+    first is found, are evaluated densely; so is every cell that no bound
+    covers: a table knot inside it, a value or bound that is not finite, or
+    a plain-callable sigma or alpha, which leaves every cell without one.
+    The verdict, the worst residual and time, the first violation and the
+    errors are those of one whole-grid evaluation, bit for bit, and no
+    residual array is kept.
     """
-    # _on_block(t, memo, alpha), private to rdcert.scenarios, reads each
-    # block's times, powers of t and alpha (see _residual)
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be finite and positive")
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
     weight = cert._weight
     _require_valid(np.asarray(_values_at(weight, _breaks(horizon, weight), {}), dtype=float))
-    # the first smallest residual (a NaN wins, as in np.argmin), and the first
-    # one below -tol with the one before it (None at t = 0)
-    i_min, worst_residual = 0, math.inf
-    first_bad = last = None
-    for block in _blocks(grid_points):
-        t = _grid_block(0.0, horizon, grid_points, block)
-        try:
-            r = _residual(problem, cert, t, _on_block)
-        except Exception:
-            # Earlier blocks raised nothing, so the whole-grid evaluation of
-            # the rest raises what the whole grid would: sigma's errors
-            # before alpha's, wherever on the grid each arises.
-            _residual(problem, cert,
-                      _grid_block(0.0, horizon, grid_points, slice(block.start, grid_points)))
-            raise
-        i = int(r.argmin())
-        low = float(r[i])
-        if (low < worst_residual or low != low) and worst_residual == worst_residual:
-            i_min, worst_residual = block.start + i, low
-        if first_bad is None and not low >= -tol:
-            bad = r < -tol
-            j = int(bad.argmax())
-            if bad[j]:
-                first_bad = block.start + j, float(r[j]), last if j == 0 else float(r[j - 1])
-        last = float(r[-1])
+    knots = np.concatenate([_table_knots(p) for p in (problem.sigma, problem.alpha, weight)])
+    try:
+        search = _CellSearch(horizon, grid_points, partial(_residual, problem, cert), -tol)
+        lower = search.lower(_residual_bound(problem, cert, search.times), knots)
+        search.evaluate_cells(lower == -math.inf)
+        i_min, worst_residual = search.minimum()
+        search.evaluate_cells(lower <= worst_residual)  # a NaN minimum needs no more
+        i_min, worst_residual = search.minimum()
+        first_bad = None if worst_residual >= -tol else search.first_below(lower)
+    except Exception:
+        # the whole grid's evaluation raises what every point's check would:
+        # sigma's errors before alpha's, wherever on the grid each arises
+        _residual(problem, cert, _grid_block(0.0, horizon, grid_points, slice(0, grid_points)))
+        raise
 
     def residual_at(t):
         return float(growth_residual(problem, cert, t))
 
-    def point(i):  # times[i], bit for bit
-        return _grid_block(0.0, horizon, grid_points, slice(i, i + 1))[0]
-
-    worst_t = float(point(i_min))
-    lo = point(max(i_min - 1, 0))
-    hi = point(min(i_min + 1, grid_points - 1))
+    worst_t = float(search.time(i_min))
+    lo = search.time(max(i_min - 1, 0))
+    hi = search.time(min(i_min + 1, grid_points - 1))
     if hi > lo:
         refined = minimize_scalar(residual_at, bounds=(lo, hi),
                                   method="bounded", options={"xatol": 1e-12 * max(horizon, 1.0)})
@@ -751,9 +890,10 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
             j, r_j, before = first_bad
             if before is not None and before >= -tol and before != r_j:
                 first_violation_t = float(brentq(
-                    lambda s: residual_at(s) + tol, point(j - 1), point(j), xtol=1e-12))
+                    lambda s: residual_at(s) + tol, search.time(j - 1), search.time(j),
+                    xtol=1e-12))
             else:
-                first_violation_t = float(point(j))
+                first_violation_t = float(search.time(j))
         else:  # only the refined minimum dips below tolerance
             first_violation_t = worst_t
 
@@ -761,7 +901,8 @@ def check_certificate(problem: ScalarProblem, cert: Certificate, horizon: float,
         passed=bool(initial_ok and residual_ok),
         worst_residual=worst_residual, worst_t=worst_t, c9_slack=c9_slack,
         tol=tol, grid_points=grid_points, horizon=horizon,
-        failed_condition=failed_condition, first_violation_t=first_violation_t)
+        failed_condition=failed_condition, first_violation_t=first_violation_t,
+        evaluated_points=search.evaluated)
 
 
 def verify_envelope(times, g, cert: Certificate, slack: float = 0.02) -> np.ndarray:

@@ -188,13 +188,13 @@ def _blocks(n: int):
 def _grid_block(first: float, last: float, n: int, block: slice,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.linspace(first, last, n)[block]`` bit for bit, for n >= 2, finite
-    ends 0 <= first <= last and a slice start:stop with start < n and no
-    step (a block of :func:`_blocks` (n), say), without forming the whole
-    grid: point i is i * ((last - first) / (n - 1)) + first, and the last
-    point is last itself.  Written into ``out`` (of the block's length) when
-    given."""
+    ends 0 <= first <= last and a slice start:stop:step with start < n (a
+    block of :func:`_blocks` (n), say), without forming the whole grid:
+    point i is i * ((last - first) / (n - 1)) + first, and the last point is
+    last itself.  Written into ``out`` (of the block's length) when given."""
     stop = min(block.stop, n)
-    index = np.arange(block.start, stop, dtype=float)
+    index = np.arange(block.start, stop, block.step, dtype=float)
+    holds_last = index[-1] == n - 1
     t = index if out is None else out
     delta = last - first
     step = delta / (n - 1)
@@ -205,7 +205,7 @@ def _grid_block(first: float, last: float, n: int, block: slice,
         np.multiply(index, step, out=t)
     if first != 0.0:  # adding +0.0 leaves every point (none is -0.0) as it is
         t += first
-    if stop == n:
+    if holds_last:
         t[-1] = last
     return t
 
@@ -296,6 +296,57 @@ def _table_knots(profile: ProfileLike) -> np.ndarray:
         return np.concatenate([np.empty(0)] + [_table_knots(f) for _, factors in profile.terms
                                                for f in factors])
     return np.empty(0)
+
+
+# Interval bounds (Moore, Interval Analysis, 1966) on the cells between
+# consecutive times of an array: (lo, hi, size), arrays of one entry a cell or
+# floats, where size is the sum over the bound's terms of their largest
+# magnitude on the cell, the scale of the rounding in computed values.
+
+def _spread(values) -> tuple:
+    """The bound of a piece that is monotone on each cell, from its values
+    at the cells' ends: the smaller and larger end value.  A float (a piece
+    that does not vary) bounds itself."""
+    if np.ndim(values) == 0:
+        return values, values, abs(values)
+    lo = np.minimum(values[:-1], values[1:])
+    hi = np.maximum(values[:-1], values[1:])
+    return lo, hi, np.maximum(-lo, hi)
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The bound of a product: the least and greatest of the four products
+    of the factors' ends, and the product of the sizes."""
+    ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (np.minimum(np.minimum(ends[0], ends[1]), np.minimum(ends[2], ends[3])),
+            np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3])),
+            a[2] * b[2])
+
+
+def _interval(profile: ProfileLike, t: np.ndarray, memo: dict) -> Optional[tuple]:
+    """The bound of ``profile`` on each cell between consecutive times of the
+    checked array t, from its pieces' values at t (reading ``memo`` as
+    :meth:`TimeProfile._values` does): each parametric profile is monotone,
+    and a table is linear between its knots, so the bound does not hold on a
+    cell with a knot inside; a ProfileSum adds its terms' bounds, each the
+    product of its weight and its factors'.  None where the profile holds a
+    plain callable, which nothing bounds between the times.  Values past the
+    double range give bounds that are not finite."""
+    if isinstance(profile, TimeProfile):
+        return _spread(profile._values(t, memo))
+    if not isinstance(profile, ProfileSum):
+        return None
+    total = (0.0, 0.0, 0.0)
+    for weight, factors in profile.terms:
+        term = (1.0, 1.0, 1.0)
+        for i, f in enumerate(factors):
+            bound = _interval(f, t, memo)
+            if bound is None:
+                return None
+            term = _product(term, bound) if i else bound
+        lo, hi = (term[0], term[1]) if weight >= 0.0 else (term[1], term[0])
+        total = (total[0] + weight * lo, total[1] + weight * hi, total[2] + abs(weight) * term[2])
+    return total
 
 
 def _in_place(op, a, b):

@@ -33,8 +33,10 @@ from typing import Optional
 import numpy as np
 
 from .grid import poincare_constant
-from .inequality import Certificate, CertificateReport, ScalarProblem, check_certificate
-from .profiles import ProfileLike, ProfileSum, TimeProfile, _power, coupling_gamma0
+from .inequality import (Certificate, CertificateReport, ScalarProblem, _breaks, _CellSearch,
+                         check_certificate)
+from .profiles import (ProfileLike, ProfileSum, TimeProfile, _interval, _power, _product, _spread,
+                       _table_knots, _values_at, coupling_gamma0)
 
 __all__ = [
     "ScenarioInputs", "HypothesisReport", "Scenario", "ScenarioNotApplicable",
@@ -182,25 +184,39 @@ def _require(inp: ScenarioInputs, names) -> None:
         raise ScenarioNotApplicable(f"missing scenario inputs: {', '.join(missing)}")
 
 
-class _ClosedFormCap:
-    """The check (1+t)**e alpha(t) <= cap of :func:`bounded_neumann_scenario`,
-    run on the certificate check's blocks: it reads each block's times, its
-    memo of the powers of t and alpha's values (see
-    :func:`rdcert.inequality._residual`), so it costs one power and one
-    comparison a block until the first failing time, ``first_bad``."""
-
-    def __init__(self, exponent: float, cap: float):
-        self.exponent, self.cap = exponent, cap
-        self.first_bad: Optional[float] = None
-
-    def check_block(self, t: np.ndarray, memo: dict, alpha) -> None:
-        if self.first_bad is not None:
-            return
+def _closed_form_first_bad(alpha: ProfileLike, exponent: float, cap: float, horizon: float,
+                           n: int) -> Optional[float]:
+    """The first time of the grid np.linspace(0, horizon, n) at which
+    (1+t)**exponent alpha(t) > cap, or None: the certificate check's cell
+    search for -(1+t)**exponent alpha below -cap, each cell bounded from
+    above by the endpoint values of (1+t)**exponent and of alpha's pieces."""
+    def weighted(t):  # -(1+t)**exponent alpha(t), the bits of each grid point's own product
+        memo = {}
+        values = np.asarray(_values_at(alpha, t, memo), dtype=float)
         with np.errstate(over="ignore"):
-            bad = _power(t, self.exponent, memo) * alpha > self.cap
-        i = int(bad.argmax())
-        if bad[i]:
-            self.first_bad = float(t[i])
+            product = _power(t, exponent, memo) * values
+        return np.negative(product, out=product)
+
+    search = _CellSearch(horizon, n, weighted, -cap)
+    memo = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _interval(alpha, search.times, memo)
+        if bound is not None:
+            _, hi, size = _product(_spread(_power(search.times, exponent, memo)), bound)
+            bound = -hi, size
+    first = search.first_below(search.lower(bound, _table_knots(alpha)))
+    return None if first is None else float(search.time(first[0]))
+
+
+def _identically_zero(profile: ProfileLike, horizon: float) -> bool:
+    """Whether ``profile`` is 0 on all of [0, horizon], decided exactly from
+    its pieces' values at 0, at its table knots and at the horizon: between
+    two of them each piece is monotone, so it is 0 there iff it is 0 at both
+    ends.  A plain callable, which no values bound, counts as nonzero, and
+    so do terms that cancel."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _interval(profile, _breaks(horizon, profile), {})
+    return bound is not None and not np.any(bound[2])
 
 
 def _bounded_certificate(inp: ScenarioInputs) -> Certificate:
@@ -324,10 +340,12 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
 
         alpha_factor * (1+t)**(nu+1) * c0(t) <= mu0**(q-1) * (nu mu1/mu0 - gamma0)
 
-    and the exact grid check of the comparison inequality.  Both run in one
-    pass over the grid: the bound reads each block of the certificate check
-    (its times, powers of t and alpha), and its first failing grid time is
-    the scenario's ``first_failure_t``.  The closed-form bound ignores that
+    and the exact grid check of the comparison inequality.  Both are decided
+    on the same grid by the same cell search (see
+    :func:`rdcert.inequality.check_certificate`), and the bound's first
+    failing grid time is the scenario's ``first_failure_t``.  A nonzero
+    alpha needs nu mu1/mu0 > gamma0; whether alpha is 0 on [0, horizon] is
+    decided exactly from its pieces.  The closed-form bound ignores that
     mu(t) > mu0 for small t and can admit strengths the exact condition
     rejects; when that happens the report flags it and the exact check is
     the one that decides.
@@ -342,8 +360,7 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
     gamma0, k, nu, mu0, mu1 = inp.gamma0, inp.k, inp.nu, inp.mu0, inp.mu1
     ratio_margin = nu * mu1 / mu0 - gamma0
     alpha = inp.alpha()
-    ts_probe = np.linspace(0.0, horizon, min(grid_points, 1001))
-    alpha_is_zero = float(np.max(np.abs(np.asarray(alpha(ts_probe), dtype=float)))) == 0.0
+    alpha_is_zero = _identically_zero(alpha, horizon)
     if ratio_margin <= 0.0 and not alpha_is_zero:
         raise ScenarioNotApplicable(
             "not applicable: nu mu1 / mu0 must exceed gamma0 for a nonzero nonlinearity")
@@ -353,10 +370,9 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
         cap = mu0 ** (q - 1.0) * ratio_margin
     except OverflowError:  # mu0**(q-1) past the double range: the cap reads +-inf
         cap = math.copysign(math.inf, ratio_margin) if ratio_margin else 0.0
-    closed_form = _ClosedFormCap(nu + 1.0, cap)
-    report = check_certificate(problem, cert, horizon, grid_points, tol,
-                               _on_block=closed_form.check_block)
-    closed_ok = closed_form.first_bad is None
+    report = check_certificate(problem, cert, horizon, grid_points, tol)
+    first_bad = _closed_form_first_bad(alpha, nu + 1.0, cap, horizon, grid_points)
+    closed_ok = first_bad is None
     scenario = _certified_scenario(
         "bounded-neumann", problem, cert, report,
         conditions={"neumann_ends": True, "nu_plus_one_le_k": nu + 1.0 <= k,
@@ -364,7 +380,7 @@ def bounded_neumann_scenario(inp: ScenarioInputs, horizon: float,
                     "closed_form_growth_bound": closed_ok},
         details={"q": q, "ratio_margin": ratio_margin, "closed_form_cap": cap,
                  "alpha_factor": inp.alpha_factor},
-        first_failure_t=closed_form.first_bad)
+        first_failure_t=first_bad)
     scenario.hypotheses.details["closed_form_insufficient"] = bool(
         closed_ok and not scenario.certificate_check.passed)
     return scenario

@@ -820,6 +820,16 @@ class TestOneSigma:
         assert checked["worst_residual"] == pytest.approx(theorem["worst_residual"],
                                                           rel=1e-12, abs=0.0)
 
+    def test_reports_evaluated_points(self, tmp_path):
+        # demo 3.1's certificate is decided from a few cells of the 10 000-point
+        # grid; both commands report how many points were evaluated
+        path = write_cfg(tmp_path, short_demo("theorem31", "2.0") + CERTIFICATE_KEYS["theorem31"])
+        main(["check-certificate", "--config", path, "--out", str(tmp_path / "cc")])
+        main(["run-theorem", "3.1", "--config", path, "--out", str(tmp_path / "rt")])
+        for report in (read_report(tmp_path / "cc"), read_report(tmp_path / "rt")["certificate_check"]):
+            assert report["grid_points"] == 10_000
+            assert 2 <= report["evaluated_points"] < 2_500
+
     def test_system_sigma_is_the_dissipation_rate(self):
         # the two-component modulated pair: c(Omega) min_i d_i(t) + gamma(t)
         # as the energy estimate has it, bit for bit

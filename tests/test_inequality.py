@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 import rdcert.inequality
-from rdcert.inequality import (Certificate, InvalidCertificateError, ScalarProblem, _residual,
+from rdcert.inequality import (_CELL, _MARGIN, Certificate, InvalidCertificateError, ScalarProblem,
+                               _residual, _residual_bound,
                                bernoulli_blowup_time, bernoulli_closed_form,
                                check_certificate, comparison_solve, growth_residual,
                                verify_envelope)
-from rdcert.profiles import _BLOCK, ProfileSum, TimeProfile, profile_derivative
+from rdcert.profiles import _BLOCK, ProfileSum, TimeProfile, _table_knots, profile_derivative
 
 CONST = TimeProfile.constant
 
@@ -650,8 +651,11 @@ def test_closed_form_weights_match_the_power_of_mu(data):
     assert abs(float(growth_residual(problem, cert, float(ts[i]))) - want[i]) <= 1e-14 * size[i]
 
 
-BLOCKED_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
-BLOCKED_IDS = ["B-1", "B", "B+1", "3B+7"]
+# blocks of the dense pass, then cells of the check's search (5 cells and a
+# ragged tail of 37 points)
+BLOCKED_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7,
+                 _CELL - 1, _CELL, _CELL + 1, 5 * _CELL + 37]
+BLOCKED_IDS = ["B-1", "B", "B+1", "3B+7", "C-1", "C", "C+1", "5C+37"]
 
 
 def spike(horizon, n, index, height):
@@ -931,3 +935,175 @@ class TestVerifyEnvelope:
         g = np.exp(-times)  # g * mu = 1 exactly
         assert verify_envelope(times, g, cert, slack=0.02).size == 0
         assert verify_envelope(times, 1.05 * g, cert, slack=0.02).size == 60
+
+
+class TestCellSearch:
+    """check_certificate evaluates the residual at the endpoints of cells of
+    _CELL intervals and densely only on the cells whose interval bounds could
+    decide the verdict; its report must equal the whole-grid evaluation."""
+
+    @staticmethod
+    def draw_case(data):
+        """(problem, cert, horizon, n, tol) of one of five kinds: random
+        weights, sigmas and alphas; a residual flat on every cell (all grid
+        points tie); a spike of alpha on a cell endpoint, the grid minimum; a
+        weight whose power overflows past the double range where sigma
+        equals mu'/mu, so r = inf * 0 - alpha is NaN there; and a bump
+        (1+t)**-a - (1+t)**-b, a < b, in sigma or alpha on a few wide
+        cells, so that r dips inside cells whose endpoints pass."""
+        draw = data.draw
+        kind = draw(st.sampled_from(["random", "flat", "edge", "overflow", "bump"]))
+        horizon = draw(st.floats(0.5, 40.0))
+        n = draw(st.sampled_from([2, 3, _CELL - 1, _CELL, _CELL + 1, 4 * _CELL + 37])
+                 | st.integers(2, 6 * _CELL))
+        q = draw(st.floats(1.05, 3.0))
+        tol = draw(st.sampled_from([0.0, 1e-12]))
+        family = draw(st.sampled_from(["exponential", "power", "bounded"]))
+        if kind == "overflow":
+            # mu stays finite on [0, horizon]; mu**(q-1), with q - 1 >= 1.5, passes 1e308
+            q = draw(st.floats(2.5, 3.0))
+            log_mu_end = draw(st.floats(300.0, 700.0))
+            if family == "power":
+                m = log_mu_end / math.log1p(horizon)
+                cert, sigma = Certificate.power(1.0, m), TimeProfile.power_decay(m, 1.0)
+            else:
+                nu = log_mu_end / horizon
+                cert, sigma = Certificate.exponential(1.0, nu), CONST(nu)
+            alpha = CONST(draw(st.floats(-0.5, 0.5)))
+            return ScalarProblem(sigma=sigma, alpha=alpha, q=q, g0=0.5), cert, horizon, n, tol
+        if kind == "flat":
+            # nu = 0 or m = 0: mu is constant and mu'/mu is 0, so r is one value
+            mu0 = draw(st.floats(0.5, 2.0))
+            cert = Certificate.exponential(mu0, 0.0) if family != "power" else Certificate.power(mu0, 0.0)
+            level = st.just(0.0) | st.floats(-1.0, 1.0)  # 0 and 0: r = 0, a bound of size 0
+            problem = ScalarProblem(sigma=CONST(draw(level)), alpha=CONST(draw(level)),
+                                    q=q, g0=0.5 / mu0)
+            return problem, cert, horizon, n, tol
+
+        def value():
+            return draw(st.floats(0.1, 2.0))
+        knots = np.linspace(0.0, horizon, draw(st.integers(2, 6)))
+        pool = [CONST(value()), TimeProfile.power_decay(value(), draw(st.floats(0.25, 3.0))),
+                TimeProfile.power_growth(value(), draw(st.floats(0.25, 2.0))),
+                TimeProfile.exponential(value(), draw(st.floats(-0.3, 0.3))),
+                TimeProfile.tabulated(knots, [value() for _ in knots])]
+        if kind == "bump":
+            n = draw(st.integers(2 * _CELL + 1, 6 * _CELL))
+            a = draw(st.floats(0.5, 1.5))
+            bump = ((1.0, (TimeProfile.power_decay(1.0, a),)),
+                    (-1.0, (TimeProfile.power_decay(1.0, a + draw(st.floats(0.5, 2.0))),)))
+            k = draw(st.floats(0.5, 8.0))
+            growth = ProfileSum(((draw(st.floats(0.0, 1e-3)), (pool[2],)),))
+            sigma = ProfileSum(((draw(st.floats(0.0, 2.0)), ()),) + tuple(
+                (-k * w, fs) for w, fs in bump) + ((draw(st.floats(-1.0, 1.0)), (pool[1],)),))
+            alpha = growth
+            if draw(st.booleans()):  # the bump in alpha instead
+                sigma, alpha = ProfileSum(sigma.terms[:1] + sigma.terms[3:]), ProfileSum(
+                    tuple((k * w, fs) for w, fs in bump) + growth.terms)
+        if family == "exponential":
+            cert = Certificate.exponential(draw(st.floats(0.5, 2.0)), draw(st.floats(-0.3, 0.3)))
+        elif family == "power":
+            cert = Certificate.power(draw(st.floats(0.5, 2.0)), draw(st.floats(-2.0, 2.0)))
+        else:
+            cert = Certificate.bounded(draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0)),
+                                       draw(st.floats(0.25, 2.5)))
+        if kind == "bump":
+            return ScalarProblem(sigma=sigma, alpha=alpha, q=q, g0=0.5 / float(cert.mu(0.0))), \
+                cert, horizon, n, tol
+        # weights of either sign, and a constant term that lifts sigma, so that
+        # many residuals change sign inside the horizon
+        sigma = ProfileSum(tuple(
+            (draw(st.floats(-2.0, 2.0)), tuple(pool[i] for i in draw(
+                st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=2))))
+            for _ in range(draw(st.integers(1, 3)))) + ((draw(st.floats(0.0, 4.0)), ()),))
+        alpha = draw(st.sampled_from(pool[1:]) | st.just(pool[0]))
+        if kind == "edge" and n > _CELL + 1:
+            # a hat of alpha on a cell endpoint takes r far below its other values
+            index = _CELL * draw(st.integers(1, (n - 2) // _CELL))
+            alpha = ProfileSum(((1.0, (alpha,)), (1.0, (spike(horizon, n, index, 100.0),))))
+        g0 = 0.5 / float(cert.mu(0.0))  # the initial condition holds
+        return ScalarProblem(sigma=sigma, alpha=alpha, q=q, g0=g0), cert, horizon, n, tol
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_whole_grid(self, data):
+        problem, cert, horizon, n, tol = self.draw_case(data)
+        rep = check_certificate(problem, cert, horizon, grid_points=n, tol=tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # the written-out overflow
+            _, worst, worst_t, first = whole_grid_check(problem, cert, horizon, n, tol)
+        assert np.array_equal([rep.worst_residual], [worst], equal_nan=True)
+        assert rep.worst_t == worst_t
+        assert rep.first_violation_t == first
+        assert rep.passed == (worst >= -tol)
+        assert 2 <= rep.evaluated_points <= n
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_residual_bound_holds_on_every_cell(self, data):
+        # on each cell of finite bound and no table knot, every grid point's
+        # residual is at least the bound less its margin
+        problem, cert, horizon, n, _ = self.draw_case(data)
+        ends = np.append(np.arange(0, n - 1, _CELL), n - 1)
+        ts = np.linspace(0.0, horizon, n)
+        bound = _residual_bound(problem, cert, ts[ends])
+        knots = np.concatenate([_table_knots(p) for p in (problem.sigma, problem.alpha)])
+        residuals = growth_residual(problem, cert, ts)
+        for c, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+            lower = bound[0][c] - _MARGIN * bound[1][c]
+            if math.isfinite(lower) and not np.any((knots >= ts[a]) & (knots <= ts[b])):
+                assert np.all(residuals[a:b + 1] >= lower)
+
+    @pytest.mark.parametrize("bump", ["sigma", "alpha"])
+    def test_dip_between_passing_endpoints(self, bump):
+        # f = (1+t)**-1 - (1+t)**-2 rises from 0 to 1/4 at t = 1 and falls, so
+        # with mu = 1 the residual 0.24 - f - 2e-6 (1+t)**6 (or, with f moved
+        # into alpha, the same r) dips to about -0.01 inside cell 0 of [0, 2],
+        # whose endpoints pass, before the grid minimum -0.12 at t = 6: only
+        # the cell's bound, from the two terms of f, sends the search into it
+        growth = TimeProfile.power_growth(2e-6, 6.0)
+        f = ((1.0, (TimeProfile.power_decay(1.0, 1.0),)), (-1.0, (TimeProfile.power_decay(1.0, 2.0),)))
+        if bump == "sigma":
+            sigma = ProfileSum(((0.24, ()),) + tuple((-w, fs) for w, fs in f))
+            alpha = ProfileSum(((1.0, (growth,)),))
+        else:
+            sigma, alpha = CONST(0.24), ProfileSum(f + ((1.0, (growth,)),))
+        n, horizon = 3 * _CELL + 1, 6.0
+        problem = ScalarProblem(sigma=sigma, alpha=alpha, q=1.25, g0=1.0)
+        rep = TestBlockedCheck().assert_matches(problem, Certificate.exponential(1.0, 0.0),
+                                                horizon, n)
+        residuals = growth_residual(problem, Certificate.exponential(1.0, 0.0), rep.times)
+        assert residuals[0] > 0.0 and residuals[_CELL] > 0.0
+        assert 0.0 < rep.first_violation_t < 1.0 and rep.worst_t == horizon
+        assert rep.evaluated_points == 4 + 2 * (_CELL - 1)
+
+    def test_plain_callable_evaluates_every_point(self):
+        # no bound covers a plain callable: every cell is evaluated
+        n = 3 * _CELL + 5
+        problem = ScalarProblem(sigma=lambda t: 1.0 + 0.0 * np.asarray(t), alpha=CONST(0.1),
+                                q=1.25, g0=1.0)
+        rep = check_certificate(problem, Certificate.exponential(1.0, 0.5), 10.0, n)
+        assert rep.passed and rep.evaluated_points == n
+
+    @pytest.mark.parametrize("alpha, passed", [(CONST(0.1), True),
+                                               (TimeProfile.power_decay(0.75, 2.0), False)],
+                             ids=["passing", "failing-at-0"])
+    def test_evaluated_points_by_hand(self, alpha, passed):
+        # r = 0.5 e^(t/8) - alpha(t) rises on [0, 10], so its minimum is at t = 0
+        # and the first point below 0, if any, too: the 4 endpoints of the 3
+        # cells and the 1023 points inside cell 0
+        problem = ScalarProblem(sigma=CONST(1.0), alpha=alpha, q=1.25, g0=1.0)
+        rep = check_certificate(problem, Certificate.exponential(1.0, 0.5), 10.0, 3 * _CELL + 1)
+        assert rep.passed == passed and rep.worst_t == 0.0
+        assert rep.evaluated_points == 4 + (_CELL - 1)
+
+    def test_spike_between_endpoints_is_found(self):
+        # a table knot inside a cell leaves it without a bound: the spike at the
+        # middle of a cell is the grid minimum although no endpoint sees it
+        n, horizon = 8 * _CELL + 1, 8.0
+        index = 3 * _CELL + _CELL // 2
+        problem = ScalarProblem(sigma=CONST(1.0), alpha=spike(horizon, n, index, 10.0),
+                                q=1.25, g0=1.0)
+        rep = TestBlockedCheck().assert_matches(problem, Certificate.exponential(1.0, 0.5),
+                                                horizon, n)
+        assert not rep.passed and rep.worst_t == rep.times[index]
+        assert rep.evaluated_points < n // 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rdcert.inequality import _CELL
 from rdcert.profiles import _BLOCK, ProfileSum, TimeProfile
 from rdcert.scenarios import (ScenarioInputs, ScenarioNotApplicable,
                               bounded_neumann_scenario, comparison_exponent,
@@ -102,6 +103,32 @@ class TestClosedFormCap:
         assert not sc.hypotheses.conditions["closed_form_growth_bound"]
         assert sc.hypotheses.first_failure_t == ts[first]
 
+    @pytest.mark.parametrize("shape", ["table", "bump"])
+    def test_first_failure_between_cell_endpoints(self, shape):
+        # (1+t)**2 alpha rises above the cap and falls back inside one cell,
+        # with both of that cell's endpoints below it: a table spike at
+        # t = 2.5 in the cell [2, 3], or 3.2 ((1+t)**-3 - (1+t)**-4), whose
+        # weighted form (1+t)**-1 - (1+t)**-2 peaks at t = 1 in the cell [0, 2]
+        if shape == "table":
+            n, horizon = 8 * _CELL + 1, 8.0
+            c0 = TimeProfile.tabulated([0.0, 2.4, 2.5, 2.6, 8.0], [0.0, 0.0, 0.1, 0.0, 0.0])
+            cell = (2.0, 3.0)
+        else:
+            n, horizon = 4 * _CELL + 1, 8.0
+            c0 = ProfileSum(((3.2, (TimeProfile.power_decay(1.0, 3.0),)),
+                             (-3.2, (TimeProfile.power_decay(1.0, 4.0),))))
+            cell = (0.0, 2.0)
+        sc = bounded_neumann_scenario(neumann_inputs(c0=c0, alpha_factor=1.0),
+                                      horizon=horizon, grid_points=n)
+        ts = np.linspace(0.0, horizon, n)
+        weighted = (1.0 + ts) ** 2.0 * c0(ts)
+        bad = np.flatnonzero(weighted > self.CAP)
+        ends = np.isin(ts, cell)
+        assert bad.size and not np.any(weighted[ends] > self.CAP)
+        assert cell[0] < ts[bad[0]] < cell[1]
+        assert not sc.hypotheses.conditions["closed_form_growth_bound"]
+        assert sc.hypotheses.first_failure_t == ts[bad[0]]
+
     def test_passing_grid(self):
         sc = self.scenario(TimeProfile.power_decay(0.2, 2.0))
         assert sc.hypotheses.conditions["closed_form_growth_bound"]
@@ -120,13 +147,24 @@ class TestClosedFormCap:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_cap_fields_match_the_written_out_bound(self, seed):
+        self.assert_cap_fields_match(seed)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cap_fields_match_on_many_cells(self, seed):
+        # the same inputs on grids of many cells of the check's search, with a
+        # ragged tail
+        self.assert_cap_fields_match(seed, n=int(np.random.default_rng(seed).integers(
+            20 * _CELL, 200 * _CELL)))
+
+    def assert_cap_fields_match(self, seed, n=None):
         # random inputs against all(ts (1+t)**(nu+1) alpha <= cap) written out on
         # np.linspace, and the cap itself
         rng = np.random.default_rng(seed)
         nu, mu0, mu1 = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
         gamma0 = rng.uniform(0.05, 0.95) * nu * mu1 / mu0  # ratio margin > 0
         p, factor, horizon = rng.uniform(1.5, 4.0), rng.uniform(0.5, 3.0), rng.uniform(1.0, 30.0)
-        n = int(rng.choice([2, 1001, _BLOCK + 1, 2 * _BLOCK + 3]))
+        drawn = int(rng.choice([2, 1001, _BLOCK + 1, 2 * _BLOCK + 3]))
+        n = drawn if n is None else n
         c0 = [TimeProfile.power_decay(rng.uniform(0.05, 1.0), rng.uniform(0.5, 3.0)),
               TimeProfile.constant(rng.uniform(0.0, 0.5)),
               TimeProfile.tabulated(np.linspace(0.0, horizon, 5), rng.uniform(0.0, 1.0, 5))
@@ -322,6 +360,27 @@ class TestBoundedNeumann:
     def test_needs_neumann(self):
         with pytest.raises(ScenarioNotApplicable):
             bounded_neumann_scenario(self.base_inputs(bc="dirichlet"), horizon=5.0)
+
+    def test_alpha_nonzero_only_between_probe_points(self):
+        # c0 is 1 only near t = 0.01, between the points of a 1001-point probe
+        # of [0, 50]: alpha is not 0, so the negative ratio margin
+        # nu mu1/mu0 - gamma0 = -0.4 makes the scenario not applicable
+        c0 = TimeProfile.tabulated([0.0, 0.01, 0.02, 50.0], [0.0, 1.0, 0.0, 0.0])
+        assert not np.any(c0(np.linspace(0.0, 50.0, 1001)))
+        for c0 in (c0, TimeProfile.constant(0.001)):
+            inp = ScenarioInputs(L=1.0, bc="neumann", gamma0=0.5, k=2.0, nu=1.0, mu0=1.0,
+                                 mu1=0.1, p=2.0, g0=1.0 / 1.1, c0=c0, alpha_factor=1.0)
+            with pytest.raises(ScenarioNotApplicable, match="nonzero nonlinearity"):
+                bounded_neumann_scenario(inp, horizon=50.0, grid_points=10_000)
+
+    def test_zero_alpha_needs_no_ratio_margin(self):
+        # alpha = 0 on [0, 5]: a table that is 0 at its knots up to the horizon,
+        # and the factor 0
+        for c0, factor in ((TimeProfile.tabulated([0.0, 5.0, 6.0], [0.0, 0.0, 1.0]), 1.0),
+                           (TimeProfile.constant(0.1), 0.0)):
+            sc = bounded_neumann_scenario(self.base_inputs(gamma0=2.0, c0=c0, alpha_factor=factor),
+                                          horizon=5.0)
+            assert sc.hypotheses.conditions["ratio_margin_positive"]
 
     def test_ratio_margin_required_for_nonzero_alpha(self):
         inp = self.base_inputs(gamma0=2.0, c0=TimeProfile.constant(0.1), alpha_factor=1.0)
